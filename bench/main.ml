@@ -268,8 +268,8 @@ let bechamel_tests () =
      backward analysis with a scalar target vs per-endpoint required
      seeds (one tightened output, the Constraints projection shape) *)
   let module Constraints = Dcopt_timing.Constraints in
-  let module Sta = Dcopt_timing.Sta in
   let module Flat_sta = Dcopt_timing.Flat_sta in
+  let core_flat = Dcopt_netlist.Flat.of_circuit core in
   let tc = 1.0 /. 300e6 in
   let req_of circuit =
     let out_name id = (Circuit.node circuit id).Circuit.name in
@@ -300,10 +300,12 @@ let bechamel_tests () =
            ignore (Dcopt_activity.Activity.local_profile core specs)));
     Test.make ~name:"timing/sta scalar (s298)"
       (Staged.stage (fun () ->
-           ignore (Sta.analyze ~required_time:tc core ~delays:budgets)));
+           ignore
+             (Flat_sta.analyze ~required_time:tc core_flat ~delays:budgets)));
     Test.make ~name:"timing/sta constrained (s298)"
       (Staged.stage (fun () ->
-           ignore (Sta.analyze ~required_times:req core ~delays:budgets)));
+           ignore
+             (Flat_sta.analyze ~required_times:req core_flat ~delays:budgets)));
     Test.make ~name:"timing/sta scalar (dag10k)"
       (Staged.stage (fun () ->
            ignore (Flat_sta.analyze ~required_time:tc dag_flat ~delays:dag_delays)));
@@ -334,8 +336,9 @@ let bechamel_tests () =
    exist. Both variants replay one deterministic width-move schedule:
 
    - sizing (TILOS accepted-move shape): apply the width, recover delays,
-     energies and the critical path. Full = whole-circuit evaluate + STA
-     walk; incremental = set_width + commit + arrival-walk.
+     energies and the critical path. Full = whole-circuit evaluate + flat
+     forward sweep and walk; incremental = set_width + commit +
+     arrival-walk.
    - annealing width-move shape: evaluate the perturbed design, accept
      every other move. Full = candidate copy + whole-circuit evaluate;
      incremental = in-place set_width + commit/rollback. *)
@@ -350,6 +353,7 @@ let measure_incremental () =
   in
   let profile = Dcopt_activity.Activity.local_profile core specs in
   let env = Power_model.make_env ~tech ~fc:300e6 core profile in
+  let flat = Power_model.flat env in
   let gates = Power_model.gate_ids env in
   let gate_count = Array.length gates in
   let moves = if !quick then 300 else 3000 in
@@ -370,9 +374,11 @@ let measure_incremental () =
       (fun (id, factor) ->
         design.Power_model.widths.(id) <-
           clamp_w (design.Power_model.widths.(id) *. factor);
-        let e = Power_model.evaluate env design in
+        let delays = (Power_model.evaluate env design).Power_model.delays in
+        let arrival, _ = Dcopt_timing.Flat_sta.forward flat ~delays in
         ignore
-          (Dcopt_timing.Sta.critical_path core ~delays:e.Power_model.delays))
+          (Dcopt_timing.Flat_sta.critical_path_of_arrival flat ~arrival
+             ~delays))
       schedule
   in
   let sizing_incr () =
@@ -436,36 +442,30 @@ let measure_incremental () =
     gate_count )
 
 (* Large-circuit STA scale kernels: full timing analysis (forward +
-   backward sweep) on generated 100k/1M-gate random DAGs, flat levelized
-   kernel vs the pointer-chasing Sta it replaces. Measured as interleaved
-   min-of-k — the variants alternate inside one loop so machine-wide
-   noise hits both equally, and the minimum is a far tighter estimator of
-   the true cost than any single reading. The jobs-identity column
-   re-checks the determinism contract (arrival/required/slack arrays
-   byte-identical between --jobs 1 and --jobs 4) on every run. *)
+   backward sweep) on generated 100k/1M-gate random DAGs with the flat
+   levelized kernel, measured as min-of-k — the minimum is a far tighter
+   estimator of the true cost than any single reading. The jobs-identity
+   column re-checks the determinism contract (arrival/required/slack
+   arrays byte-identical between --jobs 1 and --jobs 4) on every run. *)
 
 type scale_result = {
   sc_name : string;
   sc_gates : int;
   sc_nodes : int;
   sc_ns_per_gate : float; (* flat levelized kernel, sequential *)
-  sc_ptr_ns_per_gate : float; (* pointer-based Sta.analyze *)
-  sc_speedup : float;
   sc_jobs_identical : bool;
 }
 
 let measure_scale () =
   let module G = Dcopt_netlist.Generator in
   let module Flat = Dcopt_netlist.Flat in
-  let module Sta = Dcopt_timing.Sta in
   let module Flat_sta = Dcopt_timing.Flat_sta in
   let module Prng = Dcopt_util.Prng in
   let one (name, gates, reps) =
-    (* the sta_constrained row measures the same flat-vs-pointer pair on
-       the per-endpoint required-time path: finite capture budgets at
-       every primary output, infinity elsewhere — the shape
-       Constraints.required_times projects, so the dedicated _req
-       backward kernel is the one on the clock *)
+    (* the sta_constrained row measures the per-endpoint required-time
+       path: finite capture budgets at every primary output, infinity
+       elsewhere — the shape Constraints.required_times projects, read
+       from a caller-owned seed column *)
     let constrained = String.equal name "sta_constrained" in
     let d = G.default_dag ~name ~seed:42L ~gates () in
     let c = G.random_dag d in
@@ -484,10 +484,8 @@ let measure_scale () =
         Some req
       end
     in
-    let best_ptr = ref infinity and best_flat = ref infinity in
+    let best_flat = ref infinity in
     for _ = 1 to reps do
-      let _, dt = wall (fun () -> Sta.analyze ?required_times c ~delays) in
-      if dt < !best_ptr then best_ptr := dt;
       let _, dt =
         wall (fun () -> Flat_sta.analyze ?required_times f ~jobs:1 ~delays)
       in
@@ -521,8 +519,6 @@ let measure_scale () =
       sc_gates = gates;
       sc_nodes = n;
       sc_ns_per_gate = !best_flat *. 1e9 /. g;
-      sc_ptr_ns_per_gate = !best_ptr *. 1e9 /. g;
-      sc_speedup = !best_ptr /. !best_flat;
       sc_jobs_identical = jobs_identical;
     }
   in
@@ -684,10 +680,9 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
     (fun i r ->
       Printf.bprintf b
         "    {\"name\": \"%s\", \"gates\": %d, \"nodes\": %d, \
-         \"ns_per_gate\": %.3f, \"pointer_ns_per_gate\": %.3f, \
-         \"speedup_vs_pointer\": %.2f, \"jobs_identical\": %b}%s\n"
+         \"ns_per_gate\": %.3f, \"jobs_identical\": %b}%s\n"
         (esc r.sc_name) r.sc_gates r.sc_nodes r.sc_ns_per_gate
-        r.sc_ptr_ns_per_gate r.sc_speedup r.sc_jobs_identical
+        r.sc_jobs_identical
         (if i < List.length scale_results - 1 then "," else ""))
     scale_results;
   Buffer.add_string b "  ],\n  \"fleet\": [\n";
@@ -904,8 +899,6 @@ let run_timing () =
               "Scale kernel (full STA)";
               "gates";
               "flat ns/gate";
-              "pointer ns/gate";
-              "speedup";
               "jobs 4 == jobs 1";
             ]
       in
@@ -917,8 +910,6 @@ let run_timing () =
               r.sc_name;
               string_of_int r.sc_gates;
               Printf.sprintf "%.2f" r.sc_ns_per_gate;
-              Printf.sprintf "%.2f" r.sc_ptr_ns_per_gate;
-              Printf.sprintf "%.2fx" r.sc_speedup;
               (if r.sc_jobs_identical then "yes" else "NO");
             ])
         results;

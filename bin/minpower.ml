@@ -27,7 +27,7 @@ module Stats = Dcopt_netlist.Circuit_stats
 module Span = Dcopt_obs.Span
 module Metrics = Dcopt_obs.Metrics
 module Telemetry = Dcopt_obs.Telemetry
-module Clock = Dcopt_obs.Clock
+module Clock = Dcopt_util.Clock
 module Si = Dcopt_util.Si
 module Text_table = Dcopt_util.Text_table
 open Cmdliner

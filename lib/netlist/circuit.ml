@@ -23,7 +23,6 @@ type t = {
   fanout_counts : int array;
   output_flags : bool array;
   order : int array;       (* combinational topological order *)
-  order_rev : int array;   (* [order] reversed, precomputed once *)
   node_levels : int array;
 }
 
@@ -140,10 +139,6 @@ let build ~name ~by_name ~node_array ~output_ids =
   let input_ids = collect (fun k -> k = Gate.Input) in
   let dff_ids = collect (fun k -> k = Gate.Dff) in
   let order = compute_topo_order node_array fanout_off fanout_edges in
-  let order_rev =
-    let len = Array.length order in
-    Array.init len (fun i -> order.(len - 1 - i))
-  in
   let node_levels = compute_levels node_array order in
   {
     circuit_name = name;
@@ -158,7 +153,6 @@ let build ~name ~by_name ~node_array ~output_ids =
     fanout_counts;
     output_flags;
     order;
-    order_rev;
     node_levels;
   }
 
@@ -281,7 +275,6 @@ let gate_count t =
 let is_combinational t = Array.length t.dff_ids = 0
 let topo_order t = Array.copy t.order
 let iter_topo t f = Array.iter f t.order
-let iter_topo_rev t f = Array.iter f t.order_rev
 let level t i = t.node_levels.(i)
 let depth t = Array.fold_left max 0 t.node_levels
 

@@ -98,10 +98,6 @@ val iter_topo : t -> (int -> unit) -> unit
 (** Apply to every node id in topological order, without allocating a copy
     of the order — the traversal the analysis hot paths use. *)
 
-val iter_topo_rev : t -> (int -> unit) -> unit
-(** Apply in reverse topological order (precomputed once at {!create}, so
-    per-call reversal is never paid). *)
-
 val level : t -> int -> int
 (** Combinational depth of a node: 0 for [Input]/[Dff], else
     [1 + max (level fanins)]. *)

@@ -7,14 +7,11 @@
 type t = {
   circuit : Circuit.t;
   n : int;
-  kinds : Gate.kind array;
   is_gate : bool array;
   fanin_off : int array;
   fanin_edges : int array;
   fanout_off : int array;
   fanout_edges : int array;
-  fanout_counts : int array;
-  is_output : bool array;
   output_ids : int array;
   levels : int array;
   depth : int;
@@ -51,11 +48,11 @@ let level_partition ~n ~depth ~levels ~keep =
 let of_circuit circuit =
   let n = Circuit.size circuit in
   let node_array = Circuit.nodes circuit in
-  let kinds = Array.map (fun nd -> nd.Circuit.kind) node_array in
   let is_gate =
     Array.map
-      (fun k -> match k with Gate.Input | Gate.Dff -> false | _ -> true)
-      kinds
+      (fun nd ->
+        match nd.Circuit.kind with Gate.Input | Gate.Dff -> false | _ -> true)
+      node_array
   in
   let fanin_off = Array.make (n + 1) 0 in
   for id = 0 to n - 1 do
@@ -69,10 +66,7 @@ let of_circuit circuit =
     Array.iteri (fun p f -> fanin_edges.(base + p) <- f) fi
   done;
   let fanout_off, fanout_edges = Circuit.unsafe_fanout_csr circuit in
-  let fanout_counts = Array.init n (Circuit.fanout_count circuit) in
-  let is_output = Array.make n false in
   let output_ids = Circuit.outputs circuit in
-  Array.iter (fun id -> is_output.(id) <- true) output_ids;
   let levels = Circuit.unsafe_levels circuit in
   let depth = Circuit.depth circuit in
   let level_off, level_order =
@@ -89,14 +83,11 @@ let of_circuit circuit =
   {
     circuit;
     n;
-    kinds;
     is_gate;
     fanin_off;
     fanin_edges;
     fanout_off;
     fanout_edges;
-    fanout_counts;
-    is_output;
     output_ids;
     levels;
     depth;
@@ -117,19 +108,16 @@ let level_gates t l =
 
 (* Working-set size of the view in bytes: every column counts, including
    the arrays shared with the circuit (they are part of what a kernel
-   touches). OCaml boxes each array with a one-word header; bool and kind
-   arrays still store one word per element. *)
+   touches). OCaml boxes each array with a one-word header; bool arrays
+   still store one word per element. *)
 let alloc_bytes t =
   let word_bytes = Sys.word_size / 8 in
   let arr len = (len + 1) * word_bytes in
-  arr (Array.length t.kinds)
-  + arr (Array.length t.is_gate)
+  arr (Array.length t.is_gate)
   + arr (Array.length t.fanin_off)
   + arr (Array.length t.fanin_edges)
   + arr (Array.length t.fanout_off)
   + arr (Array.length t.fanout_edges)
-  + arr (Array.length t.fanout_counts)
-  + arr (Array.length t.is_output)
   + arr (Array.length t.output_ids)
   + arr (Array.length t.levels)
   + arr (Array.length t.level_off)

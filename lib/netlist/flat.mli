@@ -6,7 +6,7 @@
     in pin order, and symmetrically for [fanout_*] (ascending consumer id,
     one entry per pin — the same orders {!Circuit.node} and
     {!Circuit.fanouts} report, which is what keeps flat kernels
-    bit-identical to the pointer-based ones).
+    bit-identical to a record-walking reference).
 
     [level_order]/[level_off] give a level-sorted permutation of all node
     ids: the nodes at level [l] occupy
@@ -23,14 +23,11 @@
 type t = private {
   circuit : Circuit.t;
   n : int;                      (** node count *)
-  kinds : Gate.kind array;
   is_gate : bool array;         (** neither [Input] nor [Dff] *)
   fanin_off : int array;        (** length [n+1] *)
   fanin_edges : int array;      (** pin order *)
   fanout_off : int array;       (** length [n+1]; shared with the circuit *)
   fanout_edges : int array;     (** ascending consumer id *)
-  fanout_counts : int array;    (** edge count + 1 if primary output *)
-  is_output : bool array;
   output_ids : int array;
   levels : int array;           (** shared with the circuit *)
   depth : int;

@@ -1,3 +1,4 @@
+module Clock = Dcopt_util.Clock
 module Json = Dcopt_util.Json
 
 type level = Debug | Info | Warn | Error

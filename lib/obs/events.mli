@@ -2,12 +2,12 @@
 
     The metrics registry answers "how much / how fast overall"; the event
     log answers "what happened to {e this} job". Every event carries a
-    strictly monotonic timestamp ({!Clock.now_ns}), a severity, an event
-    name, and whatever part of the correlation chain
+    strictly monotonic timestamp ({!Dcopt_util.Clock.now_ns}), a
+    severity, an event name, and whatever part of the correlation chain
     [run_id → batch_id → worker_id → job_id] is in scope — so a batch
-    result row can
-    be joined to its retries, store and checkpoint hits, guard trips and
-    convergence trajectory by grepping the log for its [job_id].
+    result row can be joined to its retries, store and checkpoint hits,
+    guard trips and convergence trajectory by grepping the log for its
+    [job_id].
 
     The sink is process-global and disabled by default; [emit] with no
     sink configured is a cheap no-op, so library code logs

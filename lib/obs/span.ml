@@ -1,3 +1,5 @@
+module Clock = Dcopt_util.Clock
+
 type span = {
   name : string;
   start_ns : int64;

@@ -16,7 +16,7 @@
 
 type span = {
   name : string;
-  start_ns : int64;             (** {!Clock.now_ns} at open *)
+  start_ns : int64;             (** {!Dcopt_util.Clock.now_ns} at open *)
   dur_ns : int64;               (** strictly positive; clamped to 1 if the
                                     clock source misbehaves (see [with_]) *)
   depth : int;                  (** 0 = top-level on its domain *)
@@ -34,10 +34,11 @@ val with_ : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_ name fn] runs [fn ()]; when tracing is enabled the elapsed
     interval is recorded as a span named [name] in the calling domain's
     buffer, closed even when [fn] raises. A non-positive duration —
-    impossible with {!Clock.now_ns}, which is strictly increasing, but
-    reachable if a broken clock source is ever substituted — is clamped
-    to [dur_ns = 1] and counted in the [span.clock_clamped] metric
-    instead of raising: tracing must never kill a serve process. *)
+    impossible with {!Dcopt_util.Clock.now_ns}, which is strictly
+    increasing, but reachable if a broken clock source is ever
+    substituted — is clamped to [dur_ns = 1] and counted in the
+    [span.clock_clamped] metric instead of raising: tracing must never
+    kill a serve process. *)
 
 val record_span :
   ?args:(string * string) list ->
@@ -62,9 +63,9 @@ val spans : unit -> span list
 
 val merged : unit -> (int * span) list
 (** All domains' completed spans as [(tid, span)], sorted by
-    [(tid, start_ns)] — a total order since {!Clock.now_ns} never
-    repeats, so the merge is deterministic for a given set of recorded
-    spans. Main-domain only, outside a parallel batch. *)
+    [(tid, start_ns)] — a total order since {!Dcopt_util.Clock.now_ns}
+    never repeats, so the merge is deterministic for a given set of
+    recorded spans. Main-domain only, outside a parallel batch. *)
 
 val top_level_total_ns : unit -> int64
 (** Sum of the durations of the calling domain's depth-0 spans — the

@@ -1,24 +1,9 @@
 module Circuit = Dcopt_netlist.Circuit
-module Sta = Dcopt_timing.Sta
-module Tech = Dcopt_device.Tech
+module Flat_sta = Dcopt_timing.Flat_sta
 
 type outcome =
   | Repaired of { budgets : float array; lifted : int; iterations : int }
   | Infeasible of { limiting_gate : int }
-
-let floor_delay env ~budgets ~vdd ~vt id =
-  let tech = Power_model.tech env in
-  let n = Circuit.size (Power_model.circuit env) in
-  let probe =
-    {
-      Power_model.vdd;
-      vt = Array.make n vt;
-      widths = Array.make n tech.Tech.w_min;
-    }
-  in
-  probe.Power_model.widths.(id) <- tech.Tech.w_max;
-  let mfd = Power_model.budget_fanin_delay env ~budgets id in
-  Power_model.gate_delay env probe ~max_fanin_delay:mfd id
 
 (* The repair loop drives the *actual* sizing operator: size the whole
    circuit at the corner, lift the budget of every gate that missed to the
@@ -28,11 +13,18 @@ let floor_delay env ~budgets ~vdd ~vt id =
    complementary set, so the loop either reaches a sized fixpoint or proves
    a floored-end-to-end path. *)
 let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
-  let core = Power_model.circuit env in
-  let n = Circuit.size core in
+  let flat = Power_model.flat env in
+  let n = Circuit.size (Power_model.circuit env) in
   let budgets = Array.copy budgets in
   let floored = Array.make (Array.length budgets) false in
-  let available = (Sta.analyze core ~delays:budgets).Sta.critical_delay in
+  (* Forward sweeps only: the loop reads the critical delay and one
+     critical path, never required times or slacks. *)
+  let forward () = Flat_sta.forward flat ~delays:budgets in
+  let path_of arrival =
+    Flat_sta.critical_path_of_arrival flat ~arrival ~delays:budgets
+  in
+  let critical_path () = path_of (fst (forward ())) in
+  let available = snd (forward ()) in
   let gates = Power_model.gate_ids env in
   let vt_array = Array.make n vt in
   let lifted = ref 0 in
@@ -46,7 +38,7 @@ let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
   in
   let rec loop iteration =
     if iteration > max_iterations then
-      infeasible_at (Sta.critical_path core ~delays:budgets)
+      infeasible_at (critical_path ())
     else
       let design, ok = Power_model.size_all env ~vdd ~vt:vt_array ~budgets in
       if ok then Repaired { budgets; lifted = !lifted; iterations = iteration }
@@ -66,16 +58,16 @@ let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
             else if d > budgets.(id) then budgets.(id) <- infinity)
           gates;
         if Array.exists (fun id -> budgets.(id) = infinity) gates then
-          infeasible_at (Sta.critical_path core ~delays:budgets)
+          infeasible_at (critical_path ())
         else begin
           (* Rebalance every violating path, worst first. *)
           let rec rebalance guard =
             if guard = 0 then false
             else
-              let sta = Sta.analyze core ~delays:budgets in
-              if sta.Sta.critical_delay <= available *. (1.0 +. 1e-9) then true
+              let arrival, critical_delay = forward () in
+              if critical_delay <= available *. (1.0 +. 1e-9) then true
               else
-                let path = Sta.critical_path core ~delays:budgets in
+                let path = path_of arrival in
                 let floored_sum, free_sum =
                   List.fold_left
                     (fun (f, fr) id ->
@@ -96,7 +88,7 @@ let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
                 end
           in
           if rebalance (4 * max 1 (Array.length gates)) then loop (iteration + 1)
-          else infeasible_at (Sta.critical_path core ~delays:budgets)
+          else infeasible_at (critical_path ())
         end
       end
   in

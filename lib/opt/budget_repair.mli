@@ -23,12 +23,6 @@ type outcome =
   | Infeasible of { limiting_gate : int }
     (** [limiting_gate]: a gate on an unshrinkable violating path. *)
 
-val floor_delay :
-  Power_model.env -> budgets:float array -> vdd:float -> vt:float -> int ->
-  float
-(** Best achievable delay of one gate at the corner: own width at maximum,
-    fanout loads at minimum width, driver delay at the fanins' budgets. *)
-
 val repair :
   ?max_iterations:int ->  (* default 24 *)
   ?margin:float ->        (* relative safety over the floor, default 1e-3 *)

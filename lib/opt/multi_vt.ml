@@ -1,5 +1,6 @@
 module Tech = Dcopt_device.Tech
 module Numeric = Dcopt_util.Numeric
+module Flat_sta = Dcopt_timing.Flat_sta
 
 let classify env ~budgets ~classes =
   assert (classes >= 1);
@@ -37,7 +38,6 @@ let vt_of_classes assignment class_vts n =
    interactions cannot break timing. *)
 let greedy_dual_vt ?vt_high_candidates env solution =
   let tech = Power_model.tech env in
-  let circuit = Power_model.circuit env in
   let base = solution.Solution.design in
   let vt_low =
     match Solution.vt_values solution with
@@ -69,17 +69,17 @@ let greedy_dual_vt ?vt_high_candidates env solution =
            against the env's per-endpoint constraints when it has any *)
         let eval = solution.Solution.evaluation in
         let sta =
-          Dcopt_timing.Sta.analyze ~required_time:tc
+          Flat_sta.analyze ~required_time:tc
             ?required_times:(Power_model.required_times env)
-            ?arrival_offsets:(Power_model.arrival_offsets env) circuit
-            ~delays:eval.Power_model.delays
+            ?arrival_offsets:(Power_model.arrival_offsets env)
+            (Power_model.flat env) ~delays:eval.Power_model.delays
         in
         let order =
           Array.to_list (Power_model.gate_ids env)
           |> List.sort (fun a b ->
                  Float.compare
-                   (Dcopt_timing.Sta.slack_of_endpoint sta b)
-                   (Dcopt_timing.Sta.slack_of_endpoint sta a))
+                   (Flat_sta.slack_of_endpoint sta b)
+                   (Flat_sta.slack_of_endpoint sta a))
         in
         let promoted = ref 0 in
         List.iter

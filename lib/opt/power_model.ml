@@ -70,7 +70,7 @@ let make_env ?wiring ?(po_pin_width = 4.0) ?(include_short_circuit = false)
   in
   let flat = Flat.of_circuit circuit in
   let n = Circuit.size circuit in
-  let is_gate = Array.make n false in
+  let is_gate = flat.Flat.is_gate in
   let fanin_counts = Array.make n 0 in
   let stacks = Array.make n 0 in
   let pin_caps = Array.make n 0.0 in
@@ -108,7 +108,6 @@ let make_env ?wiring ?(po_pin_width = 4.0) ?(include_short_circuit = false)
           max 1 (Array.length (Circuit.fanouts circuit id) + pin_count)
         in
         let wc, wr, fl = wire_term net_fanout in
-        is_gate.(id) <- true;
         fanin_counts.(id) <- fanin_count;
         stacks.(id) <- Gate.series_stack_depth kind fanin_count;
         pin_caps.(id) <- float_of_int pin_count *. po_pin_width *. tech.Tech.c_gate;
@@ -577,7 +576,7 @@ module Incr = struct
       {
         ienv = env;
         idesign = design;
-        ist = Incr_sta.create env.env_circuit;
+        ist = Incr_sta.create env.env_flat;
         icache = drive_cache env ~vdd:design.vdd;
         st_terms = Array.make n 0.0;
         dy_terms = Array.make n 0.0;
@@ -636,9 +635,10 @@ module Incr = struct
     (* the gate's own delay/energy change, and so do its fanin drivers':
        their load includes this gate's input capacitance *)
     Incr_sta.mark_dirty t.ist id;
-    Array.iter
-      (fun f -> Incr_sta.mark_dirty t.ist f)
-      (Circuit.node t.ienv.env_circuit id).Circuit.fanins;
+    let f = t.ienv.env_flat in
+    for p = f.Flat.fanin_off.(id) to f.Flat.fanin_off.(id + 1) - 1 do
+      Incr_sta.mark_dirty t.ist f.Flat.fanin_edges.(p)
+    done;
     let cone =
       Incr_sta.propagate t.ist ~recompute:(fun ~id ~max_fanin_delay ->
           recompute t ~id ~max_fanin_delay)
@@ -733,7 +733,7 @@ module Incr = struct
         (Incr_sta.arrivals t.ist)
 
   let critical_path t =
-    Dcopt_timing.Sta.critical_path_of_arrival t.ienv.env_circuit
+    Dcopt_timing.Flat_sta.critical_path_of_arrival t.ienv.env_flat
       ~arrival:(Incr_sta.arrivals t.ist) ~delays:(Incr_sta.delays t.ist)
 
   let snapshot t =

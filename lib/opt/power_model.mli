@@ -238,7 +238,7 @@ module Incr : sig
 
   val critical_path : t -> int list
   (** One maximal-arrival path under the current state, via
-      {!Dcopt_timing.Sta.critical_path_of_arrival} — no extra STA pass. *)
+      {!Dcopt_timing.Flat_sta.critical_path_of_arrival} — no extra STA pass. *)
 
   val snapshot : t -> evaluation
   (** The current state as a regular {!evaluation} record (copies the

@@ -7,7 +7,7 @@ module Diag = Dcopt_util.Diag
 module Par = Dcopt_par.Par
 module Metrics = Dcopt_obs.Metrics
 module Span = Dcopt_obs.Span
-module Clock = Dcopt_obs.Clock
+module Clock = Dcopt_util.Clock
 module Events = Dcopt_obs.Events
 module Json = Dcopt_util.Json
 

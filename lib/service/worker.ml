@@ -11,26 +11,6 @@ let reconnects_c =
   Metrics.counter ~help:"Reconnection attempts this worker process made"
     "service.worker.reconnects"
 
-(* Deterministic crash injection for the recovery tests:
-   DCOPT_FLEET_CHAOS_KILL="<worker_id>:<nth>" makes the named worker
-   SIGKILL itself in place of sending its nth result — the harshest
-   possible death (job fully paid for, result never delivered), which
-   the coordinator must answer by requeuing onto survivors. The fault
-   plans (Faults, worker.result site) subsume this, but the hook
-   predates them and stays for compatibility. *)
-let chaos_kill_after ~worker_id =
-  match Sys.getenv_opt "DCOPT_FLEET_CHAOS_KILL" with
-  | None -> None
-  | Some spec -> (
-    match String.rindex_opt spec ':' with
-    | None -> None
-    | Some i ->
-      let id = String.sub spec 0 i in
-      let nth =
-        int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-      in
-      if id = worker_id then nth else None)
-
 (* Worker-side fault seam: stall silences the heartbeat (these sites
    fire outside the computing window, so the coordinator sees dispatched
    work with no liveness — the stall it must detect), exit/kill die in
@@ -47,7 +27,7 @@ let apply_worker_faults site =
 (* One connected session: hello, then the read-execute-reply loop until
    a shutdown frame (`Clean), a dead/desynchronised coordinator
    (`Lost), or an injected death. *)
-let session ?store ~heartbeat_interval_s ~worker_id ~chaos ~results_sent fd =
+let session ?store ~heartbeat_interval_s ~worker_id fd =
   let ic = Unix.in_channel_of_descr fd in
   (* results and heartbeats interleave from two threads; frames must hit
      the socket whole *)
@@ -116,11 +96,6 @@ let session ?store ~heartbeat_interval_s ~worker_id ~chaos ~results_sent fd =
               | [ row ] -> row
               | _ -> assert false (* one job in, one row out *)
             in
-            incr results_sent;
-            (match chaos with
-            | Some nth when !results_sent = nth ->
-              Unix.kill (Unix.getpid ()) Sys.sigkill
-            | _ -> ());
             apply_worker_faults "worker.result";
             send ~site:"wire.send.result" (Wire.Result { seq; row }))
       done;
@@ -141,8 +116,6 @@ let run ?store ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect
   Faults.arm_from_env ();
   Faults.set_role worker_id;
   Events.info "worker.start" ~fields:[ ("pid", Json.Int (Unix.getpid ())) ];
-  let chaos = chaos_kill_after ~worker_id in
-  let results_sent = ref 0 in
   (* The reconnect schedule is a pure function of the worker id: capped
      exponential backoff, jitter drawn from an id-seeded PRNG. A budget
      of 0 (spawned workers — the coordinator respawns them itself)
@@ -177,7 +150,7 @@ let run ?store ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect
     | None -> false
     | Some fd -> (
       match
-        session ?store ~heartbeat_interval_s ~worker_id ~chaos ~results_sent fd
+        session ?store ~heartbeat_interval_s ~worker_id fd
       with
       | `Clean -> true
       | `Lost ->

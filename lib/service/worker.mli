@@ -25,10 +25,8 @@
     Fault injection: the worker arms [DCOPT_FAULT_PLAN] on entry
     ({!Faults.arm_from_env}) and sets its role to the worker id, then
     exposes the [worker.job] (before computing) and [worker.result]
-    (before replying) seams for [stall]/[exit]/[kill], and sends every
-    frame through {!Wire.send} sites. The older
-    [DCOPT_FLEET_CHAOS_KILL="<worker_id>:<nth>"] hook (SIGKILL in place
-    of the nth result) is kept for compatibility. *)
+    (after computing, before replying) seams for [stall]/[exit]/[kill],
+    and sends every frame through {!Wire.send} sites. *)
 
 val run :
   ?store:Store.t ->

@@ -10,15 +10,14 @@
     The whole timing stack consumes a constraint set through one
     projection: {!required_times}, a per-node array of required arrival
     times ([+infinity] for non-endpoints and false-path'd endpoints)
-    that {!Sta.analyze}/{!Flat_sta.analyze} seed their backward sweep
-    from, and {!arrival_offsets}, the input-delay seeds for the forward
+    that {!Flat_sta.analyze} seeds its backward sweep from, and {!arrival_offsets}, the input-delay seeds for the forward
     sweep.
 
     The legacy scalar [cycle_target] is the degenerate one-clock set
     built by {!of_cycle_time}; every pre-redesign caller migrates
-    through it, and the scalar fast paths in [Sta]/[Delay_assign]/
-    [Power_model] recognise it via {!scalar_cycle_time} so scalar runs
-    stay bit-identical. *)
+    through it, and the scalar fast paths in [Delay_assign]/[Power_model]
+    recognise it via {!scalar_cycle_time} so scalar runs stay
+    bit-identical. *)
 
 type clock = {
   clock_name : string;

@@ -1,5 +1,5 @@
 module Circuit = Dcopt_netlist.Circuit
-module Gate = Dcopt_netlist.Gate
+module Flat = Dcopt_netlist.Flat
 module Metrics = Dcopt_obs.Metrics
 
 let assign_counter =
@@ -26,42 +26,40 @@ type t = {
   slope_adjusted : int;
 }
 
-let is_gate circuit id =
-  match (Circuit.node circuit id).Circuit.kind with
-  | Gate.Input | Gate.Dff -> false
-  | _ -> true
+(* Max of [col] over the gate neighbours of [id] in one CSR direction,
+   folded in adjacency order from 0. *)
+let max_over_gates f ~off ~edges col id =
+  let acc = ref 0.0 in
+  for p = off.(id) to off.(id + 1) - 1 do
+    let g = edges.(p) in
+    if f.Flat.is_gate.(g) then acc := Float.max !acc col.(g)
+  done;
+  !acc
 
 (* Largest fanout-sum over chains from this gate downward / from sources to
    this gate, allowing chains to stop anywhere (used only by the fallback,
    where dead-end logic is exactly the case at hand). *)
-let chain_criticalities circuit =
-  let n = Circuit.size circuit in
+let chain_criticalities circuit f =
+  let n = Flat.size f in
   let order = Circuit.topo_order circuit in
   let w id = float_of_int (Kpaths.effective_fanout circuit id) in
   let down = Array.make n 0.0 in
   for i = Array.length order - 1 downto 0 do
     let id = order.(i) in
-    if is_gate circuit id then begin
-      let cont =
-        Array.fold_left
-          (fun acc g -> if is_gate circuit g then Float.max acc down.(g) else acc)
-          0.0 (Circuit.fanouts circuit id)
-      in
-      down.(id) <- w id +. cont
-    end
+    if f.Flat.is_gate.(id) then
+      down.(id) <-
+        w id
+        +. max_over_gates f ~off:f.Flat.fanout_off ~edges:f.Flat.fanout_edges
+             down id
   done;
   let up = Array.make n 0.0 in
   Array.iter
     (fun id ->
-      if is_gate circuit id then begin
-        let nd = Circuit.node circuit id in
-        let pred =
-          Array.fold_left
-            (fun acc f -> if is_gate circuit f then Float.max acc up.(f) else acc)
-            0.0 nd.Circuit.fanins
-        in
-        up.(id) <- w id +. pred
-      end)
+      if f.Flat.is_gate.(id) then
+        up.(id) <-
+          w id
+          +. max_over_gates f ~off:f.Flat.fanin_off ~edges:f.Flat.fanin_edges
+               up id)
     order;
   (up, down)
 
@@ -85,7 +83,9 @@ let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
   if cycle_time <= 0.0 then invalid_arg "Delay_assign.assign: cycle_time <= 0";
   if not (skew_factor > 0.0 && skew_factor <= 1.0) then
     invalid_arg "Delay_assign.assign: skew_factor out of (0, 1]";
-  let n = Circuit.size circuit in
+  let f = Flat.of_circuit circuit in
+  let n = Flat.size f in
+  let is_gate = f.Flat.is_gate in
   let available = skew_factor *. cycle_time in
   let t_max = Array.make n 0.0 in
   let assigned = Array.make n false in
@@ -128,43 +128,36 @@ let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
   (* Fallback for gates on no enumerated PI-to-PO path. *)
   let fallback_gates = ref 0 in
   if !remaining > 0 then begin
-    let up, down = chain_criticalities circuit in
-    Array.iter
-      (fun nd ->
-        let id = nd.Circuit.id in
-        if is_gate circuit id && not assigned.(id) then begin
-          let crit = up.(id) +. down.(id) -. w id in
-          t_max.(id) <- available *. w id /. Float.max (w id) crit;
-          assigned.(id) <- true;
-          incr fallback_gates;
-          decr remaining
-        end)
-      (Circuit.nodes circuit)
+    let up, down = chain_criticalities circuit f in
+    for id = 0 to n - 1 do
+      if is_gate.(id) && not assigned.(id) then begin
+        let crit = up.(id) +. down.(id) -. w id in
+        t_max.(id) <- available *. w id /. Float.max (w id) crit;
+        assigned.(id) <- true;
+        incr fallback_gates;
+        decr remaining
+      end
+    done
   end;
   (* Slope-feasibility lift (paper: post processing so the driven gate's
      budget is achievable given its drivers' budgets). *)
   let slope_adjusted = ref 0 in
-  Array.iter
-    (fun id ->
-      if is_gate circuit id then begin
-        let nd = Circuit.node circuit id in
+  Circuit.iter_topo circuit (fun id ->
+      if is_gate.(id) then begin
         let worst_fanin =
-          Array.fold_left
-            (fun acc f ->
-              if is_gate circuit f then Float.max acc t_max.(f) else acc)
-            0.0 nd.Circuit.fanins
+          max_over_gates f ~off:f.Flat.fanin_off ~edges:f.Flat.fanin_edges
+            t_max id
         in
         let floor_needed = slope_guard *. worst_fanin in
         if t_max.(id) < floor_needed then begin
           t_max.(id) <- floor_needed;
           incr slope_adjusted
         end
-      end)
-    (Circuit.topo_order circuit);
+      end);
   (* Final guarantee: scale so no path exceeds the distributed budget. *)
-  let sta = Sta.analyze circuit ~delays:t_max in
-  if sta.Sta.critical_delay > available && sta.Sta.critical_delay > 0.0 then begin
-    let scale = available /. sta.Sta.critical_delay in
+  let _, critical_delay = Flat_sta.forward f ~delays:t_max in
+  if critical_delay > available && critical_delay > 0.0 then begin
+    let scale = available /. critical_delay in
     Array.iteri (fun id v -> t_max.(id) <- v *. scale) t_max
   end;
   Metrics.incr assign_counter;
@@ -180,5 +173,7 @@ let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
   }
 
 let verify circuit budget ~cycle_time =
-  let sta = Sta.analyze circuit ~delays:budget.t_max in
-  sta.Sta.critical_delay <= cycle_time *. (1.0 +. 1e-6)
+  let _, critical_delay =
+    Flat_sta.forward (Flat.of_circuit circuit) ~delays:budget.t_max
+  in
+  critical_delay <= cycle_time *. (1.0 +. 1e-6)

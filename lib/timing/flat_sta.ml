@@ -3,9 +3,7 @@ module Flat = Dcopt_netlist.Flat
 module Metrics = Dcopt_obs.Metrics
 module Par = Dcopt_par.Par
 
-(* Same record as the pointer-based analyzer, re-exported with equality so
-   results interchange freely. *)
-type result = Sta.result = {
+type result = {
   arrival : float array;
   critical_delay : float;
   required : float array;
@@ -46,9 +44,10 @@ let validate name f ~delays =
 (* The per-slice sweep kernels live in flat_sta_stubs.c: the per-edge
    work is three loads, a compare and a branch, and the C loops run ~2x
    faster than their best OCaml renditions (see the stub file for the
-   bit-identity argument — they reproduce Sta.analyze's IEEE operations
-   exactly, for every NaN-free delay array). Both are [@@noalloc] and
-   runtime-free, so pool domains may run disjoint slices concurrently. *)
+   bit-identity argument — they reproduce the reference record-walking
+   analyzer's IEEE operations exactly, for every NaN-free delay array).
+   Both are [@@noalloc] and runtime-free, so pool domains may run
+   disjoint slices concurrently. *)
 
 external forward_range :
   float array (* arrival *) ->
@@ -60,22 +59,6 @@ external forward_range :
   (int[@untagged]) (* hi *) ->
   unit
   = "dcopt_flat_sta_forward_range_bytecode" "dcopt_flat_sta_forward_range_native"
-[@@noalloc]
-
-external backward_range :
-  float array (* required *) ->
-  float array (* slack *) ->
-  float array (* arrival *) ->
-  float array (* delays *) ->
-  int array (* level order *) ->
-  int array (* fanout_off *) ->
-  int array (* fanout_edges *) ->
-  bool array (* is_output *) ->
-  (float[@unboxed]) (* target *) ->
-  (int[@untagged]) (* lo *) ->
-  (int[@untagged]) (* hi *) ->
-  unit
-  = "dcopt_flat_sta_backward_range_bytecode" "dcopt_flat_sta_backward_range_native"
 [@@noalloc]
 
 external backward_req_range :
@@ -130,20 +113,6 @@ let forward_sweep ~jobs ~min_par_width f ~delays ~arrival =
     (fun acc id -> Float.max acc arrival.(id))
     0.0 f.Flat.output_ids
 
-let forward_into ?jobs ?(min_par_width = default_min_par_width) f ~delays
-    ~arrival =
-  (* The C kernel indexes both columns by gate id with no bounds checks;
-     these O(1) length checks are what keeps a short array from
-     corrupting the heap. *)
-  let n = Flat.size f in
-  if Array.length delays <> n then
-    invalid_arg "Flat_sta.forward_into: delay array size mismatch";
-  if Array.length arrival <> n then
-    invalid_arg "Flat_sta.forward_into: arrival array size mismatch";
-  let jobs = match jobs with Some j -> j | None -> Par.jobs () in
-  Array.fill arrival 0 (Array.length arrival) 0.0;
-  forward_sweep ~jobs ~min_par_width f ~delays ~arrival
-
 (* Fresh arrival columns skip the full zero fill: the forward sweep
    writes every gate entry, so only the non-gate (primary input) slots of
    level 0 need an explicit 0. *)
@@ -157,66 +126,106 @@ let fresh_arrival f =
   done;
   arrival
 
-let forward ?jobs ?min_par_width f ~delays =
+let forward ?jobs ?(min_par_width = default_min_par_width) f ~delays =
   validate "Flat_sta.forward" f ~delays;
   set_gauges f;
-  let jobs =
-    match jobs with Some j -> j | None -> Par.jobs ()
-  in
-  let min_par_width =
-    Option.value min_par_width ~default:default_min_par_width
-  in
+  let jobs = Option.value jobs ~default:(Par.jobs ()) in
   let arrival = fresh_arrival f in
-  let critical = forward_sweep ~jobs ~min_par_width f ~delays ~arrival in
-  (arrival, critical)
+  (arrival, forward_sweep ~jobs ~min_par_width f ~delays ~arrival)
 
 let analyze ?required_time ?required_times ?arrival_offsets ?jobs
     ?(min_par_width = default_min_par_width) f ~delays =
   validate "Flat_sta.analyze" f ~delays;
   set_gauges f;
-  let jobs = match jobs with Some j -> j | None -> Par.jobs () in
+  let jobs = Option.value jobs ~default:(Par.jobs ()) in
   let n = Flat.size f in
-  (match required_times with
-   | Some seeds when Array.length seeds <> n ->
-     invalid_arg "Flat_sta.analyze: required_times size mismatch"
-   | _ -> ());
-  (match arrival_offsets with
-   | Some seeds when Array.length seeds <> n ->
-     invalid_arg "Flat_sta.analyze: arrival_offsets size mismatch"
-   | _ -> ());
+  let check_seeds what = function
+    | Some seeds when Array.length seeds <> n ->
+      invalid_arg ("Flat_sta.analyze: " ^ what ^ " size mismatch")
+    | _ -> ()
+  in
+  check_seeds "required_times" required_times;
+  check_seeds "arrival_offsets" arrival_offsets;
   let arrival =
     match arrival_offsets with
     | None -> fresh_arrival f
     | Some seeds -> Array.copy seeds (* gate slots overwritten by the sweep *)
   in
   let critical_delay = forward_sweep ~jobs ~min_par_width f ~delays ~arrival in
-  (* The backward sweep writes every node's required and slack exactly
-     once (every node appears in the level order), so the columns start
-     uninitialized. *)
-  let required = Array.create_float n in
+  (* The backward sweep writes every node's slack exactly once (every
+     node appears in the level order), so that column starts
+     uninitialized. The scalar target becomes a seed column — [target]
+     at every output, [infinity] elsewhere — built in [required] itself:
+     the kernel reads a node's seed just before writing that same cell
+     and no other, so the column can serve as its own seed. *)
   let slack = Array.create_float n in
+  let seeds, required =
+    match required_times with
+    | Some seeds -> (seeds, Array.create_float n)
+    | None ->
+      let target = Option.value required_time ~default:critical_delay in
+      let required = Array.make n infinity in
+      Array.iter (fun id -> required.(id) <- target) f.Flat.output_ids;
+      (required, required)
+  in
   Metrics.incr m_passes;
   let off = f.Flat.level_off in
   let order = f.Flat.level_order in
-  let fanout_off = f.Flat.fanout_off in
-  let fanout_edges = f.Flat.fanout_edges in
-  (match required_times with
-   | Some seeds ->
-     (* Constraint path: the per-node seed kernel. A uniform seed at
-        every output is bit-identical to the scalar kernel below. *)
-     for l = f.Flat.depth downto 0 do
-       run_level ~jobs ~min_par_width
-         (backward_req_range required slack arrival delays order fanout_off
-            fanout_edges seeds)
-         off.(l) off.(l + 1)
-     done
-   | None ->
-     let target = Option.value required_time ~default:critical_delay in
-     let is_output = f.Flat.is_output in
-     for l = f.Flat.depth downto 0 do
-       run_level ~jobs ~min_par_width
-         (backward_range required slack arrival delays order fanout_off
-            fanout_edges is_output target)
-         off.(l) off.(l + 1)
-     done);
+  for l = f.Flat.depth downto 0 do
+    run_level ~jobs ~min_par_width
+      (backward_req_range required slack arrival delays order
+         f.Flat.fanout_off f.Flat.fanout_edges seeds)
+      off.(l) off.(l + 1)
+  done;
   { arrival; critical_delay; required; slack }
+
+let slack_of_endpoint r id = r.slack.(id)
+
+let critical_path_of_arrival f ~arrival ~delays =
+  let outputs = f.Flat.output_ids in
+  if Array.length outputs = 0 then []
+  else begin
+    (* the first output of maximal arrival *)
+    let last =
+      Array.fold_left
+        (fun best id -> if arrival.(id) > arrival.(best) then id else best)
+        outputs.(0) outputs
+    in
+    let is_gate = f.Flat.is_gate in
+    let fanin_off = f.Flat.fanin_off in
+    let fanin_edges = f.Flat.fanin_edges in
+    let rec walk id acc =
+      if not is_gate.(id) then acc
+      else begin
+        let acc = id :: acc in
+        let lo = fanin_off.(id) and hi = fanin_off.(id + 1) in
+        if lo = hi then acc
+        else begin
+          (* The worst fanin satisfies arrival(f) + delay(id) = arrival(id)
+             exactly (that sum is how arrival(id) was computed), and any
+             fanin reaching it under rounding ties the maximum, so the scan
+             stops at the first hit in pin order. *)
+          let found = ref (-1) in
+          let p = ref lo in
+          while !found < 0 && !p < hi do
+            let fi = fanin_edges.(!p) in
+            if arrival.(fi) +. delays.(id) >= arrival.(id) then found := fi;
+            incr p
+          done;
+          let next =
+            if !found >= 0 then !found
+            else begin
+              let best = ref fanin_edges.(lo) in
+              for q = lo to hi - 1 do
+                let fi = fanin_edges.(q) in
+                if arrival.(fi) > arrival.(!best) then best := fi
+              done;
+              !best
+            end
+          in
+          walk next acc
+        end
+      end
+    in
+    walk last []
+  end

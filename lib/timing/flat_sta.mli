@@ -1,11 +1,16 @@
-(** Levelized static timing analysis over the {!Dcopt_netlist.Flat} view.
+(** Static timing analysis over per-gate delay numbers, levelized over
+    the {!Dcopt_netlist.Flat} view.
 
-    Functionally identical to {!Sta.analyze} — same arrival/required/slack
-    definitions, same per-node arithmetic in the same order, so results
-    match the pointer-based analyzer bit for bit — but the sweeps walk the
-    level-sorted permutation with CSR adjacency instead of chasing node
-    records, and each level slice wider than [min_par_width] is chunked
-    over the {!Dcopt_par.Par} domain pool.
+    Delay values are supplied externally (budgets from Procedure 1, or
+    achieved delays from the device model); this module only propagates
+    them through the combinational graph. Inputs arrive at 0 (or at their
+    [arrival_offsets] seed), a gate's arrival is its delay plus the max
+    fanin arrival, and a node's required time is the min over its
+    consumers of their required time minus their delay. The sweeps walk
+    the level-sorted permutation with CSR adjacency, and each level slice
+    wider than [min_par_width] is chunked over the {!Dcopt_par.Par}
+    domain pool. The results match a record-walking topological
+    reference (kept as the test oracle) bit for bit.
 
     Determinism: all nodes inside one level are mutually independent
     (every fanin is at a strictly lower level, every consumer at a higher
@@ -18,11 +23,11 @@
     domain only, sets the [sta.level.depth] / [sta.level.max_width] /
     [flat.alloc_bytes] gauges. *)
 
-type result = Sta.result = {
-  arrival : float array;
-  critical_delay : float;
-  required : float array;
-  slack : float array;
+type result = {
+  arrival : float array;   (** output arrival time per node id *)
+  critical_delay : float;  (** max arrival over primary outputs *)
+  required : float array;  (** latest allowed arrival per node id *)
+  slack : float array;     (** required - arrival *)
 }
 
 val default_min_par_width : int
@@ -37,11 +42,18 @@ val analyze :
   Dcopt_netlist.Flat.t ->
   delays:float array ->
   result
-(** Levelized forward + backward pass; see {!Sta.analyze} for the
-    semantics, including the constraint-aware [required_times] /
-    [arrival_offsets] seeds (the per-endpoint path runs a dedicated C
-    kernel; a uniform seed is bit-identical to the scalar kernel).
-    [jobs] defaults to the global {!Dcopt_par.Par.jobs}. Requires a
+(** Levelized forward + backward pass. [required_time] defaults to the
+    computed critical delay (so the critical path has zero slack).
+    [delays] is indexed by node id; entries for [Input] nodes are
+    ignored.
+
+    [required_times] supersedes the scalar target with per-node required
+    seeds (from {!Constraints.required_times}): [infinity] entries are
+    unconstrained, and a uniform seed of [t] at every output is
+    bit-identical to [~required_time:t] (both run the same seeded
+    kernel). [arrival_offsets] seeds the forward pass with per-node input
+    delays (from {!Constraints.arrival_offsets}); [None] is the zero
+    seed. [jobs] defaults to the global {!Dcopt_par.Par.jobs}. Requires a
     combinational circuit. *)
 
 val forward :
@@ -50,17 +62,21 @@ val forward :
   Dcopt_netlist.Flat.t ->
   delays:float array ->
   float array * float
-(** Forward pass only: (arrival by node id, critical delay). *)
+(** Forward pass only: (arrival by node id, critical delay) — half the
+    work of {!analyze}, for callers that read only the critical delay or
+    a critical path. *)
 
-val forward_into :
-  ?jobs:int ->
-  ?min_par_width:int ->
-  Dcopt_netlist.Flat.t ->
-  delays:float array ->
-  arrival:float array ->
-  float
-(** Fill a caller-owned arrival buffer (length {!Dcopt_netlist.Flat.size})
-    and return the critical delay — the allocation-free core loop for
-    engines that re-sweep repeatedly. Raises [Invalid_argument] if either
-    array's length differs from {!Dcopt_netlist.Flat.size}; no other
-    validation is performed. *)
+val slack_of_endpoint : result -> int -> float
+(** The slack of one node id, straight from the analysis — the accessor
+    callers use instead of recomputing [target -. arrival] by hand
+    (which silently diverges from the backward pass on reconvergent
+    fanout). *)
+
+val critical_path_of_arrival :
+  Dcopt_netlist.Flat.t -> arrival:float array -> delays:float array -> int list
+(** Gate ids of one maximal-arrival path, source to output, walked back
+    from the first primary output of maximal arrival over arrival times
+    from {!forward} or maintained elsewhere (e.g. {!Incr_sta}'s). At each
+    node the walk follows the first fanin, in pin order, whose arrival
+    plus the node's delay reaches the node's arrival; [[]] for a circuit
+    without outputs. *)

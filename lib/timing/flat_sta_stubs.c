@@ -7,12 +7,13 @@
  * ~2x slower (boxed Float.max call or mispredicted float-select), and
  * this pair is the whole hot path of the 100k-1M gate benchmarks.
  *
- * Bit-identity contract (the differential suite enforces it): these
- * kernels perform exactly the IEEE double operations of Sta.analyze in
- * the same per-node order. `if (a > worst) worst = a;` matches the
- * Float.max fold for every NaN-free input: the accumulator is seeded
- * with +0.0 and delays are added afterwards, so no arrival value can be
- * -0.0 and the two operators agree on everything else. The build forces
+ * Bit-identity contract (the differential suite enforces it against the
+ * record-walking reference in test/sta_ref.ml): these kernels perform
+ * exactly the reference's IEEE double operations in the same per-node
+ * order. `if (a > worst) worst = a;` matches the Float.max fold for
+ * every NaN-free input: the accumulator is seeded with +0.0 and delays
+ * are added afterwards, so no arrival value can be -0.0 and the two
+ * operators agree on everything else. The build forces
  * -ffp-contract=off so no compiler-fused multiply-adds can perturb
  * results (the kernels contain no multiplies, this is belt and braces).
  *
@@ -62,53 +63,13 @@ CAMLprim value dcopt_flat_sta_forward_range_bytecode(value *argv, int argn) {
 }
 
 /* required.(id) = min over consumers c (all at strictly higher levels,
-   already final) of required.(c) - delays.(c), seeded with the required
-   time at primary outputs; slack fused into the same sweep since arrival
-   is final here. `if (need < req)` matches Sta's compare-and-update. */
-static void bwd_range(double *required, double *slack, const double *arrival,
-                      const double *delays, const value *order,
-                      const value *off, const value *edges,
-                      const value *is_output, double target, long lo, long hi) {
-  for (long k = lo; k < hi; k++) {
-    long id = Long_val(order[k]);
-    double req = Bool_val(is_output[id]) ? target : (double)(1.0 / 0.0);
-    long s = Long_val(off[id]), e = Long_val(off[id + 1]);
-    for (long p = s; p < e; p++) {
-      long c = Long_val(edges[p]);
-      double need = required[c] - delays[c];
-      if (need < req) req = need;
-    }
-    required[id] = req;
-    slack[id] = req - arrival[id];
-  }
-}
-
-CAMLprim value dcopt_flat_sta_backward_range_native(
-    value v_required, value v_slack, value v_arrival, value v_delays,
-    value v_order, value v_fanout_off, value v_fanout_edges, value v_is_output,
-    double target, intnat lo, intnat hi) {
-  bwd_range(DBL_ARR(v_required), DBL_ARR(v_slack), CONST_DBL_ARR(v_arrival),
-            CONST_DBL_ARR(v_delays), INT_ARR(v_order), INT_ARR(v_fanout_off),
-            INT_ARR(v_fanout_edges), INT_ARR(v_is_output), target, lo, hi);
-  return Val_unit;
-}
-
-CAMLprim value dcopt_flat_sta_backward_range_bytecode(value *argv, int argn) {
-  (void)argn;
-  bwd_range(DBL_ARR(argv[0]), DBL_ARR(argv[1]), CONST_DBL_ARR(argv[2]),
-            CONST_DBL_ARR(argv[3]), INT_ARR(argv[4]), INT_ARR(argv[5]),
-            INT_ARR(argv[6]), INT_ARR(argv[7]), Double_val(argv[8]),
-            Long_val(argv[9]), Long_val(argv[10]));
-  return Val_unit;
-}
-
-/* Constraint-aware backward sweep: identical loop body, but the required
-   time is seeded per node from a precomputed array (+inf at
-   non-endpoints and released endpoints, the endpoint's own bound
-   otherwise) instead of the uniform is_output ? target : +inf select.
-   With a uniform seed the two kernels compute bit-identical columns —
-   the scalar kernel above is kept so the legacy path never even reads a
-   seed column. */
+   already final) of required.(c) - delays.(c), seeded per node from a
+   precomputed column: +inf at non-endpoints and released endpoints, the
+   endpoint's own bound otherwise (a scalar target is the uniform seed).
+   Slack is fused into the same sweep since arrival is final here.
+   `if (need < req)` matches the reference's compare-and-update. A node's
+   seed is read before its own required cell is written, and no other
+   index writes that cell, so [seed] may alias [required]. */
 static void bwd_range_req(double *required, double *slack,
                           const double *arrival, const double *delays,
                           const value *order, const value *off,

@@ -1,5 +1,5 @@
 module Circuit = Dcopt_netlist.Circuit
-module Gate = Dcopt_netlist.Gate
+module Flat = Dcopt_netlist.Flat
 
 (* The worklist is a set of per-level buckets instead of a priority heap:
    a dirty gate is appended to the bucket of its level, and propagation
@@ -8,12 +8,11 @@ module Gate = Dcopt_netlist.Gate
    strictly higher level, the bucket being processed never grows under the
    sweep — a single ascending pass drains everything. Each bucket is
    preallocated to the number of gates at its level, so marking is a plain
-   append with no growth or heap sift. *)
+   append with no growth or heap sift. Structure (gate flags, levels,
+   both adjacency directions) is read straight from the shared flat
+   view. *)
 type t = {
-  circuit : Circuit.t;
-  levels : int array;          (* per-node combinational level, shared *)
-  depth : int;
-  is_gate : bool array;
+  flat : Flat.t;
   delays : float array;
   arrival : float array;
   buckets : int array array;   (* one per level, capacity = gates there *)
@@ -25,30 +24,18 @@ type t = {
   mutable journal : (int * float * float) list;
 }
 
-let create circuit =
-  if not (Circuit.is_combinational circuit) then
+let create flat =
+  if not (Circuit.is_combinational (Flat.circuit flat)) then
     invalid_arg "Incr_sta.create: circuit is sequential";
-  let n = Circuit.size circuit in
-  let levels = Circuit.unsafe_levels circuit in
-  let depth = Circuit.depth circuit in
-  let is_gate = Array.make n false in
-  Array.iter
-    (fun nd ->
-      match nd.Circuit.kind with
-      | Gate.Input | Gate.Dff -> ()
-      | _ -> is_gate.(nd.Circuit.id) <- true)
-    (Circuit.nodes circuit);
-  let per_level = Array.make (depth + 1) 0 in
-  for id = 0 to n - 1 do
-    if is_gate.(id) then
-      per_level.(levels.(id)) <- per_level.(levels.(id)) + 1
-  done;
-  let buckets = Array.map (fun c -> Array.make c 0) per_level in
+  let n = Flat.size flat in
+  let depth = Flat.depth flat in
+  let buckets =
+    Array.init (depth + 1) (fun l ->
+        let lo, hi = Flat.level_gates flat l in
+        Array.make (hi - lo) 0)
+  in
   {
-    circuit;
-    levels;
-    depth;
-    is_gate;
+    flat;
     delays = Array.make n 0.0;
     arrival = Array.make n 0.0;
     buckets;
@@ -60,15 +47,14 @@ let create circuit =
     journal = [];
   }
 
-let circuit t = t.circuit
 let delays t = t.delays
 let arrivals t = t.arrival
-let is_gate t id = t.is_gate.(id)
+let is_gate t id = t.flat.Flat.is_gate.(id)
 
 let mark_dirty t id =
-  if t.is_gate.(id) && not t.queued.(id) then begin
+  if is_gate t id && not t.queued.(id) then begin
     t.queued.(id) <- true;
-    let l = t.levels.(id) in
+    let l = t.flat.Flat.levels.(id) in
     t.buckets.(l).(t.bucket_len.(l)) <- id;
     t.bucket_len.(l) <- t.bucket_len.(l) + 1;
     t.dirty <- t.dirty + 1;
@@ -76,37 +62,39 @@ let mark_dirty t id =
   end
 
 let drain t =
+  let depth = t.flat.Flat.depth in
   if t.dirty > 0 then
-    for l = t.min_dirty to t.depth do
+    for l = t.min_dirty to depth do
       for i = 0 to t.bucket_len.(l) - 1 do
         t.queued.(t.buckets.(l).(i)) <- false
       done;
       t.bucket_len.(l) <- 0
     done;
   t.dirty <- 0;
-  t.min_dirty <- t.depth + 1
+  t.min_dirty <- depth + 1
 
-(* Same folds, in the same order, as the full evaluation's topological
-   sweep, so a recomputed node whose inputs are unchanged reproduces its
-   previous delay and arrival bit for bit — that equality is the worklist's
-   termination test. *)
-let max_fanin_delay t fanins =
-  Array.fold_left
-    (fun acc f -> if t.is_gate.(f) then Float.max acc t.delays.(f) else acc)
-    0.0 fanins
-
-let worst_fanin_arrival t fanins =
-  Array.fold_left (fun acc f -> Float.max acc t.arrival.(f)) 0.0 fanins
-
+(* Same folds, in the same (pin) order, as the full evaluation's
+   topological sweep, so a recomputed node whose inputs are unchanged
+   reproduces its previous delay and arrival bit for bit — that equality
+   is the worklist's termination test. *)
 let step t ~recompute id =
   if not t.journaled.(id) then begin
     t.journaled.(id) <- true;
     t.journal <- (id, t.delays.(id), t.arrival.(id)) :: t.journal
   end;
-  let nd = Circuit.node t.circuit id in
-  let mfd = max_fanin_delay t nd.Circuit.fanins in
-  let d = recompute ~id ~max_fanin_delay:mfd in
-  let a = worst_fanin_arrival t nd.Circuit.fanins +. d in
+  let f = t.flat in
+  let lo = f.Flat.fanin_off.(id) and hi = f.Flat.fanin_off.(id + 1) in
+  let mfd = ref 0.0 in
+  for p = lo to hi - 1 do
+    let fi = f.Flat.fanin_edges.(p) in
+    if f.Flat.is_gate.(fi) then mfd := Float.max !mfd t.delays.(fi)
+  done;
+  let d = recompute ~id ~max_fanin_delay:!mfd in
+  let worst = ref 0.0 in
+  for p = lo to hi - 1 do
+    worst := Float.max !worst t.arrival.(f.Flat.fanin_edges.(p))
+  done;
+  let a = !worst +. d in
   let changed =
     not (Float.equal d t.delays.(id) && Float.equal a t.arrival.(id))
   in
@@ -115,12 +103,15 @@ let step t ~recompute id =
   changed
 
 let propagate t ~recompute =
+  let depth = t.flat.Flat.depth in
+  let fanout_off = t.flat.Flat.fanout_off in
+  let fanout_edges = t.flat.Flat.fanout_edges in
   let processed = ref 0 in
   let l = ref t.min_dirty in
   (* Marks raised while processing level l land strictly above l, so the
      ascending sweep visits them; [dirty] short-circuits the tail once the
      wavefront has died out. *)
-  while !l <= t.depth && t.dirty > 0 do
+  while !l <= depth && t.dirty > 0 do
     let len = t.bucket_len.(!l) in
     if len > 0 then begin
       let bucket = t.buckets.(!l) in
@@ -138,18 +129,20 @@ let propagate t ~recompute =
         let id = bucket.(i) in
         incr processed;
         if step t ~recompute id then
-          Array.iter (fun f -> mark_dirty t f) (Circuit.fanouts t.circuit id)
+          for p = fanout_off.(id) to fanout_off.(id + 1) - 1 do
+            mark_dirty t fanout_edges.(p)
+          done
       done
     end;
     incr l
   done;
-  t.min_dirty <- t.depth + 1;
+  t.min_dirty <- depth + 1;
   !processed
 
 let refresh t ~recompute =
   drain t;
-  Circuit.iter_topo t.circuit (fun id ->
-      if t.is_gate.(id) then ignore (step t ~recompute id))
+  Circuit.iter_topo (Flat.circuit t.flat) (fun id ->
+      if is_gate t id then ignore (step t ~recompute id))
 
 let commit t =
   drain t;

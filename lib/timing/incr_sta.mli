@@ -25,12 +25,12 @@
 
 type t
 
-val create : Dcopt_netlist.Circuit.t -> t
+val create : Dcopt_netlist.Flat.t -> t
 (** Fresh state with all delays and arrivals zero; populate with
-    {!refresh} (then {!commit}) before the first move. Requires a
-    combinational circuit. *)
-
-val circuit : t -> Dcopt_netlist.Circuit.t
+    {!refresh} (then {!commit}) before the first move. Gate flags,
+    levels and both adjacency directions are read from the flat view,
+    which the engine shares, not copies. Requires a combinational
+    circuit. *)
 
 val delays : t -> float array
 (** The live per-node delay array (0 for input nodes). Treat as
@@ -58,9 +58,10 @@ val propagate :
 
 val refresh :
   t -> recompute:(id:int -> max_fanin_delay:float -> float) -> unit
-(** Full topological sweep over every gate (journaled like any other
-    update): the fallback for global moves (vdd, uniform vt) and the
-    initializer after {!create}. Discards any queued dirty marks. *)
+(** Full sweep over every gate in {!Dcopt_netlist.Circuit.iter_topo}
+    order (journaled like any other update): the fallback for global
+    moves (vdd, uniform vt) and the initializer after {!create}.
+    Discards any queued dirty marks. *)
 
 val commit : t -> unit
 (** Accept every update since the last commit/rollback and clear the

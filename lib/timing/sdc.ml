@@ -122,6 +122,10 @@ let parse_spec st ~line ~ctx tokens =
       check_port st ~line name;
       Some ([ name ], rest)
 
+(* [float_of_string_opt] also reads nan, inf and -inf. No constraint
+   time may be non-finite — a NaN seed would reach the STA kernels, whose
+   results are only defined on NaN-free input — so every parsed number
+   also passes a located [sdc.range] finiteness check at its use. *)
 let number tok = float_of_string_opt tok
 
 (* create_clock -period P [-name N] [-waveform {R F}] [ports] *)
@@ -139,6 +143,8 @@ let parse_create_clock st ~line tokens =
     | [] -> ()
     | "-period" :: v :: rest -> (
         match number v with
+        | Some p when not (Float.is_finite p) ->
+            fail "sdc.range" "create_clock: period must be finite (got %g)" p
         | Some p when p > 0.0 ->
             period := Some (p *. ns);
             go rest
@@ -151,9 +157,11 @@ let parse_create_clock st ~line tokens =
     | "-name" :: _ -> fail "sdc.syntax" "create_clock: -name expects a name"
     | "-waveform" :: "{" :: r :: f :: "}" :: rest -> (
         match (number r, number f) with
-        | Some r, Some f ->
+        | Some r, Some f when Float.is_finite r && Float.is_finite f ->
             waveform := Some (r *. ns, f *. ns);
             go rest
+        | Some _, Some _ ->
+            fail "sdc.range" "create_clock: -waveform edges must be finite"
         | _ -> fail "sdc.syntax" "create_clock: bad -waveform edges")
     | "-waveform" :: _ ->
         fail "sdc.syntax" "create_clock: -waveform expects {rise fall}"
@@ -212,6 +220,8 @@ let parse_path_delay st ~line ~cmd ~min_delay tokens =
     | ("-rise" | "-fall" | "-datapath_only") :: rest -> go rest
     | tok :: rest -> (
         match number tok with
+        | Some v when not (Float.is_finite v) ->
+            fail "sdc.range" "%s: bound must be finite (got %g)" cmd v
         | Some v -> (
             match !value with
             | None ->
@@ -297,6 +307,8 @@ let parse_io_delay st ~line ~cmd ~input tokens =
     | ("-max" | "-min" | "-add_delay" | "-rise" | "-fall") :: rest -> go rest
     | tok :: rest when number tok <> None && !value = None -> (
         match number tok with
+        | Some v when not (Float.is_finite v) ->
+            fail "sdc.range" "%s: delay must be finite (got %g)" cmd v
         | Some v ->
             value := Some (v *. ns);
             go rest

@@ -1,9 +1,10 @@
 (* End-to-end smoke for the multi-process fleet: the same 64-job batch
    through the in-process path, a 1-worker fleet, a 4-worker fleet, and
    a 3-worker fleet where one worker SIGKILLs itself mid-batch (the
-   DCOPT_FLEET_CHAOS_KILL hook makes the crash deterministic: the job is
-   fully computed, the result frame is never sent — the harshest loss
-   the coordinator can take). Every run must produce byte-identical
+   fault plan "w1/worker.result@2:kill" makes the crash deterministic:
+   the worker.result seam fires after the job is fully computed and
+   before the result frame is sent — the harshest loss the coordinator
+   can take). Every run must produce byte-identical
    result rows, and the crash run must show the recovery machinery
    firing in its OpenMetrics exposition.
 
@@ -35,19 +36,13 @@ let write_jobs () =
 (* run `minpower batch` with extra args; return the JSONL rows (stdout
    lines that are JSON objects — Logs lines like the OpenMetrics notice
    are not rows) *)
-let run_batch ?(env = []) ~tag extra =
+let run_batch ~tag extra =
   let out_path = Printf.sprintf "fleet_smoke_%s.out" tag in
   let out_fd =
     Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let argv = Array.of_list ((minpower :: "batch" :: jobs_path :: extra)) in
-  let environment =
-    Array.append (Unix.environment ()) (Array.of_list env)
-  in
-  let pid =
-    Unix.create_process_env minpower argv environment Unix.stdin out_fd
-      Unix.stderr
-  in
+  let pid = Unix.create_process minpower argv Unix.stdin out_fd Unix.stderr in
   Unix.close out_fd;
   (match snd (Unix.waitpid [] pid) with
   | Unix.WEXITED 0 -> ()
@@ -107,15 +102,17 @@ let () =
   let om = "fleet_smoke_chaos.om" in
   let chaos =
     run_batch ~tag:"chaos"
-      ~env:[ "DCOPT_FLEET_CHAOS_KILL=w1:2" ]
-      [ "--workers"; "3"; "--open-metrics"; om ]
+      [
+        "--workers"; "3"; "--fault-plan"; "w1/worker.result@2:kill";
+        "--open-metrics"; om;
+      ]
   in
   check_identical ~tag:"in-process vs crashed fleet" baseline chaos;
-  (* w1 is respawned mid-batch under the same id and the chaos hook kills
-     the replacement too (a fresh process, fresh result count), so the
-     exact loss/spawn totals depend on scheduling: at least one loss, at
-     least the initial 3 spawns, and never more deaths than the
-     quarantine budget (2) allows for w1 *)
+  (* w1 is respawned mid-batch under the same id and inherits the plan,
+     which kills the replacement too (a fresh process, fresh occurrence
+     count), so the exact loss/spawn totals depend on scheduling: at
+     least one loss, at least the initial 3 spawns, and never more
+     deaths than the quarantine budget (2) allows for w1 *)
   let lost = metric_value om "service_fleet_worker_lost_total" in
   if lost < 1.0 || lost > 2.0 then
     fail "expected 1..2 worker losses, saw %g" lost;

@@ -2,10 +2,12 @@
 
    The flat levelized analyzer (Flat_sta, C sweep kernels over the
    struct-of-arrays view) promises results bit-identical to the
-   pointer-chasing reference (Sta) and independent of the parallel
+   record-walking reference (Sta_ref) and independent of the parallel
    chunking (--jobs N byte-identical to --jobs 1). These tests hold it
-   to that promise across the whole ISCAS suite and seeded random DAGs
-   at 1k and 10k gates, do the same for the flat power sweeps
+   to that promise — full analysis under the scalar target, a deadline
+   and input-delay seeds, the forward pass alone, and the critical-path
+   walk — across the whole ISCAS suite and seeded random DAGs at 1k and
+   10k gates, do the same for the flat power sweeps
    (Power_model.evaluate_par vs evaluate_seq), drive the incremental
    engine through a 200-move transaction/rollback sequence on a
    generated DAG, and check that an analysis leaves the sta.level.* /
@@ -15,7 +17,6 @@ module Circuit = Dcopt_netlist.Circuit
 module Flat = Dcopt_netlist.Flat
 module Generator = Dcopt_netlist.Generator
 module Suite = Dcopt_suite.Suite
-module Sta = Dcopt_timing.Sta
 module Flat_sta = Dcopt_timing.Flat_sta
 module Tech = Dcopt_device.Tech
 module Activity = Dcopt_activity.Activity
@@ -42,33 +43,84 @@ let check_array_bits what expected got =
     (fun i e -> check_bits (Printf.sprintf "%s[%d]" what i) e got.(i))
     expected
 
-let check_result_bits what (a : Sta.result) (b : Sta.result) =
-  check_bits (what ^ " critical_delay") a.Sta.critical_delay
-    b.Sta.critical_delay;
-  check_array_bits (what ^ " arrival") a.Sta.arrival b.Sta.arrival;
-  check_array_bits (what ^ " required") a.Sta.required b.Sta.required;
-  check_array_bits (what ^ " slack") a.Sta.slack b.Sta.slack
+let check_result_bits what (a : Flat_sta.result) (b : Flat_sta.result) =
+  check_bits (what ^ " critical_delay") a.Flat_sta.critical_delay
+    b.Flat_sta.critical_delay;
+  check_array_bits (what ^ " arrival") a.Flat_sta.arrival b.Flat_sta.arrival;
+  check_array_bits (what ^ " required") a.Flat_sta.required
+    b.Flat_sta.required;
+  check_array_bits (what ^ " slack") a.Flat_sta.slack b.Flat_sta.slack
+
+let check_forward_bits what (a, ca) (b, cb) =
+  check_bits (what ^ " critical_delay") ca cb;
+  check_array_bits (what ^ " arrival") a b
+
+let check_path what expected got =
+  if expected <> got then
+    Alcotest.failf "%s: paths differ:\n  [%s]\n  [%s]" what
+      (String.concat " " (List.map string_of_int expected))
+      (String.concat " " (List.map string_of_int got))
 
 let random_delays seed n =
   let rng = Prng.create seed in
   Array.init n (fun _ -> Prng.float rng 1e-9)
 
+(* Input-delay seeds: a random offset at every primary input, and a
+   value at every other node that the forward sweep must overwrite. *)
+let random_offsets seed c =
+  let rng = Prng.create seed in
+  Array.init (Circuit.size c) (fun _ -> Prng.float rng 0.5e-9)
+
 (* One circuit, one delay assignment: the flat analyzer must reproduce
-   the pointer reference bit for bit, and must produce the same bytes
-   whatever the job count / dispatch width. min_par_width:1 forces even
-   narrow levels through the parallel dispatch path. *)
+   the reference bit for bit, and must produce the same bytes whatever
+   the job count / dispatch width. min_par_width:1 forces even narrow
+   levels through the parallel dispatch path. *)
 let check_circuit what c =
   let delays = random_delays 7L (Circuit.size c) in
   let f = Flat.of_circuit c in
-  let reference = Sta.analyze c ~delays in
-  let flat = Flat_sta.analyze f ~jobs:1 ~delays in
-  check_result_bits (what ^ " flat vs pointer") reference flat;
-  let par = Flat_sta.analyze f ~jobs:4 ~min_par_width:1 ~delays in
-  check_result_bits (what ^ " jobs 4 vs jobs 1") flat par;
+  let both label reference run =
+    let flat = run ~jobs:1 ~min_par_width:Flat_sta.default_min_par_width in
+    check_result_bits (what ^ label ^ " flat vs reference") reference flat;
+    check_result_bits (what ^ label ^ " jobs 4 vs jobs 1") flat
+      (run ~jobs:4 ~min_par_width:1)
+  in
+  both "" (Sta_ref.analyze c ~delays) (fun ~jobs ~min_par_width ->
+      Flat_sta.analyze f ~jobs ~min_par_width ~delays);
   (* an explicit deadline changes required/slack but not the identity *)
-  let reference = Sta.analyze ~required_time:0.5e-9 c ~delays in
-  let flat = Flat_sta.analyze ~required_time:0.5e-9 f ~jobs:1 ~delays in
-  check_result_bits (what ^ " deadline flat vs pointer") reference flat
+  both " deadline"
+    (Sta_ref.analyze ~required_time:0.5e-9 c ~delays)
+    (fun ~jobs ~min_par_width ->
+      Flat_sta.analyze ~required_time:0.5e-9 f ~jobs ~min_par_width ~delays);
+  (* input-delay seeds move every arrival downstream of the inputs *)
+  let arrival_offsets = random_offsets 8L c in
+  both " offsets"
+    (Sta_ref.analyze ~arrival_offsets c ~delays)
+    (fun ~jobs ~min_par_width ->
+      Flat_sta.analyze ~arrival_offsets f ~jobs ~min_par_width ~delays);
+  (* the forward pass alone, and the critical-path walk over it *)
+  let ((arrival, _) as reference) = Sta_ref.forward c ~delays in
+  let flat = Flat_sta.forward f ~jobs:1 ~delays in
+  check_forward_bits (what ^ " forward flat vs reference") reference flat;
+  check_forward_bits (what ^ " forward jobs 4 vs jobs 1") flat
+    (Flat_sta.forward f ~jobs:4 ~min_par_width:1 ~delays);
+  check_path (what ^ " critical path flat vs reference")
+    (Sta_ref.critical_path_of_arrival c ~arrival ~delays)
+    (Flat_sta.critical_path_of_arrival f ~arrival:(fst flat) ~delays);
+  (* a walk over offset-seeded arrivals starts from other inputs *)
+  let arrival =
+    (Sta_ref.analyze ~arrival_offsets c ~delays).Flat_sta.arrival
+  in
+  check_path (what ^ " offset critical path flat vs reference")
+    (Sta_ref.critical_path_of_arrival c ~arrival ~delays)
+    (Flat_sta.critical_path_of_arrival f ~arrival ~delays);
+  (* unit delays make a gate's arrival its level, so fanins and outputs
+     tie at the maximum and the first-hit-in-pin-order and first-output
+     rules decide the path *)
+  let delays = Array.make (Circuit.size c) 1.0 in
+  let arrival, _ = Flat_sta.forward f ~jobs:1 ~delays in
+  check_path (what ^ " unit-delay critical path flat vs reference")
+    (Sta_ref.critical_path_of_arrival c ~arrival ~delays)
+    (Flat_sta.critical_path_of_arrival f ~arrival ~delays)
 
 let test_suite_differential () =
   List.iter
@@ -203,27 +255,28 @@ let test_metrics_presence () =
   expect_gauge "sta.level.max_width" (float_of_int (Flat.max_level_width f));
   expect_gauge "flat.alloc_bytes" (float_of_int (Flat.alloc_bytes f))
 
-(* forward_into hands its arrays straight to the unchecked C kernel, so
-   the OCaml wrapper's length validation is the only thing between a
+(* The C kernels index every column by node id with no bounds checks,
+   so the OCaml wrappers' length validation is the only thing between a
    short array and heap corruption. *)
-let test_forward_into_validates_lengths () =
+let test_wrappers_validate_lengths () =
   let c = generated 51L 100 in
   let f = Flat.of_circuit c in
   let n = Flat.size f in
   let delays = random_delays 52L n in
-  let arrival = Array.make n 0.0 in
-  let critical = Flat_sta.forward_into f ~jobs:1 ~delays ~arrival in
-  let reference = Sta.analyze c ~delays in
-  check_bits "forward_into critical" reference.Sta.critical_delay critical;
+  let short = Array.make (n - 1) 0.0 in
   let expect_invalid what thunk =
     match thunk () with
-    | (_ : float) -> Alcotest.failf "%s: expected Invalid_argument" what
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "short delays" (fun () ->
-      Flat_sta.forward_into f ~jobs:1 ~delays:(Array.make (n - 1) 0.0) ~arrival);
-  expect_invalid "short arrival" (fun () ->
-      Flat_sta.forward_into f ~jobs:1 ~delays ~arrival:(Array.make (n - 1) 0.0))
+  expect_invalid "forward, short delays" (fun () ->
+      ignore (Flat_sta.forward f ~jobs:1 ~delays:short));
+  expect_invalid "analyze, short delays" (fun () ->
+      ignore (Flat_sta.analyze f ~jobs:1 ~delays:short));
+  expect_invalid "analyze, short required seeds" (fun () ->
+      ignore (Flat_sta.analyze ~required_times:short f ~jobs:1 ~delays));
+  expect_invalid "analyze, short arrival seeds" (fun () ->
+      ignore (Flat_sta.analyze ~arrival_offsets:short f ~jobs:1 ~delays))
 
 let () =
   Alcotest.run "flat"
@@ -238,8 +291,8 @@ let () =
             test_evaluate_par_differential;
           Alcotest.test_case "incremental engine on generated DAG" `Quick
             test_incr_on_generated_dag;
-          Alcotest.test_case "forward_into validates array lengths" `Quick
-            test_forward_into_validates_lengths;
+          Alcotest.test_case "kernel wrappers validate array lengths" `Quick
+            test_wrappers_validate_lengths;
         ] );
       ( "observability",
         [

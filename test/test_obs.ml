@@ -4,7 +4,7 @@
 
 module Metrics = Dcopt_obs.Metrics
 module Span = Dcopt_obs.Span
-module Clock = Dcopt_obs.Clock
+module Clock = Dcopt_util.Clock
 module Telemetry = Dcopt_obs.Telemetry
 module Bench_gate = Dcopt_obs.Bench_gate
 module Par = Dcopt_par.Par

@@ -8,7 +8,6 @@
 
 module Constraints = Dcopt_timing.Constraints
 module Sdc = Dcopt_timing.Sdc
-module Sta = Dcopt_timing.Sta
 module Flat_sta = Dcopt_timing.Flat_sta
 module Delay_assign = Dcopt_timing.Delay_assign
 module Diag = Dcopt_util.Diag
@@ -122,6 +121,54 @@ let test_golden_diagnostics () =
       "golden.sdc:5: error[sdc.clock]: unknown clock \"phantom\""
       (List.nth rendered 2)
 
+(* float_of_string_opt reads nan/inf/-inf; each must come back as a
+   located sdc.range error on a delay, a max-delay and a period. *)
+let non_finite_sdc =
+  String.concat "\n"
+    [
+      "create_clock -period 3.2 -name clk";
+      "set_input_delay nan -clock clk G0";
+      "set_output_delay inf G17";
+      "set_input_delay -inf G1";
+      "set_max_delay nan";
+      "set_max_delay inf -to G17";
+      "set_min_delay -inf";
+      "create_clock -period nan -name c_nan";
+      "create_clock -period inf -name c_inf";
+      "create_clock -period -inf -name c_ninf";
+      "create_clock -period 6.4 -waveform {0 inf} -name c_wave";
+    ]
+
+let test_non_finite_rejected () =
+  match Sdc.parse ~file:"nonfinite.sdc" non_finite_sdc with
+  | Ok _ -> Alcotest.fail "expected Error"
+  | Error diags ->
+    Alcotest.(check (list string))
+      "located range errors"
+      [
+        "nonfinite.sdc:2: error[sdc.range]: set_input_delay: delay must be \
+         finite (got nan)";
+        "nonfinite.sdc:3: error[sdc.range]: set_output_delay: delay must be \
+         finite (got inf)";
+        "nonfinite.sdc:4: error[sdc.range]: set_input_delay: delay must be \
+         finite (got -inf)";
+        "nonfinite.sdc:5: error[sdc.range]: set_max_delay: bound must be \
+         finite (got nan)";
+        "nonfinite.sdc:6: error[sdc.range]: set_max_delay: bound must be \
+         finite (got inf)";
+        "nonfinite.sdc:7: error[sdc.range]: set_min_delay: bound must be \
+         finite (got -inf)";
+        "nonfinite.sdc:8: error[sdc.range]: create_clock: period must be \
+         finite (got nan)";
+        "nonfinite.sdc:9: error[sdc.range]: create_clock: period must be \
+         finite (got inf)";
+        "nonfinite.sdc:10: error[sdc.range]: create_clock: period must be \
+         finite (got -inf)";
+        "nonfinite.sdc:11: error[sdc.range]: create_clock: -waveform edges \
+         must be finite";
+      ]
+      (List.map Diag.to_string diags)
+
 let test_port_crosscheck () =
   (* with the circuit in hand, a misspelled port is a located sdc.port *)
   let circuit = Dcopt_suite.Suite.s27 () in
@@ -194,25 +241,26 @@ let prepared_core name =
 let test_sta_uniform_seed_bit_identical () =
   let _, core, delays = prepared_core "s298" in
   let tc = 1.0 /. Flow.default_config.Flow.clock_frequency in
-  let scalar = Sta.analyze ~required_time:tc core ~delays in
+  let scalar = Sta_ref.analyze ~required_time:tc core ~delays in
   let req =
     Constraints.required_times (Constraints.of_cycle_time tc) ~default:tc core
   in
-  let seeded = Sta.analyze ~required_times:req core ~delays in
-  check_array_bits "arrival" scalar.Sta.arrival seeded.Sta.arrival;
-  check_array_bits "required" scalar.Sta.required seeded.Sta.required;
-  check_array_bits "slack" scalar.Sta.slack seeded.Sta.slack;
-  Alcotest.check float_bits "critical delay" scalar.Sta.critical_delay
-    seeded.Sta.critical_delay;
+  let seeded = Sta_ref.analyze ~required_times:req core ~delays in
+  check_array_bits "arrival" scalar.Flat_sta.arrival seeded.Flat_sta.arrival;
+  check_array_bits "required" scalar.Flat_sta.required
+    seeded.Flat_sta.required;
+  check_array_bits "slack" scalar.Flat_sta.slack seeded.Flat_sta.slack;
+  Alcotest.check float_bits "critical delay" scalar.Flat_sta.critical_delay
+    seeded.Flat_sta.critical_delay;
   Array.iter
     (fun id ->
       Alcotest.check float_bits "endpoint slack accessor"
-        scalar.Sta.slack.(id)
-        (Sta.slack_of_endpoint seeded id))
+        scalar.Flat_sta.slack.(id)
+        (Flat_sta.slack_of_endpoint seeded id))
     (Circuit.outputs core);
   Alcotest.(check bool) "meets_constraints coincides with meets" true
-    (Sta.meets core ~delays ~cycle_time:tc
-    = Sta.meets_constraints core ~delays ~required_times:req)
+    (Sta_ref.meets core ~delays ~cycle_time:tc
+    = Sta_ref.meets_constraints core ~delays ~required_times:req)
 
 let test_flat_sta_uniform_seed_bit_identical () =
   let _, core, delays = prepared_core "s510" in
@@ -226,9 +274,10 @@ let test_flat_sta_uniform_seed_bit_identical () =
   check_array_bits "arrival" scalar.Flat_sta.arrival seeded.Flat_sta.arrival;
   check_array_bits "required" scalar.Flat_sta.required seeded.Flat_sta.required;
   check_array_bits "slack" scalar.Flat_sta.slack seeded.Flat_sta.slack;
-  (* and the flat constraint kernel matches the pointer-based engine *)
-  let pointer = Sta.analyze ~required_times:req core ~delays in
-  check_array_bits "flat matches Sta" pointer.Sta.slack seeded.Flat_sta.slack
+  (* and the flat constraint kernel matches the reference *)
+  let reference = Sta_ref.analyze ~required_times:req core ~delays in
+  check_array_bits "flat matches reference" reference.Flat_sta.slack
+    seeded.Flat_sta.slack
 
 let test_delay_assign_scalar_compat_identical () =
   let _, core, _ = prepared_core "s344" in
@@ -280,14 +329,16 @@ let test_constrained_sta_differs_when_tightened () =
      below its arrival flips that endpoint's slack negative while the
      scalar analysis stays feasible *)
   let _, core, delays = prepared_core "s298" in
+  let flat = Flat.of_circuit core in
   let tc = 1.0 /. Flow.default_config.Flow.clock_frequency in
-  let scalar = Sta.analyze ~required_time:tc core ~delays in
+  let scalar = Flat_sta.analyze ~required_time:tc flat ~delays in
   let outputs = Circuit.outputs core in
   (* pick the latest-arriving output and halve its budget *)
   let victim =
     Array.fold_left
       (fun best id ->
-        if scalar.Sta.arrival.(id) > scalar.Sta.arrival.(best) then id
+        if scalar.Flat_sta.arrival.(id) > scalar.Flat_sta.arrival.(best)
+        then id
         else best)
       outputs.(0) outputs
   in
@@ -300,19 +351,19 @@ let test_constrained_sta_differs_when_tightened () =
           {
             Constraints.rule_from = [];
             rule_to = [ name ];
-            bound = scalar.Sta.arrival.(victim) /. 2.0;
+            bound = scalar.Flat_sta.arrival.(victim) /. 2.0;
           };
         ];
     }
   in
   let req = Constraints.required_times tightened ~default:tc core in
-  let seeded = Sta.analyze ~required_times:req core ~delays in
+  let seeded = Flat_sta.analyze ~required_times:req flat ~delays in
   Alcotest.(check bool) "victim slack negative" true
-    (Sta.slack_of_endpoint seeded victim < 0.0);
+    (Flat_sta.slack_of_endpoint seeded victim < 0.0);
   Alcotest.(check bool) "scalar was feasible" true
-    (Sta.slack_of_endpoint scalar victim >= 0.0);
+    (Flat_sta.slack_of_endpoint scalar victim >= 0.0);
   Alcotest.(check bool) "constraint check fails" false
-    (Sta.meets_constraints core ~delays ~required_times:req)
+    (Sta_ref.meets_constraints core ~delays ~required_times:req)
 
 (* --- scenarios --------------------------------------------------------- *)
 
@@ -396,6 +447,8 @@ let () =
           Alcotest.test_case "good multi-clock file" `Quick test_good_parse;
           Alcotest.test_case "golden diagnostics" `Quick
             test_golden_diagnostics;
+          Alcotest.test_case "non-finite numbers rejected" `Quick
+            test_non_finite_rejected;
           Alcotest.test_case "port cross-check" `Quick test_port_crosscheck;
         ] );
       ( "projection",

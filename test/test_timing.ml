@@ -2,7 +2,8 @@ module Circuit = Dcopt_netlist.Circuit
 module Gate = Dcopt_netlist.Gate
 module Patterns = Dcopt_netlist.Patterns
 module Generator = Dcopt_netlist.Generator
-module Sta = Dcopt_timing.Sta
+module Flat = Dcopt_netlist.Flat
+module Flat_sta = Dcopt_timing.Flat_sta
 module Kpaths = Dcopt_timing.Kpaths
 module Delay_assign = Dcopt_timing.Delay_assign
 
@@ -24,60 +25,62 @@ let delays_of c assoc =
   List.iter (fun (name, v) -> d.(Circuit.find c name) <- v) assoc;
   d
 
+let diamond_delays c =
+  delays_of c [ ("fast", 1.0); ("slow1", 2.0); ("slow2", 3.0); ("out", 1.0) ]
+
 (* ------------------------------------------------------------------ *)
 (* STA                                                                 *)
 
 let test_sta_arrival () =
   let c = diamond () in
-  let delays =
-    delays_of c [ ("fast", 1.0); ("slow1", 2.0); ("slow2", 3.0); ("out", 1.0) ]
-  in
-  let r = Sta.analyze c ~delays in
-  Alcotest.(check (float 1e-9)) "critical" 6.0 r.Sta.critical_delay;
+  let r = Flat_sta.analyze (Flat.of_circuit c) ~delays:(diamond_delays c) in
+  Alcotest.(check (float 1e-9)) "critical" 6.0 r.Flat_sta.critical_delay;
   Alcotest.(check (float 1e-9)) "out arrival" 6.0
-    r.Sta.arrival.(Circuit.find c "out");
+    r.Flat_sta.arrival.(Circuit.find c "out");
   Alcotest.(check (float 1e-9)) "fast arrival" 1.0
-    r.Sta.arrival.(Circuit.find c "fast")
+    r.Flat_sta.arrival.(Circuit.find c "fast")
 
 let test_sta_slack () =
   let c = diamond () in
-  let delays =
-    delays_of c [ ("fast", 1.0); ("slow1", 2.0); ("slow2", 3.0); ("out", 1.0) ]
-  in
-  let r = Sta.analyze c ~delays in
+  let r = Flat_sta.analyze (Flat.of_circuit c) ~delays:(diamond_delays c) in
   (* critical path gates have zero slack *)
   Alcotest.(check (float 1e-9)) "slow1 slack" 0.0
-    r.Sta.slack.(Circuit.find c "slow1");
+    r.Flat_sta.slack.(Circuit.find c "slow1");
   Alcotest.(check (float 1e-9)) "slow2 slack" 0.0
-    r.Sta.slack.(Circuit.find c "slow2");
+    r.Flat_sta.slack.(Circuit.find c "slow2");
   Alcotest.(check (float 1e-9)) "fast slack" 4.0
-    r.Sta.slack.(Circuit.find c "fast")
+    (Flat_sta.slack_of_endpoint r (Circuit.find c "fast"))
 
 let test_sta_required_time_override () =
   let c = diamond () in
-  let delays =
-    delays_of c [ ("fast", 1.0); ("slow1", 2.0); ("slow2", 3.0); ("out", 1.0) ]
+  let r =
+    Flat_sta.analyze ~required_time:10.0 (Flat.of_circuit c)
+      ~delays:(diamond_delays c)
   in
-  let r = Sta.analyze ~required_time:10.0 c ~delays in
   Alcotest.(check (float 1e-9)) "extra slack" 4.0
-    r.Sta.slack.(Circuit.find c "out")
+    r.Flat_sta.slack.(Circuit.find c "out")
 
 let test_sta_critical_path () =
   let c = diamond () in
-  let delays =
-    delays_of c [ ("fast", 1.0); ("slow1", 2.0); ("slow2", 3.0); ("out", 1.0) ]
+  let f = Flat.of_circuit c in
+  let delays = diamond_delays c in
+  let arrival, _ = Flat_sta.forward f ~delays in
+  let path =
+    List.map
+      (fun id -> (Circuit.node c id).Circuit.name)
+      (Flat_sta.critical_path_of_arrival f ~arrival ~delays)
   in
-  let path = List.map (fun id -> (Circuit.node c id).Circuit.name)
-      (Sta.critical_path c ~delays) in
   Alcotest.(check (list string)) "path" [ "slow1"; "slow2"; "out" ] path
 
 let test_sta_meets () =
   let c = diamond () in
-  let delays =
-    delays_of c [ ("fast", 1.0); ("slow1", 2.0); ("slow2", 3.0); ("out", 1.0) ]
-  in
-  Alcotest.(check bool) "meets 7" true (Sta.meets c ~delays ~cycle_time:7.0);
-  Alcotest.(check bool) "misses 5" false (Sta.meets c ~delays ~cycle_time:5.0)
+  let delays = diamond_delays c in
+  Alcotest.(check bool) "meets 7" true (Sta_ref.meets c ~delays ~cycle_time:7.0);
+  Alcotest.(check bool) "misses 5" false
+    (Sta_ref.meets c ~delays ~cycle_time:5.0);
+  (* the oracle's verdict is the flat engine's critical delay *)
+  let _, critical = Flat_sta.forward (Flat.of_circuit c) ~delays in
+  Alcotest.(check (float 0.0)) "critical delay" 6.0 critical
 
 (* ------------------------------------------------------------------ *)
 (* K paths                                                             *)
@@ -309,7 +312,7 @@ let test_incr_sta_raise_mid_bucket () =
   in
   let g1 = Circuit.find c "g1" in
   let g2a = Circuit.find c "g2a" and g2b = Circuit.find c "g2b" in
-  let ist = Incr_sta.create c in
+  let ist = Incr_sta.create (Flat.of_circuit c) in
   Incr_sta.refresh ist ~recompute:(fun ~id:_ ~max_fanin_delay:_ -> 1.0);
   Incr_sta.commit ist;
   (* Move: g1's delay becomes 2.0; recompute blows up on the level-2
