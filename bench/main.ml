@@ -289,6 +289,12 @@ let bechamel_tests () =
     Dcopt_netlist.Generator.(random_dag (default_dag ~name:"dag10k" ~seed:7L ~gates:10_000 ()))
   in
   let dag_flat = Dcopt_netlist.Flat.of_circuit dag in
+  (* the dag-joint end-to-end shape: the 64 x gates path cap binds and
+     ~40% of the gates fall back, so the whole cap is enumerated *)
+  let dag2k =
+    Dcopt_netlist.Generator.(
+      random_dag (default_dag ~name:"dag2k" ~seed:1L ~gates:2_000 ()))
+  in
   let dag_req = req_of dag in
   let dag_delays =
     let rng = Dcopt_util.Prng.create 13L in
@@ -319,6 +325,10 @@ let bechamel_tests () =
            ignore
              (Dcopt_timing.Delay_assign.assign core
                 ~cycle_time:(1.0 /. 300e6))));
+    Test.make ~name:"timing/procedure-1 budgets (2k DAG)"
+      (Staged.stage (fun () ->
+           ignore
+             (Dcopt_timing.Delay_assign.assign dag2k ~cycle_time:(1.0 /. 60e6))));
     Test.make ~name:"opt/sizing pass (s298)"
       (Staged.stage (fun () ->
            ignore

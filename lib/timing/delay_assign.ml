@@ -18,6 +18,12 @@ let slope_counter =
   Metrics.counter ~help:"budgets lifted for slope feasibility"
     "timing.slope_adjusted"
 
+let fallback_share_hist =
+  Metrics.histogram
+    ~help:"share of gates budgeted by the chain-criticality fallback, per \
+           assignment"
+    "timing.fallback_share"
+
 type t = {
   t_max : float array;
   cycle_budget : float;
@@ -39,16 +45,15 @@ let max_over_gates f ~off ~edges col id =
 (* Largest fanout-sum over chains from this gate downward / from sources to
    this gate, allowing chains to stop anywhere (used only by the fallback,
    where dead-end logic is exactly the case at hand). *)
-let chain_criticalities circuit f =
+let chain_criticalities circuit f ~w =
   let n = Flat.size f in
   let order = Circuit.topo_order circuit in
-  let w id = float_of_int (Kpaths.effective_fanout circuit id) in
   let down = Array.make n 0.0 in
   for i = Array.length order - 1 downto 0 do
     let id = order.(i) in
     if f.Flat.is_gate.(id) then
       down.(id) <-
-        w id
+        w.(id)
         +. max_over_gates f ~off:f.Flat.fanout_off ~edges:f.Flat.fanout_edges
              down id
   done;
@@ -57,7 +62,7 @@ let chain_criticalities circuit f =
     (fun id ->
       if f.Flat.is_gate.(id) then
         up.(id) <-
-          w id
+          w.(id)
           +. max_over_gates f ~off:f.Flat.fanin_off ~edges:f.Flat.fanin_edges
                up id)
     order;
@@ -92,47 +97,60 @@ let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
   let gate_total = Circuit.gate_count circuit in
   let remaining = ref gate_total in
   let paths_used = ref 0 in
-  let w id = float_of_int (Kpaths.effective_fanout circuit id) in
-  let consume_path gate_ids =
-    let unassigned = List.filter (fun id -> not (assigned.(id))) gate_ids in
-    if unassigned <> [] then begin
+  let eff = Kpaths.effective_fanouts f in
+  let w = Array.map float_of_int eff in
+  let paths = Kpaths.cursor ?max_paths f ~eff in
+  let path = Array.make (Flat.depth f) 0 in
+  (* eq. (3) on the [len] gates in [path], stored output to source and
+     folded source to output, the order the sums have always been taken
+     in. *)
+  let consume_path len =
+    let fresh = ref false in
+    for i = 0 to len - 1 do
+      if not assigned.(path.(i)) then fresh := true
+    done;
+    if !fresh then begin
       incr paths_used;
-      let already =
-        List.fold_left
-          (fun acc id -> if assigned.(id) then acc +. t_max.(id) else acc)
-          0.0 gate_ids
-      in
-      let denom = List.fold_left (fun acc id -> acc +. w id) 0.0 unassigned in
-      (* eq. (3); if more critical paths already ate the whole budget, give
-         the stragglers a tiny positive share and let the final scaling pass
+      let already = ref 0.0 and denom = ref 0.0 in
+      for i = len - 1 downto 0 do
+        let g = path.(i) in
+        if assigned.(g) then already := !already +. t_max.(g)
+        else denom := !denom +. w.(g)
+      done;
+      (* if more critical paths already ate the whole budget, give the
+         stragglers a tiny positive share and let the final scaling pass
          restore the guarantee. *)
-      let share = Float.max (0.01 *. available) (available -. already) /. denom in
-      List.iter
-        (fun id ->
-          t_max.(id) <- w id *. share;
-          assigned.(id) <- true;
-          decr remaining)
-        unassigned
+      let share =
+        Float.max (0.01 *. available) (available -. !already) /. !denom
+      in
+      for i = len - 1 downto 0 do
+        let g = path.(i) in
+        if not assigned.(g) then begin
+          t_max.(g) <- w.(g) *. share;
+          assigned.(g) <- true;
+          decr remaining
+        end
+      done
     end
   in
-  let paths = Kpaths.enumerate ?max_paths circuit in
-  let rec drain seq =
-    if !remaining > 0 then
-      match seq () with
-      | Seq.Nil -> ()
-      | Seq.Cons (p, rest) ->
-        consume_path p.Kpaths.gate_ids;
-        drain rest
+  let rec drain () =
+    if !remaining > 0 then begin
+      let len = Kpaths.next paths path in
+      if len > 0 then begin
+        consume_path len;
+        drain ()
+      end
+    end
   in
-  drain paths;
+  drain ();
   (* Fallback for gates on no enumerated PI-to-PO path. *)
   let fallback_gates = ref 0 in
   if !remaining > 0 then begin
-    let up, down = chain_criticalities circuit f in
+    let up, down = chain_criticalities circuit f ~w in
     for id = 0 to n - 1 do
       if is_gate.(id) && not assigned.(id) then begin
-        let crit = up.(id) +. down.(id) -. w id in
-        t_max.(id) <- available *. w id /. Float.max (w id) crit;
+        let crit = up.(id) +. down.(id) -. w.(id) in
+        t_max.(id) <- available *. w.(id) /. Float.max w.(id) crit;
         assigned.(id) <- true;
         incr fallback_gates;
         decr remaining
@@ -164,6 +182,10 @@ let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
   Metrics.incr ~by:!paths_used paths_counter;
   Metrics.incr ~by:!fallback_gates fallback_counter;
   Metrics.incr ~by:!slope_adjusted slope_counter;
+  (* histograms are main-domain-only; assignments on pool domains skip it *)
+  if gate_total > 0 && Domain.is_main_domain () then
+    Metrics.observe fallback_share_hist
+      (float_of_int !fallback_gates /. float_of_int gate_total);
   {
     t_max;
     cycle_budget = available;

@@ -23,7 +23,9 @@ type t = {
 
 val assign :
   ?skew_factor:float ->   (* the paper's b <= 1, default 0.95 *)
-  ?max_paths:int ->       (* path-enumeration cap, default 16 * gates *)
+  ?max_paths:int ->       (* path-enumeration cap, default 64 * gates; it
+                             counts every emitted path, including paths
+                             whose gates are all assigned already *)
   ?slope_guard:float ->   (* min budget as fraction of max fanin budget, default 0.3 *)
   ?constraints:Constraints.t ->
   Dcopt_netlist.Circuit.t ->
@@ -38,7 +40,12 @@ val assign :
     an empty set): Procedure 1 distributes the tightest bound, while
     per-endpoint requirements are enforced downstream by the
     constraint-aware STA feasibility check. A scalar compatibility set
-    is bit-identical to passing its cycle time directly. *)
+    is bit-identical to passing its cycle time directly.
+
+    Each call bumps the [timing.assignments], [timing.paths_used],
+    [timing.fallback_gates] and [timing.slope_adjusted] counters and,
+    when it runs on the main domain, observes [fallback_gates / gate
+    count] in the [timing.fallback_share] histogram. *)
 
 val verify : Dcopt_netlist.Circuit.t -> t -> cycle_time:float -> bool
 (** Re-checks the postcondition by STA. *)

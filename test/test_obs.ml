@@ -705,6 +705,51 @@ let test_telemetry_to_metrics () =
   Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
+(* Procedure-1 metrics: timing.* counters and the fallback share       *)
+
+let test_procedure1_metrics () =
+  Metrics.reset ();
+  let module Gate = Dcopt_netlist.Gate in
+  (* one gate of three drives nothing and is not a PO: the fallback's *)
+  let dangling =
+    Circuit.create ~name:"dangling"
+      ~nodes:
+        [
+          ("a", Gate.Input, []);
+          ("g1", Gate.Not, [ "a" ]);
+          ("dead", Gate.Not, [ "g1" ]);
+          ("out", Gate.Not, [ "g1" ]);
+        ]
+      ~outputs:[ "out" ]
+  in
+  let chain =
+    Circuit.create ~name:"chain"
+      ~nodes:
+        [
+          ("a", Gate.Input, []);
+          ("g1", Gate.Not, [ "a" ]);
+          ("g2", Gate.Not, [ "g1" ]);
+        ]
+      ~outputs:[ "g2" ]
+  in
+  let b1 = Delay_assign.assign dangling ~cycle_time:1e-9 in
+  let b2 = Delay_assign.assign chain ~cycle_time:1e-9 in
+  let counter name = Metrics.value (Metrics.counter name) in
+  Alcotest.(check int) "assignments" 2 (counter "timing.assignments");
+  Alcotest.(check int) "paths used"
+    (b1.Delay_assign.paths_used + b2.Delay_assign.paths_used)
+    (counter "timing.paths_used");
+  Alcotest.(check int) "fallback gates" 1 (counter "timing.fallback_gates");
+  Alcotest.(check int) "slope adjusted"
+    (b1.Delay_assign.slope_adjusted + b2.Delay_assign.slope_adjusted)
+    (counter "timing.slope_adjusted");
+  let share = Metrics.histogram "timing.fallback_share" in
+  Alcotest.(check int) "one observation per assign" 2 (Metrics.count share);
+  Alcotest.(check (array (float 0.0))) "fallback_gates / gate_count"
+    [| 1.0 /. 3.0; 0.0 |] (Metrics.samples share);
+  Metrics.reset ()
+
+(* ------------------------------------------------------------------ *)
 (* Heuristic observer on s27: deterministic, bounded by M^3            *)
 
 let s27_env () =
@@ -795,6 +840,8 @@ let () =
             test_openmetrics_render;
           Alcotest.test_case "reservoir sampling" `Quick
             test_histogram_reservoir;
+          Alcotest.test_case "procedure-1 metrics" `Quick
+            test_procedure1_metrics;
         ] );
       ( "bench-gate",
         [

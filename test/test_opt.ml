@@ -360,6 +360,44 @@ let test_repair_detects_impossible () =
   | Budget_repair.Infeasible _ -> ()
   | Budget_repair.Repaired _ -> Alcotest.fail "30 GHz cannot be feasible"
 
+(* On generated DAGs across sizes, clocks, skew factors, path caps and
+   corners, repair either hands back budgets every gate can be sized to
+   or names a gate that cannot make it. *)
+let repair_sizes_or_names_property =
+  QCheck.Test.make
+    ~name:"repaired DAG budgets size, or a limiting gate is named" ~count:12
+    QCheck.(
+      pair (int_bound 10_000)
+        (quad (int_bound 2) (int_bound 2) (int_bound 1) (int_bound 1)))
+    (fun (seed, (size, clock, cap, corner)) ->
+      let core =
+        Dcopt_netlist.Generator.(
+          random_dag
+            (default_dag ~seed:(Int64.of_int seed)
+               ~gates:[| 30; 200; 600 |].(size) ()))
+      in
+      let fc = [| 50e6; 300e6; 2e9 |].(clock) in
+      let skew_factor, max_paths = [| (0.95, None); (0.8, Some 8) |].(cap) in
+      let vdd, vt =
+        [| (tech.Tech.vdd_max, tech.Tech.vt_min); (1.0, 0.3) |].(corner)
+      in
+      let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
+      let env =
+        Power_model.make_env ~tech ~fc core (Activity.local_profile core specs)
+      in
+      let raw =
+        (Delay_assign.assign ~skew_factor ?max_paths core ~cycle_time:(1.0 /. fc))
+          .Delay_assign.t_max
+      in
+      match Budget_repair.repair env ~budgets:raw ~vdd ~vt with
+      | Budget_repair.Repaired { budgets; _ } ->
+        let n = Circuit.size core in
+        snd (Power_model.size_all env ~vdd ~vt:(Array.make n vt) ~budgets)
+      | Budget_repair.Infeasible { limiting_gate } ->
+        limiting_gate >= 0
+        && limiting_gate < Circuit.size core
+        && (Power_model.flat env).Dcopt_netlist.Flat.is_gate.(limiting_gate))
+
 (* ------------------------------------------------------------------ *)
 (* Variation and slack sweeps                                          *)
 
@@ -446,6 +484,7 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_repair_idempotent;
           Alcotest.test_case "detects impossible" `Quick
             test_repair_detects_impossible;
+          QCheck_alcotest.to_alcotest repair_sizes_or_names_property;
         ] );
       ( "sweeps",
         [

@@ -87,9 +87,15 @@ let test_sta_meets () =
 
 let test_effective_fanout_floor () =
   let c = diamond () in
+  let eff = Kpaths.effective_fanouts (Flat.of_circuit c) in
   (* out is a PO with no gate fanouts: effective fanout 1 *)
-  Alcotest.(check int) "po gate" 1
-    (Kpaths.effective_fanout c (Circuit.find c "out"))
+  Alcotest.(check int) "po gate" 1 eff.(Circuit.find c "out");
+  Array.iteri
+    (fun id e ->
+      Alcotest.(check int) "floored fanout_count"
+        (max 1 (Circuit.fanout_count c id))
+        e)
+    eff
 
 let test_kpaths_diamond () =
   let c = diamond () in
@@ -146,24 +152,21 @@ let test_kpaths_paths_are_connected =
                seed = Some (Int64.of_int seed);
              })
       in
+      let eff = Kpaths.effective_fanouts (Flat.of_circuit c) in
       let ok_path p =
-        let rec chained = function
-          | a :: (b :: _ as rest) ->
-            Array.exists (fun g -> g = b) (Circuit.fanouts c a) && chained rest
-          | _ -> true
-        in
-        let ends_at_po =
-          match List.rev p.Kpaths.gate_ids with
-          | last :: _ -> Circuit.is_output c last
-          | [] -> false
-        in
+        let ids = p.Kpaths.gate_ids in
+        let len = Array.length ids in
+        let chained = ref true in
+        for i = 0 to len - 2 do
+          if not (Array.mem ids.(i + 1) (Circuit.fanouts c ids.(i))) then
+            chained := false
+        done;
+        let ends_at_po = len > 0 && Circuit.is_output c ids.(len - 1) in
         let crit_ok =
           p.Kpaths.criticality
-          = List.fold_left
-              (fun acc id -> acc + Kpaths.effective_fanout c id)
-              0 p.Kpaths.gate_ids
+          = Array.fold_left (fun acc id -> acc + eff.(id)) 0 ids
         in
-        chained p.Kpaths.gate_ids && ends_at_po && crit_ok
+        !chained && ends_at_po && crit_ok
       in
       Kpaths.enumerate ~max_paths:100 c |> List.of_seq |> List.for_all ok_path)
 
@@ -176,9 +179,73 @@ let test_kpaths_ladder_count () =
 
 let test_most_critical () =
   let c = diamond () in
-  match Kpaths.most_critical c with
-  | Some p -> Alcotest.(check int) "criticality" 3 p.Kpaths.criticality
-  | None -> Alcotest.fail "expected a path"
+  match List.of_seq (Kpaths.enumerate ~max_paths:1 c) with
+  | [ p ] -> Alcotest.(check int) "criticality" 3 p.Kpaths.criticality
+  | _ -> Alcotest.fail "expected exactly one path"
+
+(* ------------------------------------------------------------------ *)
+(* Differential against the list/heap oracle (test/kpaths_ref.ml)      *)
+
+(* Every suite circuit's combinational core and seeded 200- and
+   2000-gate DAGs. The default cap binds on s344, s349, s1488 and the
+   2000-gate DAGs; a cap of 8 sends most gates to the fallback. *)
+let differential_inputs =
+  lazy
+    (List.map
+       (fun (name, c) -> (name, Circuit.combinational_core c))
+       (Dcopt_suite.Suite.all ())
+    @ List.map
+        (fun (gates, seed) ->
+          ( Printf.sprintf "dag%d/%Ld" gates seed,
+            Generator.random_dag (Generator.default_dag ~seed ~gates ()) ))
+        [ (200, 1L); (200, 2L); (2000, 3L) ])
+
+let caps = [ None; Some 8 ]
+
+let cap_label name = function
+  | None -> name ^ " (default cap)"
+  | Some k -> Printf.sprintf "%s (cap %d)" name k
+
+let test_kpaths_matches_oracle () =
+  List.iter
+    (fun (name, c) ->
+      List.iter
+        (fun max_paths ->
+          let got =
+            Kpaths.enumerate ?max_paths c
+            |> Seq.map (fun p ->
+                   (Array.to_list p.Kpaths.gate_ids, p.Kpaths.criticality))
+            |> List.of_seq
+          in
+          Alcotest.(check (list (pair (list int) int)))
+            (cap_label name max_paths)
+            (Kpaths_ref.enumerate ?max_paths c)
+            got)
+        caps)
+    (Lazy.force differential_inputs)
+
+let test_assign_matches_oracle () =
+  let cycle_time = 1.0 /. 300e6 in
+  List.iter
+    (fun (name, c) ->
+      List.iter
+        (fun max_paths ->
+          let label = cap_label name max_paths in
+          let b = Delay_assign.assign ?max_paths c ~cycle_time in
+          let t_max, paths_used, fallback_gates, slope_adjusted =
+            Kpaths_ref.assign ?max_paths c ~cycle_time
+          in
+          let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+          Alcotest.(check (list int64)) (label ^ " t_max bits") (bits t_max)
+            (bits b.Delay_assign.t_max);
+          Alcotest.(check int) (label ^ " paths used") paths_used
+            b.Delay_assign.paths_used;
+          Alcotest.(check int) (label ^ " fallback gates") fallback_gates
+            b.Delay_assign.fallback_gates;
+          Alcotest.(check int) (label ^ " slope adjusted") slope_adjusted
+            b.Delay_assign.slope_adjusted)
+        caps)
+    (Lazy.force differential_inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Delay assignment (Procedure 1)                                      *)
@@ -260,6 +327,25 @@ let budgets_positive_property =
           | Gate.Input | Gate.Dff -> true
           | _ -> b.Delay_assign.t_max.(nd.Circuit.id) > 0.0)
         (Circuit.nodes c))
+
+(* The guarantee on generated DAGs, not just the ISCAS shapes: seeded
+   sizes, clocks and skew factors, at the default and a small path cap. *)
+let dag_budgets_verify_property =
+  QCheck.Test.make ~name:"budgets on generated DAGs meet b * T_c" ~count:24
+    QCheck.(
+      pair (int_bound 10_000)
+        (quad (int_bound 2) (int_bound 2) (int_bound 2) (int_bound 1)))
+    (fun (seed, (size, clock, skew, cap)) ->
+      let c =
+        Generator.random_dag
+          (Generator.default_dag ~seed:(Int64.of_int seed)
+             ~gates:[| 30; 200; 1000 |].(size) ())
+      in
+      let cycle_time = [| 1e-9; 3.33e-9; 2e-8 |].(clock) in
+      let skew_factor = [| 0.7; 0.95; 1.0 |].(skew) in
+      let max_paths = [| None; Some 8 |].(cap) in
+      let b = Delay_assign.assign ~skew_factor ?max_paths c ~cycle_time in
+      Delay_assign.verify c b ~cycle_time:(skew_factor *. cycle_time))
 
 let test_assign_rejects_bad_args () =
   let c = diamond () in
@@ -361,6 +447,13 @@ let () =
           QCheck_alcotest.to_alcotest test_kpaths_nonincreasing_property;
           QCheck_alcotest.to_alcotest test_kpaths_paths_are_connected;
         ] );
+      ( "kpaths oracle",
+        [
+          Alcotest.test_case "emitted sequence" `Quick
+            test_kpaths_matches_oracle;
+          Alcotest.test_case "procedure 1 bits" `Quick
+            test_assign_matches_oracle;
+        ] );
       ( "delay assignment",
         [
           Alcotest.test_case "diamond shares" `Quick test_assign_diamond;
@@ -371,6 +464,7 @@ let () =
             test_assign_dangling_gets_fallback;
           QCheck_alcotest.to_alcotest budgets_meet_cycle_property;
           QCheck_alcotest.to_alcotest budgets_positive_property;
+          QCheck_alcotest.to_alcotest dag_budgets_verify_property;
         ] );
       ( "incremental",
         [
