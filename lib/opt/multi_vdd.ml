@@ -1,6 +1,7 @@
 module Circuit = Dcopt_netlist.Circuit
 module Tech = Dcopt_device.Tech
 module Delay = Dcopt_device.Delay
+module Drive = Dcopt_device.Drive
 module Energy = Dcopt_device.Energy
 module Numeric = Dcopt_util.Numeric
 
@@ -95,6 +96,12 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
   let uses_low = Array.copy assignment.uses_low in
   let design_of id = if uses_low.(id) then design_low else design_high in
   let t_conv = converter_delay tech ~vdd_low ~vt in
+  (* one drive context per rail: Drive.make is pure, so these are the
+     contexts a per-gate size_gate would rebuild *)
+  let sizer = Drive.sizer tech in
+  let vt_device = vt *. Power_model.vt_stress env in
+  let ctx_high = Drive.make tech ~vdd:vdd_high ~vt:vt_device in
+  let ctx_low = Drive.make tech ~vdd:vdd_low ~vt:vt_device in
   let budgets_adj = Array.copy budgets in
   let gates = Power_model.gate_ids env in
   let set_adjusted id =
@@ -116,7 +123,9 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
       set_adjusted id
     end;
     let size () =
-      Power_model.size_gate env (design_of id) ~budgets:budgets_adj id
+      Power_model.size_gate_with sizer
+        (if uses_low.(id) then ctx_low else ctx_high)
+        env (design_of id) ~budgets:budgets_adj id
     in
     match size () with
     | Some w -> widths.(id) <- w
@@ -136,6 +145,7 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
         all_met := false
       end
   done;
+  Power_model.record_sizing sizer;
   let assignment =
     let low_count = ref 0 and converter_count = ref 0 in
     Array.iter

@@ -246,7 +246,7 @@ let budget_fanin_delay env ~budgets id =
 (* Trial-scoped cache of drive contexts. A trial fixes vdd, and almost
    all designs carry one (multi-vt: a few) distinct thresholds, so a tiny
    assoc list amortizes the transcendental device model over all N gates
-   x 40 width-search iterations of the trial. *)
+   of the trial. *)
 type drive_cache = {
   cache_tech : Tech.t;
   cache_vdd : float;
@@ -359,7 +359,8 @@ let evaluate_with ~jobs ~min_par_width env design =
   in
   let st_terms = Array.make n 0.0 in
   let dy_terms = Array.make n 0.0 in
-  let sc_terms = Array.make n 0.0 in
+  (* read and written only when the short-circuit term is on *)
+  let sc_terms = if env.short_circuit then Array.make n 0.0 else [||] in
   let tripped = Atomic.make false in
   let cache = drive_cache env ~vdd:design.vdd in
   let f = env.env_flat in
@@ -426,43 +427,61 @@ let evaluate env design =
     evaluate_par env design
   else evaluate_seq env design
 
-(* The load depends only on the gate's *fanout* widths — fixed for the
-   whole search (combinational circuits have no self-loops, and size_all
-   finalizes fanouts before their drivers) — so it is hoisted out of the
-   40-iteration binary search along with the drive context, leaving a
-   handful of flops per iteration. *)
-let size_gate_ctx env design ~budgets ctx id =
-  let tech = env.env_tech in
-  let target = budgets.(id) in
+let m_sized =
+  Dcopt_obs.Metrics.counter ~help:"gates sized by the minimal-width kernel"
+    "sizing.gates"
+
+let m_bisected =
+  Dcopt_obs.Metrics.counter
+    ~help:"sized gates whose width came from the 40-step bisection"
+    "sizing.bisections"
+
+(* Once per sizing pass, never per gate: the counters are shared atomics. *)
+let record_sizing sizer =
+  Dcopt_obs.Metrics.incr ~by:(Drive.sized_gates sizer) m_sized;
+  Dcopt_obs.Metrics.incr ~by:(Drive.bisections sizer) m_bisected
+
+(* The load depends only on the gate's *fanout* widths, which are final
+   (combinational circuits have no self-loops, and size_all finalizes
+   fanouts before their drivers). [nan]: even w_max misses the budget. *)
+let min_width sizer ctx env design ~budgets id =
   let max_fanin_delay = budget_fanin_delay env ~budgets id in
   let load = gate_load env design ~max_fanin_delay id in
-  let feasible w = Drive.gate_delay tech ctx ~w load <= target in
-  Dcopt_util.Numeric.binary_search_min ~feasible ~lo:tech.Tech.w_min
-    ~hi:tech.Tech.w_max ~iters:40 ()
+  Drive.min_width sizer ctx ~target:budgets.(id) load
+
+let size_gate_with sizer ctx env design ~budgets id =
+  let w = min_width sizer ctx env design ~budgets id in
+  if Float.is_nan w then None else Some w
 
 let size_gate env design ~budgets id =
+  let sizer = Drive.sizer env.env_tech in
   let ctx =
     Drive.make env.env_tech ~vdd:design.vdd
       ~vt:(design.vt.(id) *. env.vt_stress)
   in
-  size_gate_ctx env design ~budgets ctx id
+  let w = size_gate_with sizer ctx env design ~budgets id in
+  record_sizing sizer;
+  w
 
 let size_all env ~vdd ~vt ~budgets =
   let n = Circuit.size env.env_circuit in
   let design = { vdd; vt; widths = Array.make n env.env_tech.Tech.w_min } in
   let cache = drive_cache env ~vdd in
+  let sizer = Drive.sizer env.env_tech in
   let all_met = ref true in
   (* Reverse topological order: every gate's fanout widths (its load) are
      final before the gate itself is sized. *)
   for i = Array.length env.gates_topo - 1 downto 0 do
     let id = env.gates_topo.(i) in
     let ctx = drive_ctx cache ~vt:(vt.(id) *. env.vt_stress) in
-    match size_gate_ctx env design ~budgets ctx id with
-    | Some w -> design.widths.(id) <- w
-    | None ->
+    let w = min_width sizer ctx env design ~budgets id in
+    if Float.is_nan w then begin
       design.widths.(id) <- env.env_tech.Tech.w_max;
       all_met := false
+    end
+    else design.widths.(id) <- w
   done;
+  record_sizing sizer;
   (design, !all_met)
 
 (* ------------------------------------------------------------------ *)

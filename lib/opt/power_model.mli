@@ -143,14 +143,29 @@ val size_gate :
 (** Minimum width in \[w_min, w_max\] meeting the gate's budget, assuming
     the design already fixes its fanouts' widths ({!size_all} processes
     gates in reverse topological order so this holds). [None] when even
-    [w_max] misses the budget. *)
+    [w_max] misses the budget. The width is the 40-step bisection's
+    answer, bit for bit, found by {!Dcopt_device.Drive.min_width}. Adds
+    to [sizing.gates] and [sizing.bisections] on every call; a loop over
+    gates should use {!size_gate_with} instead. *)
+
+val size_gate_with :
+  Dcopt_device.Drive.sizer -> Dcopt_device.Drive.ctx -> env -> design ->
+  budgets:float array -> int -> float option
+(** {!size_gate} in a caller's sizing session, under a drive context the
+    caller made for the gate's (vdd, vt · vt_stress). Tallies stay in the
+    session until {!record_sizing}. *)
+
+val record_sizing : Dcopt_device.Drive.sizer -> unit
+(** Add a session's tallies to the [sizing.gates] and
+    [sizing.bisections] counters — once per pass, not per gate. *)
 
 val size_all :
   env -> vdd:float -> vt:float array -> budgets:float array ->
   design * bool
 (** Sizes every gate to its minimal feasible width (reverse topological
-    order). The boolean is true when every gate met its budget; gates that
-    could not are left at [w_max]. *)
+    order), in one sizing session recorded at the end. The boolean is
+    true when every gate met its budget; gates that could not are left at
+    [w_max]. *)
 
 (** Incremental evaluation engine for single-gate moves.
 

@@ -32,9 +32,10 @@ type cursor = {
   shift : int;
   mutable emitted : int;
   mutable last_crit : int;
-  (* arena of partial paths: slot -> last gate, slot of the prefix *)
-  mutable gate : int array;
-  mutable parent : int array;
+  (* arena of partial paths: slot -> [(prefix slot + 1) lsl gbits lor last
+     gate], one int per slot *)
+  gbits : int;
+  mutable arena : int array;
   mutable slots : int;
   mutable heap : int array;
   mutable len : int;
@@ -119,14 +120,16 @@ let push_partial c ~gate ~parent ~priority =
   let s = c.slots in
   if s lsr (c.shift - 1) <> 0 then
     failwith "Kpaths: partial-path arena exceeds the heap key width";
-  if s = Array.length c.gate then begin
-    c.gate <- grow c.gate;
-    c.parent <- grow c.parent
-  end;
-  c.gate.(s) <- gate;
-  c.parent.(s) <- parent;
+  (* parent < s, so [s lsl gbits] bounds every packed entry *)
+  if s lsr (62 - c.gbits) <> 0 then
+    failwith "Kpaths: partial-path arena exceeds the packed entry width";
+  if s = Array.length c.arena then c.arena <- grow c.arena;
+  c.arena.(s) <- ((parent + 1) lsl c.gbits) lor gate;
   c.slots <- s + 1;
   push c ((priority lsl c.shift) lor (s lsl 1))
+
+let[@inline] arena_gate c s = c.arena.(s) land ((1 lsl c.gbits) - 1)
+let[@inline] arena_parent c s = (c.arena.(s) lsr c.gbits) - 1
 
 let cursor ?max_paths f ~eff =
   let n = Flat.size f in
@@ -147,8 +150,8 @@ let cursor ?max_paths f ~eff =
       shift;
       emitted = 0;
       last_crit = 0;
-      gate = Array.make (max 16 n) 0;
-      parent = Array.make (max 16 n) 0;
+      gbits = bit_length n;
+      arena = Array.make (max 16 n) 0;
       slots = 0;
       heap = Array.make (max 16 n) 0;
       len = 0;
@@ -183,7 +186,7 @@ let rec next_slot c =
     end
     else begin
       let f = c.flat and best = c.best in
-      let head = c.gate.(slot) in
+      let head = arena_gate c slot in
       let crit = priority - best.(head) + c.eff.(head) in
       if c.is_output.(head) then
         push c ((crit lsl c.shift) lor (slot lsl 1) lor 1);
@@ -199,9 +202,9 @@ let rec next_slot c =
 let next c buf =
   let len = ref 0 and s = ref (next_slot c) in
   while !s >= 0 do
-    buf.(!len) <- c.gate.(!s);
+    buf.(!len) <- arena_gate c !s;
     incr len;
-    s := c.parent.(!s)
+    s := arena_parent c !s
   done;
   !len
 

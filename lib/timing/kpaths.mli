@@ -9,9 +9,10 @@
     the precomputed best completion), which makes emission order exact.
 
     The search runs over {!Dcopt_netlist.Flat} columns without allocating
-    per path: a partial path is an arena slot (its last gate and the slot
-    of its prefix), and the frontier is a binary max-heap of ints packing
-    [priority] above [slot] and a complete-path tag. The heap compares
+    per path: a partial path is an arena slot (one int packing its last
+    gate and the slot of its prefix), and the frontier is a binary
+    max-heap of ints packing [priority] above [slot] and a complete-path
+    tag. The heap compares
     priorities only and sifts exactly as {!Dcopt_util.Heap} does (up while
     the parent is strictly smaller; down to the strictly larger child,
     left first), and pushes in the same order (a partial's completion

@@ -1,13 +1,20 @@
-(* Golden equivalence of the trial-context fast path.
+(* Golden equivalence of the evaluation and sizing fast paths.
 
-   Power_model.evaluate and size_all run on cached Drive contexts (the
-   per-(vdd, vt) transcendentals hoisted out of the per-gate and
-   per-iteration loops). These tests re-derive the same numbers through
-   the original uncached formulas — Delay.gate_delay via the public
-   Power_model.gate_delay, and the Energy module directly — exactly as
-   the pre-cache implementation computed them, and require agreement to
-   <= 1e-9 relative error (the delay path is bit-identical by
-   construction; the energy path may differ at round-off). *)
+   Power_model.evaluate runs on cached Drive contexts (the per-(vdd, vt)
+   transcendentals hoisted out of the per-gate loop). The evaluate tests
+   re-derive the same numbers through the original uncached formulas —
+   Delay.gate_delay via the public Power_model.gate_delay, and the Energy
+   module directly — and require bitwise equal delays (the cached delay
+   repeats the formula's operations) and energies within 1e-9 relative
+   error (the energy path may differ at round-off).
+
+   Power_model.size_all sizes through Drive.min_width, which jumps to the
+   width the 40-step bisection would find. The size_all tests run that
+   bisection — Numeric.binary_search_min over the closure
+   [gate_delay <= budget] — as the oracle and require every width to be
+   bitwise equal, on the suite and on generated DAGs, under raw and
+   repaired budgets, over a (vdd, vt) grid and a two-threshold design,
+   and on a width range where the kernel must bisect every gate. *)
 
 module Circuit = Dcopt_netlist.Circuit
 module Tech = Dcopt_device.Tech
@@ -17,6 +24,8 @@ module Delay_assign = Dcopt_timing.Delay_assign
 module Power_model = Dcopt_opt.Power_model
 module Budget_repair = Dcopt_opt.Budget_repair
 module Numeric = Dcopt_util.Numeric
+module Drive = Dcopt_device.Drive
+module Metrics = Dcopt_obs.Metrics
 
 let tech = Tech.default
 let fc = 300e6
@@ -53,6 +62,12 @@ let check_rel what reference fast =
   if not (err <= tolerance) then
     Alcotest.failf "%s: reference %.17g fast %.17g (rel err %g)" what
       reference fast err
+
+(* Delays feed the sizing predicate, so the cached and uncached formulas
+   must agree to the bit, not just within [tolerance]. *)
+let check_bits what reference fast =
+  if Int64.bits_of_float reference <> Int64.bits_of_float fast then
+    Alcotest.failf "%s: reference %h fast %h" what reference fast
 
 (* The pre-cache evaluate, re-derived through the public per-gate API:
    same topological propagation, same per-gate load, original Energy
@@ -100,24 +115,11 @@ let reference_evaluate env design =
   in
   (!static_e, !dynamic_e, delays, critical_delay)
 
-(* The pre-cache size_gate: mutate the width under test, rebuild the load
-   through the public gate_delay every iteration, restore. *)
-let reference_size_gate env design ~budgets id =
-  let target = budgets.(id) in
-  let max_fanin_delay = Power_model.budget_fanin_delay env ~budgets id in
-  let saved = design.Power_model.widths.(id) in
-  let feasible w =
-    design.Power_model.widths.(id) <- w;
-    Power_model.gate_delay env design ~max_fanin_delay id <= target
-  in
-  let result =
-    Numeric.binary_search_min ~feasible ~lo:tech.Tech.w_min
-      ~hi:tech.Tech.w_max ~iters:40 ()
-  in
-  design.Power_model.widths.(id) <- saved;
-  result
-
+(* The bisection oracle: one drive context per gate, the closure
+   predicate over Drive.gate_delay (the cached twin of the
+   Delay.gate_delay the evaluate tests pin), 40 halvings. *)
 let reference_size_all env ~vdd ~vt ~budgets =
+  let tech = Power_model.tech env in
   let n = Circuit.size (Power_model.circuit env) in
   let design =
     { Power_model.vdd; vt; widths = Array.make n tech.Tech.w_min }
@@ -126,7 +128,16 @@ let reference_size_all env ~vdd ~vt ~budgets =
   let all_met = ref true in
   for i = Array.length gates - 1 downto 0 do
     let id = gates.(i) in
-    match reference_size_gate env design ~budgets id with
+    let ctx =
+      Drive.make tech ~vdd ~vt:(vt.(id) *. Power_model.vt_stress env)
+    in
+    let max_fanin_delay = Power_model.budget_fanin_delay env ~budgets id in
+    let load = Power_model.gate_load env design ~max_fanin_delay id in
+    let feasible w = Drive.gate_delay tech ctx ~w load <= budgets.(id) in
+    match
+      Numeric.binary_search_min ~feasible ~lo:tech.Tech.w_min
+        ~hi:tech.Tech.w_max ~iters:40 ()
+    with
     | Some w -> design.Power_model.widths.(id) <- w
     | None ->
       design.Power_model.widths.(id) <- tech.Tech.w_max;
@@ -158,34 +169,127 @@ let check_evaluate_equiv core_of () =
           check_rel (at ^ " dynamic") dynamic_e fast.Power_model.dynamic_energy;
           check_rel (at ^ " total") (static_e +. dynamic_e)
             fast.Power_model.total_energy;
-          check_rel (at ^ " critical") critical fast.Power_model.critical_delay;
+          check_bits (at ^ " critical") critical
+            fast.Power_model.critical_delay;
           Array.iteri
             (fun id d ->
-              check_rel
+              check_bits
                 (Printf.sprintf "%s delay[%d]" at id)
                 d fast.Power_model.delays.(id))
             delays)
         designs)
     operating_points
 
-let check_size_all_equiv core_of () =
-  let env, budgets = setup (core_of ()) in
-  let n = Circuit.size (Power_model.circuit env) in
+let counter name = Metrics.value (Metrics.counter name)
+
+let check_size_all_equiv ~what env ~vdd ~vt ~budgets =
+  let fast, fast_met = Power_model.size_all env ~vdd ~vt ~budgets in
+  let refd, ref_met = reference_size_all env ~vdd ~vt ~budgets in
+  Alcotest.(check bool) (what ^ " all_met") ref_met fast_met;
+  Array.iteri
+    (fun id w ->
+      check_bits
+        (Printf.sprintf "%s width[%d]" what id)
+        w fast.Power_model.widths.(id))
+    refd.Power_model.widths
+
+let dag ~seed ~gates =
+  Dcopt_netlist.Generator.(random_dag (default_dag ~seed ~gates ()))
+
+(* (name, core, clock): the suite at 300 MHz, the DAGs at the 60 MHz of
+   the end-to-end dag-joint workload *)
+let sizing_inputs () =
+  List.map
+    (fun (name, c) -> (name, Circuit.combinational_core c, 300e6))
+    (Dcopt_suite.Suite.all ())
+  @ [
+      ("adder8", adder (), 300e6);
+      ("dag200", dag ~seed:3L ~gates:200, 60e6);
+      ("dag2000", dag ~seed:1L ~gates:2000, 60e6);
+    ]
+
+let env_of ?(tech = tech) core ~fc =
+  let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
+  Power_model.make_env ~tech ~fc core (Activity.local_profile core specs)
+
+(* Procedure-1 budgets raw, and repaired at both ends of the vt range. *)
+let budget_sets env core ~fc =
+  let tech = Power_model.tech env in
+  let raw =
+    (Delay_assign.assign core ~cycle_time:(1.0 /. fc)).Delay_assign.t_max
+  in
+  let repaired vt =
+    match
+      Budget_repair.repair env ~budgets:raw ~vdd:tech.Tech.vdd_max ~vt
+    with
+    | Budget_repair.Repaired { budgets; _ } -> budgets
+    | Budget_repair.Infeasible _ -> raw
+  in
+  [ ("raw", raw); ("vt_min", repaired tech.Tech.vt_min);
+    ("vt_max", repaired tech.Tech.vt_max) ]
+
+let sizing_grid =
+  List.concat_map
+    (fun vdd -> List.map (fun vt -> (vdd, vt)) [ 0.1; 0.3; 0.5 ])
+    [ 0.45; 0.9; 1.8; 3.3 ]
+
+(* Uniform thresholds at every grid point, plus a design alternating two
+   thresholds gate by gate. *)
+let sweep ~name env core budgets_of =
+  let n = Circuit.size core in
   List.iter
-    (fun (vdd, vt) ->
-      let vt_arr = Array.make n vt in
-      let fast, fast_met = Power_model.size_all env ~vdd ~vt:vt_arr ~budgets in
-      let refd, ref_met = reference_size_all env ~vdd ~vt:vt_arr ~budgets in
-      Alcotest.(check bool)
-        (Printf.sprintf "all_met at vdd=%.2f vt=%.2f" vdd vt)
-        ref_met fast_met;
-      Array.iteri
-        (fun id w ->
-          check_rel
-            (Printf.sprintf "width[%d] at vdd=%.2f vt=%.2f" id vdd vt)
-            w fast.Power_model.widths.(id))
-        refd.Power_model.widths)
-    operating_points
+    (fun (label, budgets) ->
+      List.iter
+        (fun (vdd, vt) ->
+          check_size_all_equiv
+            ~what:(Printf.sprintf "%s %s vdd=%.2f vt=%.2f" name label vdd vt)
+            env ~vdd ~vt:(Array.make n vt) ~budgets)
+        sizing_grid;
+      let two_vt =
+        Array.init n (fun id -> if id mod 2 = 0 then 0.15 else 0.35)
+      in
+      check_size_all_equiv
+        ~what:(Printf.sprintf "%s %s two-vt" name label)
+        env ~vdd:1.0 ~vt:two_vt ~budgets)
+    budgets_of
+
+let test_size_all_bitwise () =
+  let gates0 = counter "sizing.gates" in
+  let bisections0 = counter "sizing.bisections" in
+  List.iter
+    (fun (name, core, fc) ->
+      let env = env_of core ~fc in
+      sweep ~name env core (budget_sets env core ~fc))
+    (sizing_inputs ());
+  let gates = counter "sizing.gates" - gates0 in
+  let bisections = counter "sizing.bisections" - bisections0 in
+  (* on the default dyadic range the jump, not the bisection, sizes *)
+  if not (gates > 0 && bisections * 100 < gates) then
+    Alcotest.failf "%d of %d gates bisected" bisections gates
+
+(* w_min = 0.3 is no multiple of the power of two that fits w_max = 100,
+   so the bisection's midpoints are not one exact grid: every gate must
+   take the bisection, and still match the oracle. *)
+let test_size_all_non_dyadic () =
+  let tech = { Tech.default with Tech.w_min = 0.3 } in
+  let gates0 = counter "sizing.gates" in
+  let bisections0 = counter "sizing.bisections" in
+  List.iter
+    (fun (name, core, fc) ->
+      let env = env_of ~tech core ~fc in
+      let raw =
+        (Delay_assign.assign core ~cycle_time:(1.0 /. fc)).Delay_assign.t_max
+      in
+      sweep ~name env core [ ("raw", raw) ])
+    [
+      ("s298", Circuit.combinational_core (Dcopt_suite.Suite.find_exn "s298"),
+       300e6);
+      ("dag200", dag ~seed:3L ~gates:200, 60e6);
+    ];
+  let gates = counter "sizing.gates" - gates0 in
+  Alcotest.(check bool) "gates sized" true (gates > 0);
+  Alcotest.(check int) "every sized gate bisected" gates
+    (counter "sizing.bisections" - bisections0)
 
 let () =
   Alcotest.run "golden_equiv"
@@ -199,9 +303,9 @@ let () =
         ] );
       ( "size_all",
         [
-          Alcotest.test_case "s27 cached = reference" `Quick
-            (check_size_all_equiv s27);
-          Alcotest.test_case "adder8 cached = reference" `Quick
-            (check_size_all_equiv adder);
+          Alcotest.test_case "suite and DAGs = bisection, bitwise" `Quick
+            test_size_all_bitwise;
+          Alcotest.test_case "non-dyadic range bisects, bitwise" `Quick
+            test_size_all_non_dyadic;
         ] );
     ]

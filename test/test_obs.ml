@@ -14,6 +14,7 @@ module Activity = Dcopt_activity.Activity
 module Delay_assign = Dcopt_timing.Delay_assign
 module Power_model = Dcopt_opt.Power_model
 module Heuristic = Dcopt_opt.Heuristic
+module Multi_vdd = Dcopt_opt.Multi_vdd
 module Budget_repair = Dcopt_opt.Budget_repair
 module Tech = Dcopt_device.Tech
 
@@ -752,8 +753,7 @@ let test_procedure1_metrics () =
 (* ------------------------------------------------------------------ *)
 (* Heuristic observer on s27: deterministic, bounded by M^3            *)
 
-let s27_env () =
-  let tech = Tech.default in
+let s27_env ?(tech = Tech.default) () =
   let fc = 300e6 in
   let core = Circuit.combinational_core (Dcopt_suite.Suite.find_exn "s27") in
   let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
@@ -822,6 +822,39 @@ let test_heuristic_observer_deterministic () =
          its1)
 
 (* ------------------------------------------------------------------ *)
+(* Sizing counters: every sized gate tallied, bisections visible         *)
+
+let test_sizing_counters () =
+  let value name = Metrics.value (Metrics.counter name) in
+  let env, budgets = s27_env () in
+  let gates = Array.length (Power_model.gate_ids env) in
+  let n = Circuit.size (Power_model.circuit env) in
+  Metrics.reset ();
+  ignore (Power_model.size_all env ~vdd:1.0 ~vt:(Array.make n 0.2) ~budgets);
+  Alcotest.(check int) "size_all tallies every gate" gates
+    (value "sizing.gates");
+  Alcotest.(check int) "the default width range never bisects" 0
+    (value "sizing.bisections");
+  let assignment = Multi_vdd.classify env ~budgets ~slack_threshold:1.5 in
+  ignore
+    (Multi_vdd.evaluate env assignment ~vdd_high:1.0 ~vdd_low:0.7 ~vt:0.2
+       ~budgets);
+  (* a gate demoted from the low rail is sized twice *)
+  Alcotest.(check bool) "multi-vdd tallies every gate" true
+    (value "sizing.gates" >= 2 * gates);
+  Alcotest.(check int) "multi-vdd does not bisect either" 0
+    (value "sizing.bisections");
+  (* a width range off the power-of-two grid forces the bisection *)
+  let env, budgets = s27_env ~tech:{ Tech.default with Tech.w_min = 0.3 } () in
+  Metrics.reset ();
+  ignore (Power_model.size_all env ~vdd:1.0 ~vt:(Array.make n 0.2) ~budgets);
+  Alcotest.(check int) "non-dyadic: every gate tallied" gates
+    (value "sizing.gates");
+  Alcotest.(check int) "non-dyadic: every gate bisected" gates
+    (value "sizing.bisections");
+  Metrics.reset ()
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -869,4 +902,6 @@ let () =
           Alcotest.test_case "heuristic observer deterministic" `Quick
             test_heuristic_observer_deterministic;
         ] );
+      ( "sizing",
+        [ Alcotest.test_case "counters" `Quick test_sizing_counters ] );
     ]
