@@ -296,6 +296,21 @@ let bechamel_tests () =
       random_dag (default_dag ~name:"dag2k" ~seed:1L ~gates:2_000 ()))
   in
   let dag_req = req_of dag in
+  (* the dag-tilos end-to-end shape: one 20-gate DAG at 100 MHz, sized
+     by TILOS at one operating point it closes with ~100 upsizes *)
+  let tilos_env =
+    let dag20 =
+      Dcopt_netlist.Generator.(
+        random_dag (default_dag ~name:"dag20" ~seed:1L ~gates:20 ()))
+    in
+    let specs =
+      Dcopt_activity.Activity.uniform_inputs dag20 ~probability:0.5
+        ~density:0.1
+    in
+    Dcopt_opt.Power_model.make_env ~tech:Dcopt_device.Tech.default ~fc:100e6
+      dag20
+      (Dcopt_activity.Activity.local_profile dag20 specs)
+  in
   let dag_delays =
     let rng = Dcopt_util.Prng.create 13L in
     Array.init (Circuit.size dag) (fun _ -> Dcopt_util.Prng.float rng 1e-9)
@@ -334,6 +349,9 @@ let bechamel_tests () =
            ignore
              (Dcopt_opt.Power_model.size_all env ~vdd:1.0
                 ~vt:(Array.make n 0.15) ~budgets)));
+    Test.make ~name:"opt/tilos size_for_cycle (20-gate DAG)"
+      (Staged.stage (fun () ->
+           ignore (Dcopt_opt.Tilos.size_for_cycle tilos_env ~vdd:0.3 ~vt:0.25)));
     Test.make ~name:"opt/full evaluation (s298)"
       (Staged.stage
          (let design =

@@ -90,20 +90,30 @@ let builtins =
       name = "multi-vt";
       doc = "dual threshold voltages (n_v = 2)";
       run =
-        scenario_run (fun ?observer:_ p ->
+        scenario_run (fun ?observer p ->
             Flow.run_with_budgets ~name:"multi-vt" p (fun budgets ->
-                Multi_vt.optimize ~m_steps:p.Flow.config.Flow.m_steps ~n_vt:2
-                  p.Flow.env ~budgets));
+                Multi_vt.optimize ?observer ~m_steps:p.Flow.config.Flow.m_steps
+                  ~n_vt:2 p.Flow.env ~budgets));
     };
     {
       name = "multi-vdd";
       doc = "dual supplies via clustered voltage scaling";
       run =
-        scenario_run (fun ?observer:_ p ->
-            Flow.run_with_budgets ~name:"multi-vdd" p (fun budgets ->
-                Multi_vdd.optimize ~m_steps:p.Flow.config.Flow.m_steps
-                  p.Flow.env ~budgets)
-            |> Option.map (fun r -> r.Multi_vdd.solution));
+        (fun ?observer s ->
+          (* A multi-vdd design record holds only its high rail, so a
+             corner re-evaluation would score every gate on that rail. *)
+          if not (Scenario.is_legacy s) then
+            invalid_arg
+              "multi-vdd: process corners are not supported (a multi-vdd \
+               design records only its high supply, so re-evaluating it at \
+               a corner would score every gate on the high rail)";
+          scenario_run
+            (fun ?observer p ->
+              Flow.run_with_budgets ~name:"multi-vdd" p (fun budgets ->
+                  Multi_vdd.optimize ?observer
+                    ~m_steps:p.Flow.config.Flow.m_steps p.Flow.env ~budgets)
+              |> Option.map (fun r -> r.Multi_vdd.solution))
+            ?observer s);
     };
     {
       name = "tilos";

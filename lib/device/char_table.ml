@@ -55,7 +55,7 @@ let default_loads =
 let default_slews =
   Dcopt_util.Numeric.log_interp_points ~lo:1e-12 ~hi:2e-9 ~n:6
 
-let sample_delay tech ~kind ~fanin ~width ~vdd ~vt ~load ~slew =
+let sample_delay tech ctx ~kind ~fanin ~width ~load ~slew =
   let stack = Gate.series_stack_depth kind fanin in
   let delay_load =
     {
@@ -68,7 +68,7 @@ let sample_delay tech ~kind ~fanin ~width ~vdd ~vt ~load ~slew =
       max_fanin_delay = slew;
     }
   in
-  Delay.gate_delay tech ~vdd ~vt ~w:width delay_load
+  Drive.gate_delay tech ctx ~w:width delay_load
 
 let characterize ?(loads = default_loads) ?(slews = default_slews) tech ~kind
     ~fanin ~width ~vdd ~vt =
@@ -80,12 +80,13 @@ let characterize ?(loads = default_loads) ?(slews = default_slews) tech ~kind
     invalid_arg "Char_table.characterize: bad arity";
   if Array.length loads < 2 || Array.length slews < 2 then
     invalid_arg "Char_table.characterize: axes need at least two points";
+  let ctx = Drive.make tech ~vdd ~vt in
   let values =
     Array.map
       (fun load ->
         Array.map
           (fun slew ->
-            sample_delay tech ~kind ~fanin ~width ~vdd ~vt ~load ~slew)
+            sample_delay tech ctx ~kind ~fanin ~width ~load ~slew)
           slews)
       loads
   in
@@ -103,7 +104,7 @@ let characterize ?(loads = default_loads) ?(slews = default_slews) tech ~kind
       { load_axis = { points = loads }; slew_axis = { points = slews }; values };
     energy_per_transition = 0.5 *. self_cap *. vdd *. vdd;
     input_capacitance = tech.Tech.c_gate *. width;
-    leakage = Energy.static_power tech ~vdd ~vt ~w:width;
+    leakage = Drive.static_power ctx ~w:width;
   }
 
 let cell_delay cell ~load ~slew = lookup cell.delay_table ~load ~slew

@@ -49,7 +49,7 @@ val characterize :
 
 val cell_delay : cell -> load:float -> slew:float -> float
 (** Table-driven delay — interchangeable with
-    {!Delay.gate_delay} for the same structural situation (the test suite
+    {!Drive.gate_delay} for the same structural situation (the test suite
     bounds their disagreement on and off the grid). *)
 
 val to_liberty : cell list -> string

@@ -27,36 +27,3 @@ let output_capacitance tech ~w load =
   (tech.Tech.c_parasitic *. w)
   +. (float_of_int (max 0 (load.fanin_count - 1)) *. tech.Tech.c_intermediate *. w)
   +. load.cap_fanout_gates +. load.cap_wire
-
-let effective_drive tech ~vdd ~vt ~w load =
-  let drive = Mosfet.i_drive tech ~vdd ~vt *. w /. float_of_int load.stack_depth in
-  let opposing = float_of_int load.fanin_count *. Mosfet.i_off tech ~vt *. w in
-  drive -. opposing
-
-let switching_delay tech ~vdd ~vt ~w load =
-  let i_eff = effective_drive tech ~vdd ~vt ~w load in
-  if i_eff <= 0.0 then infinity
-  else output_capacitance tech ~w load *. vdd /. (2.0 *. i_eff)
-
-(* Each of the (f_ii - 1) internal nodes of a series stack swings by up to
-   vdd through the single devices above it (eq. A3's C_mi sum); widths
-   cancel because both the node cap and the device current scale with w. *)
-let stack_delay tech ~vdd ~vt load =
-  let internal_nodes = max 0 (load.fanin_count - 1) in
-  if internal_nodes = 0 then 0.0
-  else
-    let i_single = Mosfet.i_drive tech ~vdd ~vt in
-    if i_single <= 0.0 then infinity
-    else
-      float_of_int internal_nodes *. tech.Tech.c_intermediate *. vdd
-      /. (2.0 *. i_single)
-
-let gate_delay tech ~vdd ~vt ~w load =
-  let switching = switching_delay tech ~vdd ~vt ~w load in
-  if switching = infinity then infinity
-  else
-    let stack = stack_delay tech ~vdd ~vt load in
-    if stack = infinity then infinity
-    else
-      (slope_coefficient tech ~vdd ~vt *. load.max_fanin_delay)
-      +. switching +. stack +. load.res_wire_terms +. load.flight_time

@@ -1,4 +1,8 @@
-(** Worst-case gate propagation delay (paper Appendix A.2, eq. A3).
+(** Structural inputs of the gate propagation delay (paper Appendix A.2,
+    eq. A3) and the load-dependent terms shared by the delay and energy
+    models. The delay itself, and every energy term, are evaluated by a
+    per-operating-point {!Drive.ctx}: eq. A3 is {!Drive.gate_delay}, its
+    switching component {!Drive.switching_delay}.
 
     Four components are modelled, as in the paper: the switching-MOSFET
     delay (alpha-power, transregional, leakage-opposed), the
@@ -26,19 +30,6 @@ val slope_coefficient : Tech.t -> vdd:float -> vt:float -> float
     clamped to \[0, 0.9\] (it approaches and exceeds 1/2 in subthreshold
     operation). *)
 
-val effective_drive : Tech.t -> vdd:float -> vt:float -> w:float -> load -> float
-(** Net pull current: stack-degraded drive minus the off-current of the
-    [fanin_count] opposing devices, in A. May be non-positive when leakage
-    overwhelms drive (deep subthreshold with low vt). *)
-
-val switching_delay : Tech.t -> vdd:float -> vt:float -> w:float -> load -> float
-(** The output-node charging component alone: [C_out * vdd / (2 * I_eff)];
-    [infinity] when {!effective_drive} is non-positive. *)
-
-val gate_delay : Tech.t -> vdd:float -> vt:float -> w:float -> load -> float
-(** Full eq. A3 delay: slope + switching + stack + wire + flight.
-    [infinity] when the operating point cannot switch. *)
-
 val output_capacitance : Tech.t -> w:float -> load -> float
 (** C_out = C_PD w + (f_ii - 1) C_m w + cap_fanout_gates + cap_wire —
-    shared by the delay and dynamic-energy models. *)
+    shared by the delay and dynamic-energy models (eqs. A3, A2). *)

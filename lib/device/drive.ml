@@ -6,6 +6,8 @@ type ctx = {
   slope : float;
   static_per_width : float;
   half_vdd_sq : float;
+  i_half : float;
+  overlap : float;
 }
 
 let make tech ~vdd ~vt =
@@ -19,36 +21,34 @@ let make tech ~vdd ~vt =
     slope = Delay.slope_coefficient tech ~vdd ~vt;
     static_per_width = vdd *. i_off;
     half_vdd_sq = 0.5 *. vdd *. vdd;
+    i_half = Mosfet.i_drive tech ~vdd:(vdd /. 2.0) ~vt;
+    overlap = Float.max 0.0 ((vdd -. (2.0 *. vt)) /. vdd);
   }
 
-let effective_drive ctx ~w (load : Delay.load) =
+let[@inline] switching_delay tech ctx ~w (load : Delay.load) =
   let drive = ctx.i_drive *. w /. float_of_int load.Delay.stack_depth in
   let opposing = float_of_int load.Delay.fanin_count *. ctx.i_off *. w in
-  drive -. opposing
-
-(* Mirrors Delay.gate_delay term by term (same operations, same
-   association) so a context-based evaluation is bit-identical to the
-   uncached one — only the Mosfet/slope transcendentals are reused. *)
-let gate_delay tech ctx ~w (load : Delay.load) =
-  let i_eff = effective_drive ctx ~w load in
+  let i_eff = drive -. opposing in
   if i_eff <= 0.0 then infinity
+  else Delay.output_capacitance tech ~w load *. ctx.vdd /. (2.0 *. i_eff)
+
+let gate_delay tech ctx ~w (load : Delay.load) =
+  let switching = switching_delay tech ctx ~w load in
+  if switching = infinity then infinity
   else begin
-    let switching =
-      Delay.output_capacitance tech ~w load *. ctx.vdd /. (2.0 *. i_eff)
-    in
     let internal_nodes = max 0 (load.Delay.fanin_count - 1) in
-    if internal_nodes > 0 && ctx.i_drive <= 0.0 then infinity
-    else begin
-      let stack =
-        if internal_nodes = 0 then 0.0
-        else
-          float_of_int internal_nodes *. tech.Tech.c_intermediate *. ctx.vdd
-          /. (2.0 *. ctx.i_drive)
-      in
+    let stack =
+      if internal_nodes = 0 then 0.0
+      else if ctx.i_drive <= 0.0 then infinity
+      else
+        float_of_int internal_nodes *. tech.Tech.c_intermediate *. ctx.vdd
+        /. (2.0 *. ctx.i_drive)
+    in
+    if stack = infinity then infinity
+    else
       (ctx.slope *. load.Delay.max_fanin_delay)
       +. switching +. stack +. load.Delay.res_wire_terms
       +. load.Delay.flight_time
-    end
   end
 
 let static_power ctx ~w = ctx.static_per_width *. w
@@ -59,6 +59,15 @@ let static_energy ctx ~fc ~w =
 
 let dynamic_energy tech ctx ~w ~activity ~load =
   ctx.half_vdd_sq *. activity *. Delay.output_capacitance tech ~w load
+
+let short_circuit_energy ctx ~w ~activity ~input_transition_time =
+  assert (input_transition_time >= 0.0);
+  if ctx.overlap <= 0.0 then 0.0
+  else
+    activity *. ctx.vdd *. (w *. ctx.i_half /. 6.0) *. ctx.overlap
+    *. input_transition_time
+
+let transition_time_of_delay driver_delay = 2.0 *. driver_delay
 
 (* ------------------------------------------------------------------ *)
 (* Minimal-width sizing                                                *)

@@ -1,18 +1,15 @@
-(** Per-(vdd, vt) drive context: the device-model terms that are constant
-    across an entire operating-point trial, and the minimal-width sizing
-    kernel of Procedure 2.
+(** Per-(vdd, vt) drive context: the only per-gate device evaluator. It
+    holds the device-model terms that are constant across an operating
+    point, computes a gate's delay (eq. A3), static and dynamic energy
+    (eqs. A1, A2) and short-circuit energy from them, and sizes gates
+    (Procedure 2's minimal-width kernel).
 
     Procedure 2 evaluates M² (vdd, vt) points, each sizing N gates, and
     the transcendental device model ({!Mosfet.i_drive}/{!Mosfet.i_off}
     call [exp]/[**]) would dominate each delay evaluation. Those terms
-    depend only on (vdd, vt), never on the width being searched, so a
-    trial computes them once and reuses them for every gate and every
-    width it tries. The delay helper here reproduces
-    {!Delay.gate_delay} with identical arithmetic (same operations in the
-    same association), so the cached path is bit-identical to the uncached
-    one; the energy helpers reuse the cached currents through precomputed
-    per-width factors (differences are at round-off, orders below the 1e-9
-    equivalence bound the test suite enforces). *)
+    depend only on (vdd, vt), never on the width, so a caller makes one
+    context per operating point and reuses it for every gate and every
+    width it tries. The load-dependent parts live in {!Delay}. *)
 
 type ctx = {
   vdd : float;              (** supply voltage of the trial, V *)
@@ -22,28 +19,70 @@ type ctx = {
   slope : float;            (** {!Delay.slope_coefficient} at (vdd, vt) *)
   static_per_width : float; (** leakage power per w-unit: vdd · i_off, W *)
   half_vdd_sq : float;      (** dynamic-energy factor: vdd²/2, V² *)
+  i_half : float;
+    (** {!Mosfet.i_drive} at (vdd/2, vt): the crowbar peak current per
+        w-unit, A *)
+  overlap : float;
+    (** share of the input swing during which both networks conduct,
+        [max 0 ((vdd - 2 vt) / vdd)]; 0 when [vdd <= 2 vt] *)
 }
 
 val make : Tech.t -> vdd:float -> vt:float -> ctx
 (** Evaluate the transcendental device model once for this operating
     point. *)
 
-val effective_drive : ctx -> w:float -> Delay.load -> float
-(** {!Delay.effective_drive} with the cached currents. *)
+(** {1 Delay (Appendix A.2, eq. A3)} *)
+
+val switching_delay : Tech.t -> ctx -> w:float -> Delay.load -> float
+(** The output-node charging component alone: [C_out · vdd / (2 I_eff)],
+    with [I_eff] the stack-degraded drive minus the off-current of the
+    [fanin_count] opposing devices; [infinity] when [I_eff <= 0] (leakage
+    overwhelms drive). *)
 
 val gate_delay : Tech.t -> ctx -> w:float -> Delay.load -> float
-(** {!Delay.gate_delay} with the cached currents and slope coefficient —
-    bit-identical to the uncached formula. *)
+(** Full eq. A3 delay: input slope ([slope · max_fanin_delay]) +
+    {!switching_delay} + series-stack internal nodes (each of the
+    [fanin_count - 1] nodes swings by up to vdd through one device; widths
+    cancel) + wire RC + time of flight. [infinity] when the operating
+    point cannot switch. *)
+
+(** {1 Energy (Appendix A.1, eqs. A1 and A2)} *)
 
 val static_power : ctx -> w:float -> float
-(** {!Energy.static_power} via the cached per-width factor. *)
+(** Leakage power [vdd · i_off · w], in W (eq. A1's power form). *)
 
 val static_energy : ctx -> fc:float -> w:float -> float
-(** {!Energy.static_energy} via the cached per-width factor. *)
+(** Leakage energy charged to one clock cycle: {!static_power} / [fc],
+    J. *)
 
 val dynamic_energy :
   Tech.t -> ctx -> w:float -> activity:float -> load:Delay.load -> float
-(** {!Energy.dynamic_energy} via the cached vdd²/2 factor. *)
+(** Switching energy per cycle [vdd²/2 · a · C_out] with C_out from
+    {!Delay.output_capacitance} (eq. A2), in J. [activity] is the node's
+    transition density per cycle. *)
+
+(** {1 Short-circuit energy}
+
+    Appendix A.1 neglects the short-circuit component "since under
+    typical input signal rise time and output load conditions it is an
+    order of magnitude smaller than the switching energy" but notes it is
+    "being incorporated in the next version of the optimization tool".
+    This is that next version: a Veendrick-style model (ref [12]) in
+    which both networks conduct while the input traverses
+    \[Vt, Vdd - Vt\], drawing a triangular current whose peak is the
+    drive at half-swing. It vanishes when [vdd <= 2 vt] (no overlap, the
+    classic reason low-Vdd/high-Vt designs have no crowbar current) and
+    grows linearly with the input transition time, penalizing
+    weakly-driven gates. *)
+
+val short_circuit_energy :
+  ctx -> w:float -> activity:float -> input_transition_time:float -> float
+(** [E_sc = a · vdd · (w · i_half / 6) · overlap · tau_in] per cycle, J;
+    0 without overlap. [input_transition_time] is the 0-100%% input ramp
+    (see {!transition_time_of_delay}). *)
+
+val transition_time_of_delay : float -> float
+(** The rise-time proxy of the power model: [2 · driver_delay]. *)
 
 (** {1 Minimal-width sizing} *)
 

@@ -1,7 +1,8 @@
 (** Optimizer convergence telemetry.
 
     Every optimizer ({!Dcopt_opt.Heuristic}, {!Dcopt_opt.Tilos},
-    {!Dcopt_opt.Annealing}, {!Dcopt_opt.Baseline}) accepts an optional
+    {!Dcopt_opt.Annealing}, {!Dcopt_opt.Baseline}, {!Dcopt_opt.Multi_vt},
+    {!Dcopt_opt.Multi_vdd}) accepts an optional
     [?observer] callback and feeds it one {!iteration} record per design
     point it evaluates. When no observer is installed the optimizers pay a
     single [match] per iteration — no record is even allocated — so the
@@ -11,7 +12,9 @@
     the global {!Metrics} registry. *)
 
 type iteration = {
-  optimizer : string;  (** "heuristic", "tilos", "annealing", "baseline" *)
+  optimizer : string;
+    (** "heuristic", "tilos", "annealing", "baseline", "multi-vt",
+        "multi-vdd" *)
   index : int;         (** 0-based position in this optimizer run's stream *)
   vdd : float;         (** supply voltage of the evaluated point, V *)
   vt : float;          (** (representative) threshold voltage, V *)

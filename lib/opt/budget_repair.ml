@@ -27,6 +27,8 @@ let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
   let available = snd (forward ()) in
   let gates = Power_model.gate_ids env in
   let vt_array = Array.make n vt in
+  (* Vdd and Vt hold for the whole loop: one context reads every floor *)
+  let ctx = Power_model.drive env ~vdd ~vt in
   let lifted = ref 0 in
   let infeasible_at path =
     let limiting =
@@ -47,7 +49,9 @@ let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
         Array.iter
           (fun id ->
             let mfd = Power_model.budget_fanin_delay env ~budgets id in
-            let d = Power_model.gate_delay env design ~max_fanin_delay:mfd id in
+            let d =
+              Power_model.gate_delay env ctx design ~max_fanin_delay:mfd id
+            in
             if d > budgets.(id) && Float.is_finite d then begin
               budgets.(id) <- d *. (1.0 +. margin);
               if not floored.(id) then begin

@@ -1,8 +1,8 @@
 module Circuit = Dcopt_netlist.Circuit
+module Flat = Dcopt_netlist.Flat
 module Tech = Dcopt_device.Tech
 module Delay = Dcopt_device.Delay
 module Drive = Dcopt_device.Drive
-module Energy = Dcopt_device.Energy
 module Numeric = Dcopt_util.Numeric
 
 type assignment = {
@@ -12,13 +12,14 @@ type assignment = {
 }
 
 (* Level-converter model: a small dual-rail stage. Its delay is two
-   inverter-ish delays driven at the low supply; its switching energy is a
-   6-w-unit gate load at the high supply. *)
+   inverter-ish delays driven at the low supply (in the low rail's
+   context); its switching energy is a 6-w-unit gate load at the high
+   supply. *)
 let converter_load tech =
   { Delay.no_load with Delay.cap_wire = 4.0 *. tech.Tech.c_gate }
 
-let converter_delay tech ~vdd_low ~vt =
-  2.0 *. Delay.gate_delay tech ~vdd:vdd_low ~vt ~w:2.0 (converter_load tech)
+let converter_delay tech ctx_low =
+  2.0 *. Drive.gate_delay tech ctx_low ~w:2.0 (converter_load tech)
 
 let converter_energy tech ~vdd_high ~activity =
   0.5 *. activity *. vdd_high *. vdd_high *. (6.0 *. tech.Tech.c_gate)
@@ -34,16 +35,15 @@ let classify env ~budgets ~slack_threshold =
   let circuit = Power_model.circuit env in
   let tech = Power_model.tech env in
   let n = Circuit.size circuit in
-  let probe =
-    Power_model.uniform_design env ~vdd:tech.Tech.vdd_max ~vt:tech.Tech.vt_min
-      ~w:4.0
-  in
+  let vdd = tech.Tech.vdd_max and vt = tech.Tech.vt_min in
+  let probe = Power_model.uniform_design env ~vdd ~vt ~w:4.0 in
+  let ctx = Power_model.drive env ~vdd ~vt in
   let uses_low = Array.make n false in
   let gates = Power_model.gate_ids env in
   Array.iter
     (fun id ->
       let mfd = Power_model.budget_fanin_delay env ~budgets id in
-      let floor = Power_model.gate_delay env probe ~max_fanin_delay:mfd id in
+      let floor = Power_model.gate_delay env ctx probe ~max_fanin_delay:mfd id in
       if budgets.(id) > slack_threshold *. floor then uses_low.(id) <- true)
     gates;
   (* Legalize (clustered voltage scaling): a low gate driving a high gate
@@ -82,8 +82,6 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
   let circuit = Power_model.circuit env in
   let tech = Power_model.tech env in
   let n = Circuit.size circuit in
-  let fc = Power_model.clock_frequency env in
-  let tc = Power_model.cycle_time env in
   let vt_array = Array.make n vt in
   let widths = Array.make n tech.Tech.w_min in
   let design_high = { Power_model.vdd = vdd_high; vt = vt_array; widths } in
@@ -95,19 +93,18 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
      fanout rails for legality. *)
   let uses_low = Array.copy assignment.uses_low in
   let design_of id = if uses_low.(id) then design_low else design_high in
-  let t_conv = converter_delay tech ~vdd_low ~vt in
-  (* one drive context per rail: Drive.make is pure, so these are the
-     contexts a per-gate size_gate would rebuild *)
+  (* one context per rail sizes and scores every gate on it *)
+  let ctx_high = Power_model.drive env ~vdd:vdd_high ~vt in
+  let ctx_low = Power_model.drive env ~vdd:vdd_low ~vt in
+  let ctx_of id = if uses_low.(id) then ctx_low else ctx_high in
+  let t_conv = converter_delay tech ctx_low in
   let sizer = Drive.sizer tech in
-  let vt_device = vt *. Power_model.vt_stress env in
-  let ctx_high = Drive.make tech ~vdd:vdd_high ~vt:vt_device in
-  let ctx_low = Drive.make tech ~vdd:vdd_low ~vt:vt_device in
   let budgets_adj = Array.copy budgets in
-  let gates = Power_model.gate_ids env in
+  let gates = Power_model.unsafe_gate_ids env in
+  let converts id = uses_low.(id) && Circuit.is_output circuit id in
   let set_adjusted id =
     budgets_adj.(id) <-
-      (if uses_low.(id) && Circuit.is_output circuit id then
-         Float.max 1e-15 (budgets.(id) -. t_conv)
+      (if converts id then Float.max 1e-15 (budgets.(id) -. t_conv)
        else budgets.(id))
   in
   Array.iter set_adjusted gates;
@@ -123,9 +120,8 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
       set_adjusted id
     end;
     let size () =
-      Power_model.size_gate_with sizer
-        (if uses_low.(id) then ctx_low else ctx_high)
-        env (design_of id) ~budgets:budgets_adj id
+      Power_model.size_gate_with sizer (ctx_of id) env (design_of id)
+        ~budgets:budgets_adj id
     in
     match size () with
     | Some w -> widths.(id) <- w
@@ -146,59 +142,53 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
       end
   done;
   Power_model.record_sizing sizer;
-  let assignment =
+  if not !all_met then None
+  else begin
+    (* Score with per-gate supplies and converter overheads: evaluate's
+       sweep (fanin CSR, constraint input delays seeding the arrivals,
+       feasibility per endpoint) with each gate in its rail's context. *)
+    let flat = Power_model.flat env in
+    let fanin_off = flat.Flat.fanin_off and fanin_edges = flat.Flat.fanin_edges in
+    let fc = Power_model.clock_frequency env in
+    let delays = Array.make n 0.0 in
+    let arrival =
+      match Power_model.arrival_offsets env with
+      | None -> Array.make n 0.0
+      | Some seed -> Array.copy seed
+    in
+    let static_e = ref 0.0 and dynamic_e = ref 0.0 in
     let low_count = ref 0 and converter_count = ref 0 in
     Array.iter
       (fun id ->
-        if uses_low.(id) then begin
-          incr low_count;
-          if Circuit.is_output circuit id then incr converter_count
+        let max_fanin_delay = ref 0.0 and worst = ref 0.0 in
+        for p = fanin_off.(id) to fanin_off.(id + 1) - 1 do
+          let f = fanin_edges.(p) in
+          max_fanin_delay := Float.max !max_fanin_delay delays.(f);
+          worst := Float.max !worst arrival.(f)
+        done;
+        let ctx = ctx_of id and w = widths.(id) in
+        let load =
+          Power_model.gate_load env (design_of id)
+            ~max_fanin_delay:!max_fanin_delay id
+        in
+        let d = Drive.gate_delay tech ctx ~w load in
+        let d = if converts id then d +. t_conv else d in
+        delays.(id) <- d;
+        arrival.(id) <- !worst +. d;
+        let activity = Power_model.activity env id in
+        static_e := !static_e +. Drive.static_energy ctx ~fc ~w;
+        dynamic_e :=
+          !dynamic_e +. Drive.dynamic_energy tech ctx ~w ~activity ~load;
+        if uses_low.(id) then incr low_count;
+        if converts id then begin
+          incr converter_count;
+          dynamic_e := !dynamic_e +. converter_energy tech ~vdd_high ~activity
         end)
       gates;
-    { uses_low; low_count = !low_count; converter_count = !converter_count }
-  in
-  (* Evaluate with per-gate supplies and converter overheads. *)
-  let delays = Array.make n 0.0 in
-  let arrival = Array.make n 0.0 in
-  let static_e = ref 0.0 and dynamic_e = ref 0.0 in
-  Array.iter
-    (fun id ->
-      let nd = Circuit.node circuit id in
-      let max_fanin_delay =
-        Array.fold_left (fun acc f -> Float.max acc delays.(f)) 0.0
-          nd.Circuit.fanins
-      in
-      let design = design_of id in
-      let d = Power_model.gate_delay env design ~max_fanin_delay id in
-      let d =
-        if assignment.uses_low.(id) && Circuit.is_output circuit id then
-          d +. t_conv
-        else d
-      in
-      delays.(id) <- d;
-      let worst =
-        Array.fold_left (fun acc f -> Float.max acc arrival.(f)) 0.0
-          nd.Circuit.fanins
-      in
-      arrival.(id) <- worst +. d;
-      let vdd = design.Power_model.vdd in
-      let load = Power_model.gate_load env design ~max_fanin_delay id in
-      let activity = Power_model.activity env id in
-      static_e :=
-        !static_e +. Energy.static_energy tech ~fc ~vdd ~vt ~w:widths.(id);
-      dynamic_e :=
-        !dynamic_e
-        +. Energy.dynamic_energy tech ~vdd ~w:widths.(id) ~activity ~load;
-      if assignment.uses_low.(id) && Circuit.is_output circuit id then
-        dynamic_e :=
-          !dynamic_e +. converter_energy tech ~vdd_high ~activity)
-    gates;
-  let critical_delay =
-    Array.fold_left (fun acc id -> Float.max acc arrival.(id)) 0.0
-      (Circuit.outputs circuit)
-  in
-  if not !all_met then None
-  else
+    let critical_delay =
+      Array.fold_left (fun acc id -> Float.max acc arrival.(id)) 0.0
+        (Circuit.outputs circuit)
+    in
     let evaluation =
       {
         Power_model.static_energy = !static_e;
@@ -209,7 +199,7 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
         dynamic_power = !dynamic_e *. fc;
         delays;
         critical_delay;
-        feasible = critical_delay <= tc *. (1.0 +. 1e-6);
+        feasible = Power_model.arrivals_feasible env ~critical_delay arrival;
       }
     in
     Some
@@ -223,13 +213,20 @@ let evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets =
           };
         vdd_high;
         vdd_low;
-        supply_assignment = assignment;
+        supply_assignment =
+          {
+            uses_low;
+            low_count = !low_count;
+            converter_count = !converter_count;
+          };
       }
+  end
 
-let optimize ?(m_steps = 12) ?vt_fixed env ~budgets =
+let optimize ?observer ?(m_steps = 12) ?vt_fixed env ~budgets =
   let tech = Power_model.tech env in
+  let inner, emit = Solution.trials ?observer "multi-vdd" in
   let single =
-    Heuristic.optimize
+    Heuristic.optimize ?observer:inner
       ~options:{ Heuristic.m_steps; strategy = Heuristic.Grid_refine;
                  vt_fixed }
       env ~budgets
@@ -278,8 +275,12 @@ let optimize ?(m_steps = 12) ?vt_fixed env ~budgets =
                   match
                     evaluate env assignment ~vdd_high ~vdd_low ~vt ~budgets
                   with
-                  | Some r -> consider r
-                  | None -> ())
+                  | Some r ->
+                    emit ~vdd:vdd_high ~vt
+                      ~feasible:(Solution.feasible r.solution)
+                      (Some r.solution);
+                    consider r
+                  | None -> emit ~vdd:vdd_high ~vt ~feasible:false None)
                 (match vt_fixed with
                 | Some vt -> [| vt |]
                 | None ->

@@ -41,16 +41,27 @@ val evaluate :
   vdd_high:float -> vdd_low:float -> vt:float -> budgets:float array ->
   result option
 (** Sizes every gate at its own supply (reverse topological order) and
-    evaluates; [None] when some gate misses its budget even at maximum
-    width. Requires [vdd_low <= vdd_high]. *)
+    evaluates, with one drive context per rail for both; [None] when some
+    gate misses its budget even at maximum width. Requires
+    [vdd_low <= vdd_high].
+
+    The evaluation is {!Power_model.evaluate}'s sweep with per-gate
+    supplies: constraint input delays seed the arrivals, and feasibility
+    is {!Power_model.arrivals_feasible} (per-endpoint required times when
+    the env has them). The returned design records only [vdd_high]; the
+    rails live in [supply_assignment], so re-evaluating
+    [solution.design] scores every gate on the high rail. *)
 
 val optimize :
+  ?observer:Dcopt_obs.Telemetry.observer ->
   ?m_steps:int ->
   ?vt_fixed:float ->   (* pin the threshold (conventional-flow variant) *)
   Power_model.env ->
   budgets:float array ->
   result option
 (** Best dual-supply design found; [None] when even single-supply
-    optimization fails. With [vt_fixed] the threshold stays pinned (the
+    optimization fails. [observer] sees the single-supply search's trials
+    and then one record per (vdd_high, vdd_low, vt) candidate, all
+    labelled ["multi-vdd"]; the candidate's [vdd] is its high rail. With [vt_fixed] the threshold stays pinned (the
     conventional-process case, where the second rail has the most room
     to help — see EXPERIMENTS.md). *)

@@ -10,13 +10,14 @@ let classify env ~budgets ~classes =
   let gates = Power_model.gate_ids env in
   (* Tightness: fast-corner delay relative to the budget, with a nominal
      width so loads are realistic. *)
-  let probe = Power_model.uniform_design env ~vdd:tech.Tech.vdd_max
-      ~vt:tech.Tech.vt_min ~w:4.0 in
+  let vdd = tech.Tech.vdd_max and vt = tech.Tech.vt_min in
+  let probe = Power_model.uniform_design env ~vdd ~vt ~w:4.0 in
+  let ctx = Power_model.drive env ~vdd ~vt in
   let tightness =
     Array.map
       (fun id ->
         let mfd = Power_model.budget_fanin_delay env ~budgets id in
-        let d = Power_model.gate_delay env probe ~max_fanin_delay:mfd id in
+        let d = Power_model.gate_delay env ctx probe ~max_fanin_delay:mfd id in
         (id, d /. Float.max 1e-15 budgets.(id)))
       gates
   in
@@ -36,7 +37,7 @@ let vt_of_classes assignment class_vts n =
    (computed once from the input design); each promotion is accepted only
    if a full re-evaluation still meets the cycle time, so shared-path
    interactions cannot break timing. *)
-let greedy_dual_vt ?vt_high_candidates env solution =
+let greedy ~(emit : Solution.emit) ?vt_high_candidates env solution =
   let tech = Power_model.tech env in
   let base = solution.Solution.design in
   let vt_low =
@@ -95,6 +96,8 @@ let greedy_dual_vt ?vt_high_candidates env solution =
             Solution.make ~label:"multi-vt"
               ~meets_budgets:solution.Solution.meets_budgets env design
           in
+          emit ~vdd:design.Power_model.vdd ~vt:vt_low
+            ~feasible:(Solution.feasible sol) (Some sol);
           match Solution.better (Some !best) sol with
           | Some b -> best := b
           | None -> ()
@@ -103,13 +106,18 @@ let greedy_dual_vt ?vt_high_candidates env solution =
     candidates;
   !best
 
-let optimize ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
+let greedy_dual_vt ?vt_high_candidates env solution =
+  greedy ~emit:(fun ~vdd:_ ~vt:_ ~feasible:_ _ -> ()) ?vt_high_candidates env
+    solution
+
+let optimize ?observer ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
   assert (n_vt >= 1);
   let tech = Power_model.tech env in
   let circuit = Power_model.circuit env in
   let n = Dcopt_netlist.Circuit.size circuit in
+  let inner, emit = Solution.trials ?observer "multi-vt" in
   let single =
-    Heuristic.optimize
+    Heuristic.optimize ?observer:inner
       ~options:{ Heuristic.default_options with m_steps;
                  strategy = Heuristic.Grid_refine }
       env ~budgets
@@ -131,6 +139,9 @@ let optimize ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
       let vt = vt_of_classes assignment class_vts n in
       let design, ok = Power_model.size_all env ~vdd ~vt ~budgets in
       let sol = Solution.make ~label:"multi-vt" ~meets_budgets:ok env design in
+      emit ~vdd
+        ~vt:(Array.fold_left Float.min infinity class_vts)
+        ~feasible:(ok && Solution.feasible sol) (Some sol);
       if ok then best := Solution.better !best sol;
       sol
     in
@@ -167,7 +178,7 @@ let optimize ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
     (* The slack-driven greedy is a different search bias; for n_vt = 2 try
        it from the single-Vt incumbent and keep whichever wins. *)
     (if n_vt = 2 then
-       let greedy = greedy_dual_vt env incumbent in
+       let greedy = greedy ~emit env incumbent in
        match Solution.better !best { greedy with Solution.label = "multi-vt" } with
        | Some b -> best := Some b
        | None -> ());

@@ -24,6 +24,7 @@ val greedy_dual_vt :
     candidates and keeps the best. Never worse than its input. *)
 
 val optimize :
+  ?observer:Dcopt_obs.Telemetry.observer ->
   ?m_steps:int ->
   ?n_vt:int ->           (* number of distinct thresholds, default 2 *)
   Power_model.env ->
@@ -33,4 +34,7 @@ val optimize :
     class-based coordinate descent and (for [n_vt = 2]) the greedy
     slack-driven assignment, whichever wins. Never worse than the
     single-Vt optimum (contained as a degenerate assignment and used as
-    the starting point). *)
+    the starting point). [observer] sees the single-Vt search's trials and
+    then one record per class-threshold sizing and per greedy candidate
+    that promoted a gate, all labelled ["multi-vt"], with the design's
+    lowest threshold as [vt]. *)

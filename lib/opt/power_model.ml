@@ -3,7 +3,6 @@ module Flat = Dcopt_netlist.Flat
 module Gate = Dcopt_netlist.Gate
 module Tech = Dcopt_device.Tech
 module Delay = Dcopt_device.Delay
-module Energy = Dcopt_device.Energy
 module Drive = Dcopt_device.Drive
 module Wire = Dcopt_wiring.Wire_model
 module Activity = Dcopt_activity.Activity
@@ -226,10 +225,14 @@ let gate_load env design ~max_fanin_delay id =
     max_fanin_delay;
   }
 
-let gate_delay env design ~max_fanin_delay id =
+(* The one place the corner multiplier meets the device model: every
+   context in this library comes from here, directly or through a
+   [drive_cache]. *)
+let drive env ~vdd ~vt = Drive.make env.env_tech ~vdd ~vt:(vt *. env.vt_stress)
+
+let gate_delay env ctx design ~max_fanin_delay id =
   let load = gate_load env design ~max_fanin_delay id in
-  Delay.gate_delay env.env_tech ~vdd:design.vdd
-    ~vt:(design.vt.(id) *. env.vt_stress) ~w:design.widths.(id) load
+  Drive.gate_delay env.env_tech ctx ~w:design.widths.(id) load
 
 let budget_fanin_delay env ~budgets id =
   let f = env.env_flat in
@@ -248,30 +251,27 @@ let budget_fanin_delay env ~budgets id =
    assoc list amortizes the transcendental device model over all N gates
    of the trial. *)
 type drive_cache = {
-  cache_tech : Tech.t;
+  cache_env : env;
   cache_vdd : float;
   mutable cache_entries : (float * Drive.ctx) list;
 }
 
-let drive_cache env ~vdd =
-  { cache_tech = env.env_tech; cache_vdd = vdd; cache_entries = [] }
+let drive_cache env ~vdd = { cache_env = env; cache_vdd = vdd; cache_entries = [] }
 
+(* Keyed by the nominal threshold a design records. *)
 let drive_ctx cache ~vt =
   let rec find = function
     | (v, ctx) :: rest -> if v = vt then ctx else find rest
     | [] ->
-      let ctx = Drive.make cache.cache_tech ~vdd:cache.cache_vdd ~vt in
+      let ctx = drive cache.cache_env ~vdd:cache.cache_vdd ~vt in
       cache.cache_entries <- (vt, ctx) :: cache.cache_entries;
       ctx
   in
   find cache.cache_entries
 
-let sc_energy env design ~max_fanin_delay id =
-  Dcopt_device.Short_circuit.energy env.env_tech ~vdd:design.vdd
-    ~vt:(design.vt.(id) *. env.vt_stress) ~w:design.widths.(id)
-    ~activity:env.acts.(id)
-    ~input_transition_time:
-      (Dcopt_device.Short_circuit.transition_time_of_delay max_fanin_delay)
+let sc_energy env ctx design ~max_fanin_delay id =
+  Drive.short_circuit_energy ctx ~w:design.widths.(id) ~activity:env.acts.(id)
+    ~input_transition_time:(Drive.transition_time_of_delay max_fanin_delay)
 
 (* One slice of the level-sorted gate permutation: per-gate delay, arrival
    and the three energy terms, written into per-node columns. The per-gate
@@ -314,7 +314,7 @@ let eval_range env design cache delays arrival st_terms dy_terms sc_terms
       worst_arrival := Float.max !worst_arrival (Array.unsafe_get arrival fi)
     done;
     let max_fanin_delay = !max_fanin_delay in
-    let ctx = drive_ctx cache ~vt:(design.vt.(id) *. env.vt_stress) in
+    let ctx = drive_ctx cache ~vt:design.vt.(id) in
     let w = design.widths.(id) in
     (* one load per gate: the delay and the dynamic-energy term share it *)
     let load = gate_load env design ~max_fanin_delay id in
@@ -329,7 +329,7 @@ let eval_range env design cache delays arrival st_terms dy_terms sc_terms
     if env.short_circuit then
       Array.unsafe_set sc_terms id
         (guarded "evaluate.short_circuit"
-           (sc_energy env design ~max_fanin_delay id))
+           (sc_energy env ctx design ~max_fanin_delay id))
   done
 
 let default_min_par_width = 512
@@ -453,16 +453,6 @@ let size_gate_with sizer ctx env design ~budgets id =
   let w = min_width sizer ctx env design ~budgets id in
   if Float.is_nan w then None else Some w
 
-let size_gate env design ~budgets id =
-  let sizer = Drive.sizer env.env_tech in
-  let ctx =
-    Drive.make env.env_tech ~vdd:design.vdd
-      ~vt:(design.vt.(id) *. env.vt_stress)
-  in
-  let w = size_gate_with sizer ctx env design ~budgets id in
-  record_sizing sizer;
-  w
-
 let size_all env ~vdd ~vt ~budgets =
   let n = Circuit.size env.env_circuit in
   let design = { vdd; vt; widths = Array.make n env.env_tech.Tech.w_min } in
@@ -473,7 +463,7 @@ let size_all env ~vdd ~vt ~budgets =
      final before the gate itself is sized. *)
   for i = Array.length env.gates_topo - 1 downto 0 do
     let id = env.gates_topo.(i) in
-    let ctx = drive_ctx cache ~vt:(vt.(id) *. env.vt_stress) in
+    let ctx = drive_ctx cache ~vt:vt.(id) in
     let w = min_width sizer ctx env design ~budgets id in
     if Float.is_nan w then begin
       design.widths.(id) <- env.env_tech.Tech.w_max;
@@ -543,7 +533,7 @@ module Incr = struct
   let recompute t ~id ~max_fanin_delay =
     let env = t.ienv in
     let design = t.idesign in
-    let ctx = drive_ctx t.icache ~vt:(design.vt.(id) *. env.vt_stress) in
+    let ctx = drive_ctx t.icache ~vt:design.vt.(id) in
     let w = design.widths.(id) in
     let load = gate_load env design ~max_fanin_delay id in
     (* Running totals are updated by subtract-then-add, so clamping a
@@ -561,7 +551,7 @@ module Incr = struct
     let sc =
       if env.short_circuit then
         Guard.check ~site:"incr.short_circuit"
-          (sc_energy env design ~max_fanin_delay id)
+          (sc_energy env ctx design ~max_fanin_delay id)
       else 0.0
     in
     if not t.term_journaled.(id) then begin

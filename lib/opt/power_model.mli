@@ -22,7 +22,7 @@ type evaluation = {
   dynamic_energy : float;  (** total switching energy per cycle, J *)
   short_circuit_energy : float;
     (** total crowbar energy per cycle, J; 0 unless the env enables the
-        {!Dcopt_device.Short_circuit} extension *)
+        short-circuit extension ({!Dcopt_device.Drive.short_circuit_energy}) *)
   total_energy : float;    (** sum of all components, J *)
   static_power : float;    (** W *)
   dynamic_power : float;   (** W *)
@@ -103,13 +103,28 @@ val uniform_design : env -> vdd:float -> vt:float -> w:float -> design
 val gate_load : env -> design -> max_fanin_delay:float -> int -> Dcopt_device.Delay.load
 (** The eq. A3 load record of a gate under the given fanout widths. *)
 
-val gate_delay : env -> design -> max_fanin_delay:float -> int -> float
-(** Single-gate delay under the design, with the driver delay supplied
-    explicitly (budget-based during sizing, achieved during evaluation). *)
+val drive : env -> vdd:float -> vt:float -> Dcopt_device.Drive.ctx
+(** The drive context of the operating point ([vdd], [vt]) at this env's
+    corner: the device model sees [vt *. vt_stress]. Every per-gate delay
+    and energy of a design at that point comes from this one context. *)
+
+val gate_delay :
+  env -> Dcopt_device.Drive.ctx -> design -> max_fanin_delay:float -> int ->
+  float
+(** Single-gate delay under the design, in a context from {!drive} at the
+    gate's (vdd, vt), with the driver delay supplied explicitly
+    (budget-based during sizing, achieved during evaluation). *)
 
 val budget_fanin_delay : env -> budgets:float array -> int -> float
 (** Max of the drivers' delay budgets — the conservative driver delay used
     while sizing (a driver meeting its budget can only be faster). *)
+
+val arrivals_feasible :
+  env -> critical_delay:float -> float array -> bool
+(** The feasibility verdict of {!evaluate}: with per-endpoint required
+    times, every primary output's arrival (indexed by node id) meets its
+    own seed; on the scalar path, [critical_delay] meets the cycle time.
+    Both within a 1e-6 relative tolerance. *)
 
 val evaluate : env -> design -> evaluation
 (** Full evaluation: achieved delays by topological propagation, energy
@@ -138,22 +153,16 @@ val evaluate_par : ?jobs:int -> ?min_par_width:int -> env -> design -> evaluatio
     sequentially folded totals are bit-identical to {!evaluate_seq}
     regardless of [jobs]. *)
 
-val size_gate :
-  env -> design -> budgets:float array -> int -> float option
-(** Minimum width in \[w_min, w_max\] meeting the gate's budget, assuming
-    the design already fixes its fanouts' widths ({!size_all} processes
-    gates in reverse topological order so this holds). [None] when even
-    [w_max] misses the budget. The width is the 40-step bisection's
-    answer, bit for bit, found by {!Dcopt_device.Drive.min_width}. Adds
-    to [sizing.gates] and [sizing.bisections] on every call; a loop over
-    gates should use {!size_gate_with} instead. *)
-
 val size_gate_with :
   Dcopt_device.Drive.sizer -> Dcopt_device.Drive.ctx -> env -> design ->
   budgets:float array -> int -> float option
-(** {!size_gate} in a caller's sizing session, under a drive context the
-    caller made for the gate's (vdd, vt · vt_stress). Tallies stay in the
-    session until {!record_sizing}. *)
+(** Minimum width in \[w_min, w_max\] meeting the gate's budget, assuming
+    the design already fixes its fanouts' widths ({!size_all} processes
+    gates in reverse topological order so this holds), under a context
+    from {!drive} at the gate's (vdd, vt). [None] when even [w_max] misses
+    the budget. The width is the 40-step bisection's answer, bit for bit,
+    found by {!Dcopt_device.Drive.min_width} in the caller's sizing
+    session; tallies stay in the session until {!record_sizing}. *)
 
 val record_sizing : Dcopt_device.Drive.sizer -> unit
 (** Add a session's tallies to the [sizing.gates] and

@@ -42,6 +42,37 @@ let dynamic_energy t = t.evaluation.Power_model.dynamic_energy
 let critical_delay t = t.evaluation.Power_model.critical_delay
 let feasible t = t.evaluation.Power_model.feasible
 
+type emit = vdd:float -> vt:float -> feasible:bool -> t option -> unit
+
+let trials ?observer optimizer =
+  match observer with
+  | None -> (None, fun ~vdd:_ ~vt:_ ~feasible:_ _ -> ())
+  | Some obs ->
+    let sent = ref 0 in
+    let send (it : Dcopt_obs.Telemetry.iteration) =
+      incr sent;
+      obs { it with optimizer }
+    in
+    let emit ~vdd ~vt ~feasible sol =
+      let static_energy, dynamic_energy, total_energy =
+        match sol with
+        | Some s -> (static_energy s, dynamic_energy s, total_energy s)
+        | None -> (infinity, infinity, infinity)
+      in
+      send
+        {
+          Dcopt_obs.Telemetry.optimizer;
+          index = !sent;
+          vdd;
+          vt;
+          static_energy;
+          dynamic_energy;
+          total_energy;
+          feasible;
+        }
+    in
+    (Some send, emit)
+
 let savings ~baseline t = total_energy baseline /. total_energy t
 
 let better best candidate =

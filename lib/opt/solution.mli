@@ -37,6 +37,20 @@ val dynamic_energy : t -> float
 val critical_delay : t -> float
 val feasible : t -> bool
 
+type emit = vdd:float -> vt:float -> feasible:bool -> t option -> unit
+(** Reports one trial of an optimizer: its operating point, whether it
+    met the optimizer's constraints, and its solution ([None]: no design,
+    reported with infinite energies). *)
+
+val trials :
+  ?observer:Dcopt_obs.Telemetry.observer -> string ->
+  Dcopt_obs.Telemetry.observer option * emit
+(** [trials ?observer name] is the telemetry stream of one optimizer run
+    named [name]: the observer to hand an inner optimizer it delegates
+    to, relabelled [name] (as {!Baseline} does), and an [emit] for the
+    run's own trials, indexed after every record sent so far. Without an
+    observer both are no-ops. *)
+
 val savings : baseline:t -> t -> float
 (** Total-energy ratio baseline/this — the paper's "Savings" column. *)
 

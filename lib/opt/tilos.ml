@@ -1,21 +1,8 @@
 module Circuit = Dcopt_netlist.Circuit
+module Flat = Dcopt_netlist.Flat
 module Tech = Dcopt_device.Tech
-module Energy = Dcopt_device.Energy
+module Drive = Dcopt_device.Drive
 module Numeric = Dcopt_util.Numeric
-
-(* Per-gate energy at the current design, used for the sensitivity
-   denominator: leakage plus own switching. *)
-let gate_energy env design ~max_fanin_delay id =
-  let tech = Power_model.tech env in
-  let load = Power_model.gate_load env design ~max_fanin_delay id in
-  Energy.static_energy tech
-    ~fc:(Power_model.clock_frequency env)
-    ~vdd:design.Power_model.vdd ~vt:design.Power_model.vt.(id)
-    ~w:design.Power_model.widths.(id)
-  +. Energy.dynamic_energy tech ~vdd:design.Power_model.vdd
-       ~w:design.Power_model.widths.(id)
-       ~activity:(Power_model.activity env id)
-       ~load
 
 let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
   let tech = Power_model.tech env in
@@ -30,16 +17,41 @@ let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
       widths = Array.make n tech.Tech.w_min;
     }
   in
-  let is_gate id =
-    match (Circuit.node circuit id).Circuit.kind with
-    | Dcopt_netlist.Gate.Input -> false
-    | _ -> true
-  in
+  (* Vdd and Vt are uniform here, so one context serves every probe. *)
+  let ctx = Power_model.drive env ~vdd ~vt in
+  let fc = Power_model.clock_frequency env in
+  let flat = Power_model.flat env in
+  let is_gate = flat.Flat.is_gate in
+  let fanin_off = flat.Flat.fanin_off in
+  let fanin_edges = flat.Flat.fanin_edges in
   let mfd_of delays id =
-    let nd = Circuit.node circuit id in
-    Array.fold_left
-      (fun acc f -> if is_gate f then Float.max acc delays.(f) else acc)
-      0.0 nd.Circuit.fanins
+    let acc = ref 0.0 in
+    for p = fanin_off.(id) to fanin_off.(id + 1) - 1 do
+      let f = fanin_edges.(p) in
+      if is_gate.(f) then acc := Float.max !acc delays.(f)
+    done;
+    !acc
+  in
+  (* The gate's delay and its energy (leakage plus own switching, the
+     sensitivity denominator) from one load. *)
+  let delay_energy ~max_fanin_delay id =
+    let load = Power_model.gate_load env design ~max_fanin_delay id in
+    let w = design.Power_model.widths.(id) in
+    ( Drive.gate_delay tech ctx ~w load,
+      Drive.static_energy ctx ~fc ~w
+      +. Drive.dynamic_energy tech ctx ~w
+           ~activity:(Power_model.activity env id) ~load )
+  in
+  (* The on-path driver: the slowest gate fanin, the first in pin order
+     on a tie. *)
+  let driver_of delays id =
+    let best = ref (-1) in
+    for p = fanin_off.(id) to fanin_off.(id + 1) - 1 do
+      let f = fanin_edges.(p) in
+      if is_gate.(f) && (!best < 0 || delays.(f) > delays.(!best)) then
+        best := f
+    done;
+    !best
   in
   (* Sensitivity of upsizing gate [id]: path-delay change (own speed-up
      minus the slowdown of the on-path driver that now sees a bigger load)
@@ -50,27 +62,18 @@ let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
     if w' <= w *. (1.0 +. 1e-9) then None
     else begin
       let mfd = mfd_of delays id in
-      let d_before = Power_model.gate_delay env design ~max_fanin_delay:mfd id in
-      let e_before = gate_energy env design ~max_fanin_delay:mfd id in
-      let driver =
-        let nd = Circuit.node circuit id in
-        Array.fold_left
-          (fun best f ->
-            if not (is_gate f) then best
-            else
-              match best with
-              | None -> Some f
-              | Some b -> if delays.(f) > delays.(b) then Some f else best)
-          None nd.Circuit.fanins
+      let d_before, e_before = delay_energy ~max_fanin_delay:mfd id in
+      let driver = driver_of delays id in
+      let driver_delay () =
+        if driver < 0 then 0.0
+        else
+          Power_model.gate_delay env ctx design
+            ~max_fanin_delay:(mfd_of delays driver) driver
       in
-      let driver_delay f =
-        Power_model.gate_delay env design ~max_fanin_delay:(mfd_of delays f) f
-      in
-      let driver_before = Option.fold ~none:0.0 ~some:driver_delay driver in
+      let driver_before = driver_delay () in
       design.Power_model.widths.(id) <- w';
-      let d_after = Power_model.gate_delay env design ~max_fanin_delay:mfd id in
-      let e_after = gate_energy env design ~max_fanin_delay:mfd id in
-      let driver_after = Option.fold ~none:0.0 ~some:driver_delay driver in
+      let d_after, e_after = delay_energy ~max_fanin_delay:mfd id in
+      let driver_after = driver_delay () in
       design.Power_model.widths.(id) <- w;
       let delay_gain =
         d_before -. d_after -. (driver_after -. driver_before)
@@ -99,7 +102,7 @@ let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
       let best =
         List.fold_left
           (fun best id ->
-            if not (is_gate id) then best
+            if not is_gate.(id) then best
             else
               match try_upsize delays id with
               | None -> best
@@ -122,40 +125,13 @@ let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
 let optimize ?observer ?(m_steps = 8) env =
   let tech = Power_model.tech env in
   let best = ref None in
-  let trials = ref 0 in
-  let emit ~vdd ~vt sol =
-    let index = !trials in
-    incr trials;
-    match observer with
-    | None -> ()
-    | Some obs ->
-      let static_energy, dynamic_energy, total_energy, feasible =
-        match sol with
-        | Some sol ->
-          ( Solution.static_energy sol,
-            Solution.dynamic_energy sol,
-            Solution.total_energy sol,
-            Solution.feasible sol )
-        | None -> (infinity, infinity, infinity, false)
-      in
-      obs
-        {
-          Dcopt_obs.Telemetry.optimizer = "tilos";
-          index;
-          vdd;
-          vt;
-          static_energy;
-          dynamic_energy;
-          total_energy;
-          feasible;
-        }
-  in
+  let _, emit = Solution.trials ?observer "tilos" in
   let try_point vdd vt =
     match size_for_cycle env ~vdd ~vt with
-    | None -> emit ~vdd ~vt None
+    | None -> emit ~vdd ~vt ~feasible:false None
     | Some design ->
       let sol = Solution.make ~label:"tilos" ~meets_budgets:false env design in
-      emit ~vdd ~vt (Some sol);
+      emit ~vdd ~vt ~feasible:(Solution.feasible sol) (Some sol);
       if Solution.feasible sol then best := Solution.better !best sol
   in
   let scan vdd_lo vdd_hi vt_lo vt_hi n =

@@ -95,7 +95,11 @@ let compare_switching tech ~vdd ~vt ~w ~stack ~fanin ~c_load =
       cap_wire = c_load;
     }
   in
-  let analytic = Delay.switching_delay tech ~vdd ~vt ~w load in
+  let analytic =
+    Dcopt_device.Drive.switching_delay tech
+      (Dcopt_device.Drive.make tech ~vdd ~vt)
+      ~w load
+  in
   let total_cap = Delay.output_capacitance tech ~w load in
   let simulated =
     discharge_delay tech ~vdd ~vt ~w ~stack ~fanin ~c_load:total_cap

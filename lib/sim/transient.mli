@@ -4,7 +4,7 @@
     substitution 1): the output node of a gate is integrated as a nonlinear
     ODE [C dv/dt = -I_pull(v) + I_leak(v)] with RK4, where [I_pull] is a
     Sakurai-Newton current — saturation current from the same transregional
-    model as {!Dcopt_device.Delay}, with the standard linear-region rolloff
+    model as {!Dcopt_device.Drive}, with the standard linear-region rolloff
     below the saturation drain voltage. Comparing the simulated 50%%
     crossing against the closed-form eq. A3 delay validates the analytic
     model across the operating space (super- and subthreshold). *)

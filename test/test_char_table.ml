@@ -21,7 +21,7 @@ let analytic_delay ~load ~slew =
       max_fanin_delay = slew;
     }
   in
-  Delay.gate_delay tech ~vdd:1.0 ~vt:0.15 ~w:4.0 delay_load
+  Device_ref.gate_delay tech ~vdd:1.0 ~vt:0.15 ~w:4.0 delay_load
 
 let test_exact_on_grid_points () =
   let t = nand2.Char_table.delay_table in

@@ -1,10 +1,14 @@
 module Tech = Dcopt_device.Tech
 module Mosfet = Dcopt_device.Mosfet
 module Delay = Dcopt_device.Delay
-module Energy = Dcopt_device.Energy
+module Drive = Dcopt_device.Drive
 module Body_bias = Dcopt_device.Body_bias
 
 let tech = Tech.default
+
+(* eq. A3 through a fresh context for the operating point *)
+let gate_delay ~vdd ~vt ~w load =
+  Drive.gate_delay tech (Drive.make tech ~vdd ~vt) ~w load
 
 let representative_load =
   {
@@ -137,7 +141,7 @@ let test_delay_monotone_in_width () =
   let prev = ref infinity in
   Array.iter
     (fun w ->
-      let d = Delay.gate_delay tech ~vdd:1.2 ~vt:0.2 ~w representative_load in
+      let d = gate_delay ~vdd:1.2 ~vt:0.2 ~w representative_load in
       Alcotest.(check bool) "decreasing in w" true (d <= !prev);
       prev := d)
     (Dcopt_util.Numeric.linspace ~lo:1.0 ~hi:100.0 ~n:30)
@@ -146,7 +150,7 @@ let test_delay_monotone_in_vdd () =
   let prev = ref infinity in
   Array.iter
     (fun vdd ->
-      let d = Delay.gate_delay tech ~vdd ~vt:0.2 ~w:4.0 representative_load in
+      let d = gate_delay ~vdd ~vt:0.2 ~w:4.0 representative_load in
       Alcotest.(check bool) "decreasing in vdd" true (d < !prev);
       prev := d)
     (Dcopt_util.Numeric.linspace ~lo:0.4 ~hi:3.3 ~n:20)
@@ -155,15 +159,15 @@ let test_delay_monotone_in_vt () =
   let prev = ref 0.0 in
   Array.iter
     (fun vt ->
-      let d = Delay.gate_delay tech ~vdd:1.2 ~vt ~w:4.0 representative_load in
+      let d = gate_delay ~vdd:1.2 ~vt ~w:4.0 representative_load in
       Alcotest.(check bool) "increasing in vt" true (d > !prev);
       prev := d)
     (Dcopt_util.Numeric.linspace ~lo:0.1 ~hi:0.7 ~n:20)
 
 let test_delay_increases_with_load () =
-  let light = Delay.gate_delay tech ~vdd:1.2 ~vt:0.2 ~w:4.0 representative_load in
+  let light = gate_delay ~vdd:1.2 ~vt:0.2 ~w:4.0 representative_load in
   let heavy =
-    Delay.gate_delay tech ~vdd:1.2 ~vt:0.2 ~w:4.0
+    gate_delay ~vdd:1.2 ~vt:0.2 ~w:4.0
       { representative_load with Delay.cap_wire = 20.0e-15 }
   in
   Alcotest.(check bool) "more wire, more delay" true (heavy > light)
@@ -171,7 +175,7 @@ let test_delay_increases_with_load () =
 let test_delay_infinite_when_leakage_wins () =
   (* enormous fanin count at tiny overdrive: off-current overwhelms drive *)
   let load = { representative_load with Delay.fanin_count = 1000 } in
-  let d = Delay.gate_delay tech ~vdd:0.12 ~vt:0.7 ~w:1.0 load in
+  let d = gate_delay ~vdd:0.12 ~vt:0.7 ~w:1.0 load in
   Alcotest.(check bool) "infinite" true (d = infinity)
 
 let test_stack_and_slope_terms_present () =
@@ -179,11 +183,11 @@ let test_stack_and_slope_terms_present () =
   let with_stack =
     { base with Delay.fanin_count = 4; stack_depth = 4 }
   in
-  let d1 = Delay.gate_delay tech ~vdd:1.2 ~vt:0.2 ~w:4.0 base in
-  let d2 = Delay.gate_delay tech ~vdd:1.2 ~vt:0.2 ~w:4.0 with_stack in
+  let d1 = gate_delay ~vdd:1.2 ~vt:0.2 ~w:4.0 base in
+  let d2 = gate_delay ~vdd:1.2 ~vt:0.2 ~w:4.0 with_stack in
   Alcotest.(check bool) "stack slows the gate" true (d2 > d1);
   let with_slope = { base with Delay.max_fanin_delay = 1e-9 } in
-  let d3 = Delay.gate_delay tech ~vdd:1.2 ~vt:0.2 ~w:4.0 with_slope in
+  let d3 = gate_delay ~vdd:1.2 ~vt:0.2 ~w:4.0 with_slope in
   Alcotest.(check bool) "input slope slows the gate" true (d3 > d1)
 
 let test_output_capacitance_formula () =
@@ -199,40 +203,78 @@ let test_output_capacitance_formula () =
 (* Energy                                                             *)
 
 let test_static_energy_scaling () =
-  let e1 = Energy.static_energy tech ~fc:300e6 ~vdd:1.0 ~vt:0.2 ~w:2.0 in
-  let e2 = Energy.static_energy tech ~fc:300e6 ~vdd:2.0 ~vt:0.2 ~w:2.0 in
-  let e3 = Energy.static_energy tech ~fc:300e6 ~vdd:1.0 ~vt:0.2 ~w:4.0 in
-  let e4 = Energy.static_energy tech ~fc:600e6 ~vdd:1.0 ~vt:0.2 ~w:2.0 in
+  let e ~fc ~vdd ~w = Drive.static_energy (Drive.make tech ~vdd ~vt:0.2) ~fc ~w in
+  let e1 = e ~fc:300e6 ~vdd:1.0 ~w:2.0 in
+  let e2 = e ~fc:300e6 ~vdd:2.0 ~w:2.0 in
+  let e3 = e ~fc:300e6 ~vdd:1.0 ~w:4.0 in
+  let e4 = e ~fc:600e6 ~vdd:1.0 ~w:2.0 in
   Alcotest.(check (float 1e-25)) "linear in vdd" (2.0 *. e1) e2;
   Alcotest.(check (float 1e-25)) "linear in w" (2.0 *. e1) e3;
   Alcotest.(check (float 1e-25)) "inverse in fc" (e1 /. 2.0) e4
 
 let test_dynamic_energy_scaling () =
   let e vdd a =
-    Energy.dynamic_energy tech ~vdd ~w:2.0 ~activity:a
-      ~load:representative_load
+    Drive.dynamic_energy tech (Drive.make tech ~vdd ~vt:0.2) ~w:2.0
+      ~activity:a ~load:representative_load
   in
   Alcotest.(check (float 1e-25)) "quadratic in vdd" (4.0 *. e 1.0 0.1)
     (e 2.0 0.1);
   Alcotest.(check (float 1e-25)) "linear in activity" (5.0 *. e 1.0 0.1)
     (e 1.0 0.5)
 
-let test_total_energy_sum () =
-  let s = Energy.static_energy tech ~fc:300e6 ~vdd:1.0 ~vt:0.2 ~w:2.0 in
-  let d =
-    Energy.dynamic_energy tech ~vdd:1.0 ~w:2.0 ~activity:0.1
-      ~load:representative_load
+(* The context against the uncached formulas it replaced: delays bit for
+   bit (infinite ones included), energies within round-off. *)
+let test_context_matches_oracle () =
+  let loads =
+    [
+      representative_load;
+      Delay.no_load;
+      { representative_load with Delay.fanin_count = 4; stack_depth = 4 };
+      { representative_load with Delay.fanin_count = 1000 };
+    ]
   in
-  let t =
-    Energy.total_energy tech ~fc:300e6 ~vdd:1.0 ~vt:0.2 ~w:2.0 ~activity:0.1
-      ~load:representative_load
-  in
-  Alcotest.(check (float 1e-25)) "sum" (s +. d) t
+  Array.iter
+    (fun vdd ->
+      Array.iter
+        (fun vt ->
+          let ctx = Drive.make tech ~vdd ~vt in
+          List.iter
+            (fun load ->
+              Array.iter
+                (fun w ->
+                  let what = Printf.sprintf "vdd=%g vt=%g w=%g" vdd vt w in
+                  let oracle = Device_ref.gate_delay tech ~vdd ~vt ~w load in
+                  let d = Drive.gate_delay tech ctx ~w load in
+                  if Int64.bits_of_float oracle <> Int64.bits_of_float d then
+                    Alcotest.failf "%s delay: oracle %h context %h" what
+                      oracle d;
+                  let close name a b =
+                    if Float.abs (a -. b) > 1e-15 *. Float.abs a then
+                      Alcotest.failf "%s %s: oracle %.17g context %.17g" what
+                        name a b
+                  in
+                  close "static"
+                    (Device_ref.static_energy tech ~fc:300e6 ~vdd ~vt ~w)
+                    (Drive.static_energy ctx ~fc:300e6 ~w);
+                  close "dynamic"
+                    (Device_ref.dynamic_energy tech ~vdd ~w ~activity:0.3
+                       ~load)
+                    (Drive.dynamic_energy tech ctx ~w ~activity:0.3 ~load);
+                  close "total"
+                    (Device_ref.total_energy tech ~fc:300e6 ~vdd ~vt ~w
+                       ~activity:0.3 ~load)
+                    (Drive.static_energy ctx ~fc:300e6 ~w
+                    +. Drive.dynamic_energy tech ctx ~w ~activity:0.3 ~load))
+                [| 1.0; 3.7; 100.0 |])
+            loads)
+        [| 0.1; 0.3; 0.45; 0.7 |])
+    [| 0.12; 0.4; 1.0; 3.3 |]
 
 let test_power_energy_consistency () =
   let fc = 250e6 in
-  let p = Energy.static_power tech ~vdd:1.0 ~vt:0.2 ~w:2.0 in
-  let e = Energy.static_energy tech ~fc ~vdd:1.0 ~vt:0.2 ~w:2.0 in
+  let ctx = Drive.make tech ~vdd:1.0 ~vt:0.2 in
+  let p = Drive.static_power ctx ~w:2.0 in
+  let e = Drive.static_energy ctx ~fc ~w:2.0 in
   Alcotest.(check (float 1e-25)) "P = E * fc" p (e *. fc)
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +428,8 @@ let () =
           Alcotest.test_case "static scaling" `Quick test_static_energy_scaling;
           Alcotest.test_case "dynamic scaling" `Quick
             test_dynamic_energy_scaling;
-          Alcotest.test_case "total is sum" `Quick test_total_energy_sum;
+          Alcotest.test_case "context = oracle" `Quick
+            test_context_matches_oracle;
           Alcotest.test_case "power/energy" `Quick
             test_power_energy_consistency;
         ] );

@@ -2,7 +2,7 @@
    simulation, windowed activity, dual supplies, Monte-Carlo yield. *)
 
 module Tech = Dcopt_device.Tech
-module Short_circuit = Dcopt_device.Short_circuit
+module Drive = Dcopt_device.Drive
 module Event_sim = Dcopt_sim.Event_sim
 module Activity = Dcopt_activity.Activity
 module Circuit = Dcopt_netlist.Circuit
@@ -16,25 +16,29 @@ module Solution = Dcopt_opt.Solution
 
 let tech = Tech.default
 
+let sc_energy ~vdd ~vt ~w ~activity ~input_transition_time =
+  Drive.short_circuit_energy (Drive.make tech ~vdd ~vt) ~w ~activity
+    ~input_transition_time
+
 (* ------------------------------------------------------------------ *)
 (* Short circuit                                                       *)
 
 let test_sc_zero_without_overlap () =
   (* vdd <= 2 vt: both networks never conduct simultaneously *)
   Alcotest.(check (float 0.0)) "no overlap" 0.0
-    (Short_circuit.energy tech ~vdd:0.5 ~vt:0.3 ~w:4.0 ~activity:0.5
+    (sc_energy ~vdd:0.5 ~vt:0.3 ~w:4.0 ~activity:0.5
        ~input_transition_time:1e-9)
 
 let test_sc_positive_with_overlap () =
   let e =
-    Short_circuit.energy tech ~vdd:3.3 ~vt:0.5 ~w:4.0 ~activity:0.5
+    sc_energy ~vdd:3.3 ~vt:0.5 ~w:4.0 ~activity:0.5
       ~input_transition_time:1e-9
   in
   Alcotest.(check bool) "positive" true (e > 0.0)
 
 let test_sc_linear_in_slope_and_activity () =
   let e tau a =
-    Short_circuit.energy tech ~vdd:2.0 ~vt:0.3 ~w:4.0 ~activity:a
+    sc_energy ~vdd:2.0 ~vt:0.3 ~w:4.0 ~activity:a
       ~input_transition_time:tau
   in
   Alcotest.(check (float 1e-25)) "linear in tau" (2.0 *. e 1e-10 0.2)
@@ -47,9 +51,10 @@ let test_sc_order_of_magnitude_below_switching () =
      crowbar term is an order of magnitude below switching energy *)
   let vdd = 3.3 and vt = 0.7 and w = 4.0 and a = 0.5 in
   let load = { Dcopt_device.Delay.no_load with Dcopt_device.Delay.cap_wire = 5e-15 } in
-  let tau = 2.0 *. Dcopt_device.Delay.gate_delay tech ~vdd ~vt ~w load in
-  let sc = Short_circuit.energy tech ~vdd ~vt ~w ~activity:a ~input_transition_time:tau in
-  let sw = Dcopt_device.Energy.dynamic_energy tech ~vdd ~w ~activity:a ~load in
+  let ctx = Drive.make tech ~vdd ~vt in
+  let tau = Drive.transition_time_of_delay (Drive.gate_delay tech ctx ~w load) in
+  let sc = Drive.short_circuit_energy ctx ~w ~activity:a ~input_transition_time:tau in
+  let sw = Drive.dynamic_energy tech ctx ~w ~activity:a ~load in
   Alcotest.(check bool) "sc below switching" true (sc < sw)
 
 let test_sc_in_power_model () =
@@ -278,6 +283,51 @@ let test_multivdd_optimize_no_worse () =
     Alcotest.(check bool) "rails ordered" true
       (r.Multi_vdd.vdd_low <= r.Multi_vdd.vdd_high)
 
+(* With a per-endpoint constraint (an output delay of a quarter cycle on
+   the first output), multi-vdd's feasibility verdict must be the one the
+   row's own delays give when re-timed against the env's required times
+   and input delays. *)
+let test_multivdd_sdc_feasibility () =
+  let module Constraints = Dcopt_timing.Constraints in
+  let module Flat_sta = Dcopt_timing.Flat_sta in
+  let circuit = Dcopt_suite.Suite.find_exn "s400" in
+  let fc = 150e6 in
+  let tc = 1.0 /. fc in
+  let core = Circuit.combinational_core circuit in
+  let first_output = (Circuit.node core (Circuit.outputs core).(0)).Circuit.name in
+  let constraints =
+    {
+      (Constraints.of_cycle_time tc) with
+      Constraints.output_delays =
+        [ { Constraints.port = first_output; io_clock = None;
+            io_delay = 0.25 *. tc } ];
+    }
+  in
+  let config = { Flow.default_config with Flow.clock_frequency = fc } in
+  let p = Flow.prepare ~config ~constraints circuit in
+  match
+    (Dcopt_core.Optimizer.get "multi-vdd").Dcopt_core.Optimizer.run
+      (Dcopt_core.Scenario.of_prepared p)
+  with
+  | None -> Alcotest.fail "expected a multi-vdd design"
+  | Some sol ->
+    let env = p.Flow.env in
+    let req = Option.get (Power_model.required_times env) in
+    let sta =
+      Flat_sta.analyze ~required_times:req
+        ?arrival_offsets:(Power_model.arrival_offsets env)
+        (Power_model.flat env)
+        ~delays:sol.Solution.evaluation.Power_model.delays
+    in
+    let meets =
+      Array.for_all
+        (fun id -> sta.Flat_sta.arrival.(id) <= req.(id) *. (1.0 +. 1e-6))
+        (Circuit.outputs p.Flow.core)
+    in
+    Alcotest.(check bool) "verdict = re-timed delays" meets
+      (Solution.feasible sol);
+    Alcotest.(check bool) "the row closes timing" true meets
+
 let test_multivdd_helps_fixed_vt () =
   let p = Flow.prepare (Dcopt_suite.Suite.find_exn "s298") in
   let budgets = Option.get (Flow.repaired_budgets p ~vt:0.7) in
@@ -390,6 +440,8 @@ let () =
           Alcotest.test_case "no worse than single" `Slow
             test_multivdd_optimize_no_worse;
           Alcotest.test_case "helps fixed vt" `Slow test_multivdd_helps_fixed_vt;
+          Alcotest.test_case "sdc feasibility" `Quick
+            test_multivdd_sdc_feasibility;
         ] );
       ( "yield",
         [

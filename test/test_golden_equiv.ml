@@ -1,12 +1,13 @@
 (* Golden equivalence of the evaluation and sizing fast paths.
 
-   Power_model.evaluate runs on cached Drive contexts (the per-(vdd, vt)
-   transcendentals hoisted out of the per-gate loop). The evaluate tests
-   re-derive the same numbers through the original uncached formulas —
-   Delay.gate_delay via the public Power_model.gate_delay, and the Energy
-   module directly — and require bitwise equal delays (the cached delay
-   repeats the formula's operations) and energies within 1e-9 relative
-   error (the energy path may differ at round-off).
+   Every per-gate delay and energy in the library comes from a Drive
+   context (the per-(vdd, vt) transcendentals hoisted out of the
+   per-gate loop). The evaluate tests re-derive the same numbers through
+   the uncached formulas kept in Device_ref, and require bitwise equal
+   delays, critical delay and short-circuit energy (the context repeats
+   the formulas' operations), and static and dynamic energies within
+   1e-9 relative error (the context associates their factors
+   differently).
 
    Power_model.size_all sizes through Drive.min_width, which jumps to the
    width the 40-step bisection would find. The size_all tests run that
@@ -18,7 +19,6 @@
 
 module Circuit = Dcopt_netlist.Circuit
 module Tech = Dcopt_device.Tech
-module Energy = Dcopt_device.Energy
 module Activity = Dcopt_activity.Activity
 module Delay_assign = Dcopt_timing.Delay_assign
 module Power_model = Dcopt_opt.Power_model
@@ -28,31 +28,7 @@ module Drive = Dcopt_device.Drive
 module Metrics = Dcopt_obs.Metrics
 
 let tech = Tech.default
-let fc = 300e6
 let tolerance = 1e-9
-
-let setup core =
-  let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
-  let profile = Activity.local_profile core specs in
-  let env = Power_model.make_env ~tech ~fc core profile in
-  let raw =
-    (Delay_assign.assign core ~cycle_time:(1.0 /. fc)).Delay_assign.t_max
-  in
-  let budgets =
-    match
-      Budget_repair.repair env ~budgets:raw ~vdd:tech.Tech.vdd_max
-        ~vt:tech.Tech.vt_min
-    with
-    | Budget_repair.Repaired { budgets; _ } -> budgets
-    | Budget_repair.Infeasible _ -> raw
-  in
-  (env, budgets)
-
-let s27 () = Circuit.combinational_core (Dcopt_suite.Suite.find_exn "s27")
-
-let adder () =
-  Circuit.combinational_core
-    (Dcopt_netlist.Patterns.ripple_carry_adder ~bits:8)
 
 let check_rel what reference fast =
   let err =
@@ -69,17 +45,19 @@ let check_bits what reference fast =
   if Int64.bits_of_float reference <> Int64.bits_of_float fast then
     Alcotest.failf "%s: reference %h fast %h" what reference fast
 
-(* The pre-cache evaluate, re-derived through the public per-gate API:
-   same topological propagation, same per-gate load, original Energy
-   formulas. *)
-let reference_evaluate env design =
+(* The pre-context evaluate: topological propagation over the circuit
+   records, the public per-gate load, and the uncached Device_ref
+   formulas at the corner's threshold. *)
+let reference_evaluate ~short_circuit env design =
   let core = Power_model.circuit env in
+  let fc = Power_model.clock_frequency env in
   let n = Circuit.size core in
   let delays = Array.make n 0.0 in
   let arrival = Array.make n 0.0 in
   let is_gate = Array.make n false in
   Array.iter (fun id -> is_gate.(id) <- true) (Power_model.gate_ids env);
-  let static_e = ref 0.0 and dynamic_e = ref 0.0 in
+  let static_e = ref 0.0 and dynamic_e = ref 0.0 and short_e = ref 0.0 in
+  let vdd = design.Power_model.vdd in
   Array.iter
     (fun id ->
       let nd = Circuit.node core id in
@@ -88,7 +66,10 @@ let reference_evaluate env design =
           (fun acc f -> if is_gate.(f) then Float.max acc delays.(f) else acc)
           0.0 nd.Circuit.fanins
       in
-      let d = Power_model.gate_delay env design ~max_fanin_delay id in
+      let vt = design.Power_model.vt.(id) *. Power_model.vt_stress env in
+      let w = design.Power_model.widths.(id) in
+      let load = Power_model.gate_load env design ~max_fanin_delay id in
+      let d = Device_ref.gate_delay tech ~vdd ~vt ~w load in
       delays.(id) <- d;
       let worst_arrival =
         Array.fold_left
@@ -96,28 +77,27 @@ let reference_evaluate env design =
           0.0 nd.Circuit.fanins
       in
       arrival.(id) <- worst_arrival +. d;
-      let load = Power_model.gate_load env design ~max_fanin_delay id in
-      static_e :=
-        !static_e
-        +. Energy.static_energy tech ~fc ~vdd:design.Power_model.vdd
-             ~vt:design.Power_model.vt.(id) ~w:design.Power_model.widths.(id);
+      let activity = Power_model.activity env id in
+      static_e := !static_e +. Device_ref.static_energy tech ~fc ~vdd ~vt ~w;
       dynamic_e :=
-        !dynamic_e
-        +. Energy.dynamic_energy tech ~vdd:design.Power_model.vdd
-             ~w:design.Power_model.widths.(id)
-             ~activity:(Power_model.activity env id)
-             ~load)
+        !dynamic_e +. Device_ref.dynamic_energy tech ~vdd ~w ~activity ~load;
+      if short_circuit then
+        short_e :=
+          !short_e
+          +. Device_ref.sc_energy tech ~vdd ~vt ~w ~activity
+               ~input_transition_time:
+                 (Device_ref.transition_time_of_delay max_fanin_delay))
     (Power_model.gate_ids env);
   let critical_delay =
     Array.fold_left
       (fun acc id -> Float.max acc arrival.(id))
       0.0 (Circuit.outputs core)
   in
-  (!static_e, !dynamic_e, delays, critical_delay)
+  (!static_e, !dynamic_e, !short_e, delays, critical_delay)
 
 (* The bisection oracle: one drive context per gate, the closure
-   predicate over Drive.gate_delay (the cached twin of the
-   Delay.gate_delay the evaluate tests pin), 40 halvings. *)
+   predicate over Drive.gate_delay (which the evaluate tests pin to
+   Device_ref.gate_delay), 40 halvings. *)
 let reference_size_all env ~vdd ~vt ~budgets =
   let tech = Power_model.tech env in
   let n = Circuit.size (Power_model.circuit env) in
@@ -145,41 +125,6 @@ let reference_size_all env ~vdd ~vt ~budgets =
   done;
   (design, !all_met)
 
-let operating_points =
-  [ (1.0, 0.15); (0.6, 0.25); (1.2, 0.45); (0.45, 0.1) ]
-
-let check_evaluate_equiv core_of () =
-  let env, budgets = setup (core_of ()) in
-  List.iter
-    (fun (vdd, vt) ->
-      (* both a uniform design and the sized design at this point *)
-      let designs =
-        [
-          Power_model.uniform_design env ~vdd ~vt ~w:4.0;
-          (let n = Circuit.size (Power_model.circuit env) in
-           fst (Power_model.size_all env ~vdd ~vt:(Array.make n vt) ~budgets));
-        ]
-      in
-      List.iter
-        (fun design ->
-          let fast = Power_model.evaluate env design in
-          let static_e, dynamic_e, delays, critical = reference_evaluate env design in
-          let at = Printf.sprintf "vdd=%.2f vt=%.2f" vdd vt in
-          check_rel (at ^ " static") static_e fast.Power_model.static_energy;
-          check_rel (at ^ " dynamic") dynamic_e fast.Power_model.dynamic_energy;
-          check_rel (at ^ " total") (static_e +. dynamic_e)
-            fast.Power_model.total_energy;
-          check_bits (at ^ " critical") critical
-            fast.Power_model.critical_delay;
-          Array.iteri
-            (fun id d ->
-              check_bits
-                (Printf.sprintf "%s delay[%d]" at id)
-                d fast.Power_model.delays.(id))
-            delays)
-        designs)
-    operating_points
-
 let counter name = Metrics.value (Metrics.counter name)
 
 let check_size_all_equiv ~what env ~vdd ~vt ~budgets =
@@ -192,6 +137,10 @@ let check_size_all_equiv ~what env ~vdd ~vt ~budgets =
         (Printf.sprintf "%s width[%d]" what id)
         w fast.Power_model.widths.(id))
     refd.Power_model.widths
+
+let adder () =
+  Circuit.combinational_core
+    (Dcopt_netlist.Patterns.ripple_carry_adder ~bits:8)
 
 let dag ~seed ~gates =
   Dcopt_netlist.Generator.(random_dag (default_dag ~seed ~gates ()))
@@ -211,6 +160,74 @@ let sizing_inputs () =
 let env_of ?(tech = tech) core ~fc =
   let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
   Power_model.make_env ~tech ~fc core (Activity.local_profile core specs)
+
+(* (vdd, vt): above threshold (all with crowbar overlap), and two points
+   with vt >= vdd *)
+let operating_points =
+  [ (1.0, 0.15); (0.6, 0.25); (1.2, 0.45); (0.45, 0.1); (0.3, 0.45);
+    (0.4, 0.4) ]
+
+let check_evaluate_equiv ~what ~short_circuit env design =
+  let fast = Power_model.evaluate env design in
+  let static_e, dynamic_e, short_e, delays, critical =
+    reference_evaluate ~short_circuit env design
+  in
+  check_rel (what ^ " static") static_e fast.Power_model.static_energy;
+  check_rel (what ^ " dynamic") dynamic_e fast.Power_model.dynamic_energy;
+  check_bits (what ^ " short-circuit") short_e
+    fast.Power_model.short_circuit_energy;
+  check_bits (what ^ " critical") critical fast.Power_model.critical_delay;
+  Array.iteri
+    (fun id d ->
+      check_bits
+        (Printf.sprintf "%s delay[%d]" what id)
+        d fast.Power_model.delays.(id))
+    delays
+
+(* Uniform and sized designs at every operating point plus a
+   two-threshold design, with and without the short-circuit term, at the
+   nominal corner and a slow one. *)
+let test_evaluate_bitwise () =
+  List.iter
+    (fun (name, core, fc) ->
+      let n = Circuit.size core in
+      let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
+      let profile = Activity.local_profile core specs in
+      let budgets =
+        (Delay_assign.assign core ~cycle_time:(1.0 /. fc)).Delay_assign.t_max
+      in
+      List.iter
+        (fun short_circuit ->
+          let nominal =
+            Power_model.make_env ~include_short_circuit:short_circuit ~tech ~fc
+              core profile
+          in
+          List.iter
+            (fun env ->
+              let what label =
+                Printf.sprintf "%s sc=%b stress=%g %s" name short_circuit
+                  (Power_model.vt_stress env) label
+              in
+              List.iter
+                (fun (vdd, vt) ->
+                  let at = Printf.sprintf "vdd=%.2f vt=%.2f" vdd vt in
+                  check_evaluate_equiv ~what:(what ("uniform " ^ at))
+                    ~short_circuit env
+                    (Power_model.uniform_design env ~vdd ~vt ~w:4.0);
+                  check_evaluate_equiv ~what:(what ("sized " ^ at))
+                    ~short_circuit env
+                    (fst
+                       (Power_model.size_all env ~vdd ~vt:(Array.make n vt)
+                          ~budgets)))
+                operating_points;
+              let two_vt =
+                Array.init n (fun id -> if id mod 2 = 0 then 0.15 else 0.35)
+              in
+              check_evaluate_equiv ~what:(what "two-vt") ~short_circuit env
+                (fst (Power_model.size_all env ~vdd:1.0 ~vt:two_vt ~budgets)))
+            [ nominal; Power_model.with_vt_stress nominal 1.1 ])
+        [ false; true ])
+    (sizing_inputs ())
 
 (* Procedure-1 budgets raw, and repaired at both ends of the vt range. *)
 let budget_sets env core ~fc =
@@ -296,10 +313,8 @@ let () =
     [
       ( "evaluate",
         [
-          Alcotest.test_case "s27 cached = reference" `Quick
-            (check_evaluate_equiv s27);
-          Alcotest.test_case "adder8 cached = reference" `Quick
-            (check_evaluate_equiv adder);
+          Alcotest.test_case "suite and DAGs = uncached oracle" `Quick
+            test_evaluate_bitwise;
         ] );
       ( "size_all",
         [

@@ -821,6 +821,52 @@ let test_heuristic_observer_deterministic () =
               <= 1e-9 *. Float.abs best)
          its1)
 
+(* Multi-vt and multi-vdd: the delegated single-threshold search's records
+   and then their own, one stream labelled with the optimizer's name. *)
+let test_multi_optimizer_streams () =
+  let env, budgets = s27_env () in
+  let inner_count =
+    let recorder = Telemetry.recorder () in
+    ignore
+      (Heuristic.optimize ~observer:(Telemetry.record recorder)
+         ~options:
+           { Heuristic.default_options with m_steps = 12;
+             strategy = Heuristic.Grid_refine }
+         env ~budgets);
+    Telemetry.count recorder
+  in
+  let check_stream name its ~own =
+    Alcotest.(check int) (name ^ " own trials") own
+      (Array.length its - inner_count);
+    Array.iteri
+      (fun i it ->
+        Alcotest.(check int) (name ^ " index") i it.Telemetry.index;
+        Alcotest.(check string) (name ^ " label") name it.Telemetry.optimizer)
+      its
+  in
+  let recorder = Telemetry.recorder () in
+  let sol =
+    Dcopt_opt.Multi_vt.optimize ~observer:(Telemetry.record recorder) env
+      ~budgets
+  in
+  let its = Telemetry.iterations recorder in
+  Alcotest.(check bool) "multi-vt solved" true (sol <> None);
+  (* two rounds of nine class thresholds per class, five supplies, and
+     the greedy candidates that promoted a gate *)
+  let own = Array.length its - inner_count in
+  Alcotest.(check bool) "multi-vt own trials" true (own >= (2 * 2 * 9) + 5);
+  check_stream "multi-vt" its ~own;
+  let recorder = Telemetry.recorder () in
+  let r =
+    Multi_vdd.optimize ~observer:(Telemetry.record recorder) env ~budgets
+  in
+  let low = (Multi_vdd.classify env ~budgets ~slack_threshold:1.5).Multi_vdd.low_count in
+  Alcotest.(check bool) "multi-vdd solved" true (r <> None);
+  (* four high rails, four low-rail fractions, four thresholds *)
+  check_stream "multi-vdd" (Telemetry.iterations recorder)
+    ~own:(if low > 0 then 64 else 0);
+  Alcotest.(check bool) "s27 has low-rail candidates" true (low > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Sizing counters: every sized gate tallied, bisections visible         *)
 
@@ -901,6 +947,8 @@ let () =
           Alcotest.test_case "to_metrics" `Quick test_telemetry_to_metrics;
           Alcotest.test_case "heuristic observer deterministic" `Quick
             test_heuristic_observer_deterministic;
+          Alcotest.test_case "multi-vt and multi-vdd streams" `Quick
+            test_multi_optimizer_streams;
         ] );
       ( "sizing",
         [ Alcotest.test_case "counters" `Quick test_sizing_counters ] );

@@ -87,12 +87,18 @@ let test_size_gate_monotone_budget () =
   let design = Power_model.uniform_design env ~vdd:2.0 ~vt:0.3 ~w:2.0 in
   let gates = Power_model.gate_ids env in
   let id = gates.(Array.length gates / 2) in
-  match Power_model.size_gate env design ~budgets id with
+  let size budgets =
+    Power_model.size_gate_with
+      (Dcopt_device.Drive.sizer (Power_model.tech env))
+      (Power_model.drive env ~vdd:2.0 ~vt:0.3)
+      env design ~budgets id
+  in
+  match size budgets with
   | None -> Alcotest.fail "expected feasible at 2 V"
   | Some w ->
     (* doubling the budget can only shrink the required width *)
     let looser = Array.map (fun b -> 2.0 *. b) budgets in
-    (match Power_model.size_gate env design ~budgets:looser id with
+    (match size looser with
     | None -> Alcotest.fail "looser budget must stay feasible"
     | Some w' -> Alcotest.(check bool) "narrower" true (w' <= w))
 

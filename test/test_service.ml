@@ -281,6 +281,67 @@ let test_timeout () =
     | _ -> Alcotest.fail "sibling job must be unaffected")
   | _ -> Alcotest.fail "expected two rows"
 
+(* The job deadline reaches optimizers that delegate to the heuristic:
+   multi-vt and multi-vdd pass the service's observer on. *)
+let test_timeout_multi_optimizers () =
+  let rows =
+    Service.run_batch
+      [
+        Job.make ~id:"mvt" ~optimizer:"multi-vt" ~timeout_s:0.001 "s1488";
+        Job.make ~id:"mvdd" ~optimizer:"multi-vdd" ~timeout_s:0.001 "s1488";
+      ]
+  in
+  List.iter
+    (fun r ->
+      match r.Job.outcome with
+      | Job.Failed { error; _ } ->
+        Alcotest.(check bool)
+          (r.Job.job_id ^ " reported as a timeout")
+          true
+          (String.length error >= 9 && String.sub error 0 9 = "timed out")
+      | _ -> Alcotest.fail (r.Job.job_id ^ " should time out"))
+    rows
+
+(* A multi-vdd design records only its high rail, so the optimizer
+   refuses process corners: the row fails with the reason and is never
+   stored, while the same job without corners is untouched. *)
+let test_multivdd_refuses_corners () =
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let corner name =
+    Json.Obj [ ("name", Json.String name); ("vt_factor", Json.Float 1.0) ]
+  in
+  let scenarios =
+    Json.Obj
+      [ ("version", Json.Int 1); ("corners", Json.List [ corner "a"; corner "b" ]) ]
+  in
+  let plain () = Job.make ~id:"plain" ~optimizer:"multi-vdd" "s27" in
+  let store = Store.open_ (temp_store ()) in
+  let rows =
+    Service.run_batch ~store
+      [ Job.make ~id:"corners" ~optimizer:"multi-vdd" ~scenarios "s27"; plain () ]
+  in
+  match rows with
+  | [ corners; plain_row ] ->
+    (match corners.Job.outcome with
+    | Job.Failed { error; _ } ->
+      Alcotest.(check bool) "says why" true
+        (contains ~sub:"process corners are not supported" error)
+    | _ -> Alcotest.fail "a multi-vdd job with corners must fail");
+    Alcotest.(check bool) "failed row not stored" true
+      (Store.find store corners.Job.digest = None);
+    Alcotest.(check bool) "plain row stored" true
+      (Store.find store plain_row.Job.digest <> None);
+    let alone = Service.run_batch [ plain () ] in
+    Alcotest.(check string) "plain row unchanged" (rows_to_string alone)
+      (rows_to_string [ plain_row ])
+  | _ -> Alcotest.fail "expected two rows"
+
 let test_unknown_inputs_become_rows () =
   let rows =
     Service.run_batch
@@ -639,6 +700,10 @@ let () =
           Alcotest.test_case "fault injection and retry" `Quick
             test_fault_injection_and_isolation;
           Alcotest.test_case "cooperative timeout" `Quick test_timeout;
+          Alcotest.test_case "timeout reaches multi-vt and multi-vdd" `Quick
+            test_timeout_multi_optimizers;
+          Alcotest.test_case "multi-vdd refuses corners" `Quick
+            test_multivdd_refuses_corners;
           Alcotest.test_case "unknown inputs" `Quick
             test_unknown_inputs_become_rows;
         ] );
