@@ -44,15 +44,35 @@ let wall f =
 (* ------------------------------------------------------------------ *)
 (* Paper experiments                                                   *)
 
+(* Shape checks: each claim prints the measured range it rests on and
+   whether the rows bear it out. *)
+let verdict ok = if ok then "ok" else "FAILS"
+
+let range f rows = Dcopt_util.Stats.min_max (Array.of_list (List.map f rows))
+
+let ratio r = r.Experiments.static_energy /. r.Experiments.dynamic_energy
+
 let run_table1 () =
   header "Table 1: baseline — Vt fixed at 700 mV, Vdd and widths optimized \
           (fc = 300 MHz)";
   let rows, dt = wall (fun () -> Experiments.table1 ()) in
   print_string (Experiments.render_table ~title:"" rows);
+  let tech = Flow.default_config.Flow.tech in
+  let cycle = 1.0 /. Flow.default_config.Flow.clock_frequency in
+  let _, leak = range ratio rows in
+  let vdd_lo, vdd_hi = range (fun r -> r.Experiments.vdd) rows in
+  let d_lo, d_hi = range (fun r -> r.Experiments.critical_delay) rows in
   Printf.printf
-    "\nShape checks vs the paper: leakage negligible at 700 mV (static << \
-     dynamic); supply lands high (timing-bound at this threshold). \
+    "\nShape checks vs the paper:\n\
+    \  static/dynamic at most %.1e (leakage negligible at 700 mV: below \
+     1e-3): %s\n\
+    \  Vdd %.2f-%.2f V (the supply lands high: at least 80%% of %.1f V): %s\n\
+    \  critical delay %.2f-%.2f ns (meets the %.2f ns cycle): %s\n\
      [%.1f s]\n"
+    leak (verdict (leak < 1e-3)) vdd_lo vdd_hi tech.Dcopt_device.Tech.vdd_max
+    (verdict (vdd_lo >= 0.8 *. tech.Dcopt_device.Tech.vdd_max))
+    (d_lo *. 1e9) (d_hi *. 1e9) (cycle *. 1e9)
+    (verdict (d_hi <= cycle *. (1.0 +. 1e-6)))
     dt
 
 let run_table2 () =
@@ -65,14 +85,48 @@ let run_table2 () =
   | _ ->
     let arr = Array.of_list savings in
     let lo, hi = Dcopt_util.Stats.min_max arr in
+    let geomean = Dcopt_util.Stats.geometric_mean arr in
+    let below = List.length (List.filter (fun x -> x <= 10.0) savings) in
+    let vt_lo, vt_hi = range (fun r -> r.Experiments.vt *. 1e3) rows in
+    let vdd_lo, vdd_hi = range (fun r -> r.Experiments.vdd) rows in
+    let sd_lo, sd_hi = range ratio rows in
+    let circuits =
+      List.sort_uniq compare (List.map (fun r -> r.Experiments.circuit) rows)
+    in
+    (* a circuit's savings, in increasing input activity, strictly rise *)
+    let rec rising = function
+      | a :: (b :: _ as rest) -> a < b && rising rest
+      | _ -> true
+    in
+    let grows =
+      List.filter
+        (fun c ->
+          List.filter (fun r -> r.Experiments.circuit = c) rows
+          |> List.sort (fun a b ->
+                 Float.compare a.Experiments.input_density
+                   b.Experiments.input_density)
+          |> List.filter_map (fun r -> r.Experiments.savings)
+          |> rising)
+        circuits
+    in
     Printf.printf
-      "\nShape checks vs the paper: savings %.1fx-%.1fx (geomean %.1fx; \
-       paper: \"factors larger than 10\"); Vt lands in the 100-250 mV band \
-       (paper: 150-250 mV); Vdd in 0.45-1.2 V (paper: 0.6-1.2 V); static \
-       and dynamic components comparable at the optimum; savings grow with \
-       input activity. [%.1f s]\n"
-      lo hi
-      (Dcopt_util.Stats.geometric_mean arr)
+      "\nShape checks vs the paper:\n\
+      \  savings %.1fx-%.1fx, geomean %.1fx (paper: \"factors larger than \
+       10\"): geomean %s, %d of %d rows at or below 10x\n\
+      \  Vt %.0f-%.0f mV (the 100-250 mV band; paper: 150-250 mV): %s\n\
+      \  Vdd %.2f-%.2f V (the 0.45-1.2 V band; paper: 0.6-1.2 V): %s\n\
+      \  static/dynamic %.3f-%.3f (comparable at the optimum: within 3x): %s\n\
+      \  savings grow with input activity in %d of %d circuits: %s\n\
+       [%.1f s]\n"
+      lo hi geomean (verdict (geomean > 10.0)) below (List.length savings)
+      vt_lo vt_hi
+      (verdict (vt_lo >= 100.0 -. 1e-9 && vt_hi <= 250.0 +. 1e-9))
+      vdd_lo vdd_hi
+      (verdict (vdd_lo >= 0.45 -. 1e-9 && vdd_hi <= 1.2 +. 1e-9))
+      sd_lo sd_hi
+      (verdict (sd_lo >= 1.0 /. 3.0 && sd_hi <= 3.0))
+      (List.length grows) (List.length circuits)
+      (verdict (List.length grows = List.length circuits))
       dt)
 
 let run_fig2a () =
@@ -289,8 +343,8 @@ let bechamel_tests () =
     Dcopt_netlist.Generator.(random_dag (default_dag ~name:"dag10k" ~seed:7L ~gates:10_000 ()))
   in
   let dag_flat = Dcopt_netlist.Flat.of_circuit dag in
-  (* the dag-joint end-to-end shape: the 64 x gates path cap binds and
-     ~40% of the gates fall back, so the whole cap is enumerated *)
+  (* the dag-joint end-to-end shape: ~36% of the gates are dead and fall
+     back *)
   let dag2k =
     Dcopt_netlist.Generator.(
       random_dag (default_dag ~name:"dag2k" ~seed:1L ~gates:2_000 ()))
@@ -310,6 +364,21 @@ let bechamel_tests () =
     Dcopt_opt.Power_model.make_env ~tech:Dcopt_device.Tech.default ~fc:100e6
       dag20
       (Dcopt_activity.Activity.local_profile dag20 specs)
+  in
+  (* the multi-vt greedy's shape: promotion probes on s1488 from its
+     single-threshold optimum *)
+  let s1488_env, s1488_single =
+    let p = Flow.prepare (Suite.find_exn "s1488") in
+    let budgets = Option.get (Flow.fast_budgets p) in
+    ( p.Flow.env,
+      Option.get
+        (Dcopt_opt.Heuristic.optimize
+           ~options:
+             {
+               Dcopt_opt.Heuristic.default_options with
+               strategy = Dcopt_opt.Heuristic.Grid_refine;
+             }
+           p.Flow.env ~budgets) )
   in
   let dag_delays =
     let rng = Dcopt_util.Prng.create 13L in
@@ -349,6 +418,9 @@ let bechamel_tests () =
            ignore
              (Dcopt_opt.Power_model.size_all env ~vdd:1.0
                 ~vt:(Array.make n 0.15) ~budgets)));
+    Test.make ~name:"opt/multi-vt greedy (s1488)"
+      (Staged.stage (fun () ->
+           ignore (Dcopt_opt.Multi_vt.greedy_dual_vt s1488_env s1488_single)));
     Test.make ~name:"opt/tilos size_for_cycle (20-gate DAG)"
       (Staged.stage (fun () ->
            ignore (Dcopt_opt.Tilos.size_for_cycle tilos_env ~vdd:0.3 ~vt:0.25)));
@@ -561,6 +633,46 @@ let measure_scale () =
       ]
   in
   List.map one sizes
+
+(* End to end at scale: joint optimization of a seed-1 100k-gate DAG at
+   10 MHz, each flow phase read from its own span. Full runs only, and
+   not gated: one run takes seconds, not microseconds. *)
+let dag_phases =
+  [
+    ("core", "core-extraction");
+    ("activity", "activity");
+    ("wire load", "wire-load");
+    ("budgeting", "budgeting");
+    ("budget repair", "budget-repair");
+    ("search", "search");
+  ]
+
+let measure_dag_phases () =
+  let module Span = Dcopt_obs.Span in
+  let dag =
+    Dcopt_netlist.Generator.(
+      random_dag (default_dag ~name:"dag100k" ~seed:1L ~gates:100_000 ()))
+  in
+  let config = { Flow.default_config with Flow.clock_frequency = 10e6 } in
+  Span.reset ();
+  Span.set_enabled true;
+  let _, total =
+    wall (fun () ->
+        let p = Flow.prepare ~config dag in
+        (Dcopt_core.Optimizer.get "joint").Dcopt_core.Optimizer.run
+          (Dcopt_core.Scenario.of_prepared p))
+  in
+  Span.set_enabled false;
+  let rolled = Span.roll_up () in
+  Span.reset ();
+  let seconds span =
+    List.fold_left
+      (fun acc (name, _, ns) ->
+        if String.equal name span then acc +. Dcopt_util.Clock.ns_to_s ns
+        else acc)
+      0.0 rolled
+  in
+  (List.map (fun (phase, span) -> (phase, seconds span)) dag_phases, total)
 
 (* Fleet throughput kernel: the same 64-job batch (s27 joint, one
    distinct operating point per job) through a 4-worker fleet vs a
@@ -892,6 +1004,23 @@ let run_timing () =
   print_endline
     "\n(The paper quotes 5-20 s per circuit on 1997 hardware for the same \
      O(M^3) procedure.)";
+  if not !quick then begin
+    let phases, total = measure_dag_phases () in
+    let pt =
+      Dcopt_util.Text_table.create
+        ~headers:[ "Joint, 100k-gate DAG at 10 MHz"; "seconds"; "share" ]
+    in
+    List.iter
+      (fun (phase, s) ->
+        Dcopt_util.Text_table.add_row pt
+          [ phase; Printf.sprintf "%.3f" s;
+            Printf.sprintf "%.1f%%" (100.0 *. s /. total) ])
+      phases;
+    Dcopt_util.Text_table.add_row pt
+      [ "end to end"; Printf.sprintf "%.3f" total; "100.0%" ];
+    print_newline ();
+    Dcopt_util.Text_table.print pt
+  end;
   print_newline ();
   let incremental, gate_count = measure_incremental () in
   let it =

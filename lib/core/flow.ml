@@ -180,7 +180,7 @@ let prepare ?(config = default_config) ?constraints circuit =
           ~cycle_time:(1.0 /. config.clock_frequency))
   in
   Log.info (fun m ->
-      m "prepared %s: %d gates, depth %d, fc %.0f MHz, %d paths budgeted, %d fallback, %d slope-lifted"
+      m "prepared %s: %d gates, depth %d, fc %.0f MHz, %d paths budgeted, %d dead gates on the fallback, %d slope-lifted"
         (Circuit.name core) (Circuit.gate_count core) (Circuit.depth core)
         (config.clock_frequency /. 1e6)
         budget.Delay_assign.paths_used budget.Delay_assign.fallback_gates

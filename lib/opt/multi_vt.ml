@@ -35,8 +35,9 @@ let vt_of_classes assignment class_vts n =
 
 (* Slack-driven promotion: gates are visited in decreasing achieved slack
    (computed once from the input design); each promotion is accepted only
-   if a full re-evaluation still meets the cycle time, so shared-path
-   interactions cannot break timing. *)
+   if the whole design still meets the cycle time, so shared-path
+   interactions cannot break timing. The incremental engine re-times only
+   the promoted gate's cone, with the bits a full evaluation gives. *)
 let greedy ~(emit : Solution.emit) ?vt_high_candidates env solution =
   let tech = Power_model.tech env in
   let base = solution.Solution.design in
@@ -83,14 +84,19 @@ let greedy ~(emit : Solution.emit) ?vt_high_candidates env solution =
                    (Flat_sta.slack_of_endpoint sta a))
         in
         let promoted = ref 0 in
-        List.iter
-          (fun id ->
-            let saved = design.Power_model.vt.(id) in
-            design.Power_model.vt.(id) <- vt_high;
-            let e = Power_model.evaluate env design in
-            if e.Power_model.feasible then incr promoted
-            else design.Power_model.vt.(id) <- saved)
-          order;
+        (* a move that trips the guard would have evaluated infeasible *)
+        (match Power_model.Incr.create env design with
+         | exception Guard.Non_finite _ -> ()
+         | inc ->
+           List.iter
+             (fun id ->
+               match Power_model.Incr.set_vt inc id vt_high with
+               | () when Power_model.Incr.feasible inc ->
+                 Power_model.Incr.commit inc;
+                 incr promoted
+               | () | (exception Guard.Non_finite _) ->
+                 Power_model.Incr.rollback inc)
+             order);
         if !promoted > 0 then begin
           let sol =
             Solution.make ~label:"multi-vt"

@@ -11,7 +11,9 @@ let paths_counter =
     "timing.paths_used"
 
 let fallback_counter =
-  Metrics.counter ~help:"gates budgeted by the chain-criticality fallback"
+  Metrics.counter
+    ~help:"dead gates (no path to a primary output) budgeted by the \
+           chain-criticality fallback"
     "timing.fallback_gates"
 
 let slope_counter =
@@ -20,8 +22,8 @@ let slope_counter =
 
 let fallback_share_hist =
   Metrics.histogram
-    ~help:"share of gates budgeted by the chain-criticality fallback, per \
-           assignment"
+    ~help:"share of gates that reach no primary output (budgeted by the \
+           chain-criticality fallback), per assignment"
     "timing.fallback_share"
 
 type t = {
@@ -32,44 +34,17 @@ type t = {
   slope_adjusted : int;
 }
 
-(* Max of [col] over the gate neighbours of [id] in one CSR direction,
-   folded in adjacency order from 0. *)
-let max_over_gates f ~off ~edges col id =
+(* Max of [col] over the gate fanins of [id], folded in pin order from 0. *)
+let max_over_fanin_gates f col id =
   let acc = ref 0.0 in
-  for p = off.(id) to off.(id + 1) - 1 do
-    let g = edges.(p) in
+  for p = f.Flat.fanin_off.(id) to f.Flat.fanin_off.(id + 1) - 1 do
+    let g = f.Flat.fanin_edges.(p) in
     if f.Flat.is_gate.(g) then acc := Float.max !acc col.(g)
   done;
   !acc
 
-(* Largest fanout-sum over chains from this gate downward / from sources to
-   this gate, allowing chains to stop anywhere (used only by the fallback,
-   where dead-end logic is exactly the case at hand). *)
-let chain_criticalities circuit f ~w =
-  let n = Flat.size f in
-  let order = Circuit.topo_order circuit in
-  let down = Array.make n 0.0 in
-  for i = Array.length order - 1 downto 0 do
-    let id = order.(i) in
-    if f.Flat.is_gate.(id) then
-      down.(id) <-
-        w.(id)
-        +. max_over_gates f ~off:f.Flat.fanout_off ~edges:f.Flat.fanout_edges
-             down id
-  done;
-  let up = Array.make n 0.0 in
-  Array.iter
-    (fun id ->
-      if f.Flat.is_gate.(id) then
-        up.(id) <-
-          w.(id)
-          +. max_over_gates f ~off:f.Flat.fanin_off ~edges:f.Flat.fanin_edges
-               up id)
-    order;
-  (up, down)
-
-let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
-    circuit ~cycle_time =
+let assign ?(skew_factor = 0.95) ?(slope_guard = 0.3) ?constraints circuit
+    ~cycle_time =
   Dcopt_obs.Span.with_ "procedure1.assign"
     ~args:[ ("circuit", Circuit.name circuit) ]
   @@ fun () ->
@@ -90,94 +65,153 @@ let assign ?(skew_factor = 0.95) ?max_paths ?(slope_guard = 0.3) ?constraints
     invalid_arg "Delay_assign.assign: skew_factor out of (0, 1]";
   let f = Flat.of_circuit circuit in
   let n = Flat.size f in
-  let is_gate = f.Flat.is_gate in
+  let gates = f.Flat.gate_level_order in
   let available = skew_factor *. cycle_time in
+  let is_output = Array.make n false in
+  Array.iter (fun id -> is_output.(id) <- true) f.Flat.output_ids;
+  (* The paper's f_oi: Circuit.fanout_count (one per consuming pin, plus
+     one for a primary output) floored at 1, so output gates still
+     receive a delay share. *)
+  let eff =
+    Array.init n (fun id ->
+        Int.max 1
+          (f.Flat.fanout_off.(id + 1) - f.Flat.fanout_off.(id)
+          + Bool.to_int is_output.(id)))
+  in
+  let w = Array.map float_of_int eff in
+  (* Backward pass: [down] is the largest criticality of a path from the
+     gate (inclusive) to a primary output, -1 when none is reachable, and
+     [next] the fanout that continues it (-1: the gate ends it). [chain]
+     is the same sum over chains that may stop at any gate. Fanouts come
+     in ascending id, so a strict [>] keeps the lowest-id maximum. *)
+  let down = Array.make n (-1) and next = Array.make n (-1) in
+  let chain = Array.make n 0 in
+  for k = Array.length gates - 1 downto 0 do
+    let g = gates.(k) in
+    let tail = ref (if is_output.(g) then 0 else -1) in
+    let best = ref 0 in
+    for p = f.Flat.fanout_off.(g) to f.Flat.fanout_off.(g + 1) - 1 do
+      let h = f.Flat.fanout_edges.(p) in
+      if down.(h) > !tail then begin
+        tail := down.(h);
+        next.(g) <- h
+      end;
+      best := Int.max !best chain.(h)
+    done;
+    if !tail >= 0 then down.(g) <- eff.(g) + !tail;
+    chain.(g) <- eff.(g) + !best
+  done;
+  (* Forward pass: [up] is the largest criticality of a path from a
+     primary input to the gate (inclusive), and [prev] the gate fanin
+     that leads it, the lowest id among equals (-1: every fanin is a
+     primary input). *)
+  let up = Array.make n 0 and prev = Array.make n (-1) in
+  Array.iter
+    (fun g ->
+      let head = ref 0 in
+      for p = f.Flat.fanin_off.(g) to f.Flat.fanin_off.(g + 1) - 1 do
+        let h = f.Flat.fanin_edges.(p) in
+        if f.Flat.is_gate.(h)
+           && (up.(h) > !head || (up.(h) = !head && h < prev.(g)))
+        then begin
+          head := up.(h);
+          prev.(g) <- h
+        end
+      done;
+      up.(g) <- eff.(g) + !head)
+    gates;
+  let through g = up.(g) + down.(g) - eff.(g) in
+  let live =
+    Array.of_seq (Seq.filter (fun g -> down.(g) >= 0) (Array.to_seq gates))
+  in
+  Array.sort
+    (fun a b ->
+      match Int.compare (through b) (through a) with
+      | 0 -> Int.compare a b
+      | c -> c)
+    live;
   let t_max = Array.make n 0.0 in
   let assigned = Array.make n false in
-  let gate_total = Circuit.gate_count circuit in
-  let remaining = ref gate_total in
-  let paths_used = ref 0 in
-  let eff = Kpaths.effective_fanouts f in
-  let w = Array.map float_of_int eff in
-  let paths = Kpaths.cursor ?max_paths f ~eff in
-  let path = Array.make (Flat.depth f) 0 in
-  (* eq. (3) on the [len] gates in [path], stored output to source and
-     folded source to output, the order the sums have always been taken
-     in. *)
-  let consume_path len =
-    let fresh = ref false in
-    for i = 0 to len - 1 do
-      if not assigned.(path.(i)) then fresh := true
+  let prefix = Array.make (Flat.depth f) 0 in
+  (* The path through [g]: its [prev] chain, read back source first, then
+     [g] and its [next] chain to the output. *)
+  let iter_path g fn =
+    let len = ref 0 and h = ref prev.(g) in
+    while !h >= 0 do
+      prefix.(!len) <- !h;
+      incr len;
+      h := prev.(!h)
     done;
-    if !fresh then begin
-      incr paths_used;
-      let already = ref 0.0 and denom = ref 0.0 in
-      for i = len - 1 downto 0 do
-        let g = path.(i) in
-        if assigned.(g) then already := !already +. t_max.(g)
-        else denom := !denom +. w.(g)
-      done;
-      (* if more critical paths already ate the whole budget, give the
-         stragglers a tiny positive share and let the final scaling pass
-         restore the guarantee. *)
-      let share =
-        Float.max (0.01 *. available) (available -. !already) /. !denom
-      in
-      for i = len - 1 downto 0 do
-        let g = path.(i) in
-        if not assigned.(g) then begin
-          t_max.(g) <- w.(g) *. share;
-          assigned.(g) <- true;
-          decr remaining
-        end
-      done
-    end
-  in
-  let rec drain () =
-    if !remaining > 0 then begin
-      let len = Kpaths.next paths path in
-      if len > 0 then begin
-        consume_path len;
-        drain ()
-      end
-    end
-  in
-  drain ();
-  (* Fallback for gates on no enumerated PI-to-PO path. *)
-  let fallback_gates = ref 0 in
-  if !remaining > 0 then begin
-    let up, down = chain_criticalities circuit f ~w in
-    for id = 0 to n - 1 do
-      if is_gate.(id) && not assigned.(id) then begin
-        let crit = up.(id) +. down.(id) -. w.(id) in
-        t_max.(id) <- available *. w.(id) /. Float.max w.(id) crit;
-        assigned.(id) <- true;
-        incr fallback_gates;
-        decr remaining
-      end
+    for i = !len - 1 downto 0 do
+      fn prefix.(i)
+    done;
+    h := g;
+    while !h >= 0 do
+      fn !h;
+      h := next.(!h)
     done
-  end;
+  in
+  (* The drain: the first unassigned gate in [live] has the largest
+     through-criticality of any unassigned gate, so its path is a most
+     critical path that still holds an unassigned gate. Eq. (3) splits
+     what the path's assigned gates left of the budget over its
+     unassigned ones, in proportion to their fanouts, sums folded source
+     to output. *)
+  let paths_used = ref 0 in
+  let already = ref 0.0 and denom = ref 0.0 in
+  let tally h =
+    if assigned.(h) then already := !already +. t_max.(h)
+    else denom := !denom +. w.(h)
+  in
+  Array.iter
+    (fun g ->
+      if not assigned.(g) then begin
+        incr paths_used;
+        already := 0.0;
+        denom := 0.0;
+        iter_path g tally;
+        (* if more critical paths already ate the whole budget, give the
+           stragglers a tiny positive share and let the final scaling pass
+           restore the guarantee. *)
+        let share =
+          Float.max (0.01 *. available) (available -. !already) /. !denom
+        in
+        iter_path g (fun h ->
+            if not assigned.(h) then begin
+              t_max.(h) <- w.(h) *. share;
+              assigned.(h) <- true
+            end)
+      end)
+    live;
+  (* Fallback for the dead gates, which reach no primary output: the
+     analogous share of the most critical chain through them. *)
+  let fallback_gates = ref 0 in
+  Array.iter
+    (fun g ->
+      if down.(g) < 0 then begin
+        let crit = up.(g) + chain.(g) - eff.(g) in
+        t_max.(g) <- available *. w.(g) /. float_of_int crit;
+        incr fallback_gates
+      end)
+    gates;
   (* Slope-feasibility lift (paper: post processing so the driven gate's
      budget is achievable given its drivers' budgets). *)
   let slope_adjusted = ref 0 in
-  Circuit.iter_topo circuit (fun id ->
-      if is_gate.(id) then begin
-        let worst_fanin =
-          max_over_gates f ~off:f.Flat.fanin_off ~edges:f.Flat.fanin_edges
-            t_max id
-        in
-        let floor_needed = slope_guard *. worst_fanin in
-        if t_max.(id) < floor_needed then begin
-          t_max.(id) <- floor_needed;
-          incr slope_adjusted
-        end
-      end);
+  Array.iter
+    (fun g ->
+      let floor_needed = slope_guard *. max_over_fanin_gates f t_max g in
+      if t_max.(g) < floor_needed then begin
+        t_max.(g) <- floor_needed;
+        incr slope_adjusted
+      end)
+    gates;
   (* Final guarantee: scale so no path exceeds the distributed budget. *)
   let _, critical_delay = Flat_sta.forward f ~delays:t_max in
   if critical_delay > available && critical_delay > 0.0 then begin
     let scale = available /. critical_delay in
     Array.iteri (fun id v -> t_max.(id) <- v *. scale) t_max
   end;
+  let gate_total = Array.length gates in
   Metrics.incr assign_counter;
   Metrics.incr ~by:!paths_used paths_counter;
   Metrics.incr ~by:!fallback_gates fallback_counter;

@@ -305,6 +305,138 @@ let test_greedy_dual_vt_improves () =
   Alcotest.(check int) "two thresholds" 2
     (List.length (Solution.vt_values dual))
 
+(* The promotion loop with a full Power_model.evaluate per probe: the
+   reference for the incremental greedy. *)
+let greedy_dual_vt_ref env solution =
+  let base = solution.Solution.design in
+  let vt_low =
+    match Solution.vt_values solution with v :: _ -> v | [] -> tech.Tech.vt_min
+  in
+  let candidates =
+    Dcopt_util.Numeric.linspace
+      ~lo:
+        (Dcopt_util.Numeric.clamp ~lo:tech.Tech.vt_min ~hi:tech.Tech.vt_max
+           (vt_low +. 0.05))
+      ~hi:tech.Tech.vt_max ~n:5
+  in
+  let sta =
+    Dcopt_timing.Flat_sta.analyze ~required_time:(Power_model.cycle_time env)
+      ?required_times:(Power_model.required_times env)
+      ?arrival_offsets:(Power_model.arrival_offsets env)
+      (Power_model.flat env)
+      ~delays:solution.Solution.evaluation.Power_model.delays
+  in
+  let slack = Dcopt_timing.Flat_sta.slack_of_endpoint sta in
+  let order =
+    List.sort
+      (fun a b -> Float.compare (slack b) (slack a))
+      (Array.to_list (Power_model.gate_ids env))
+  in
+  let promote best vt_high =
+    let design = { base with Power_model.vt = Array.copy base.Power_model.vt } in
+    let promoted =
+      List.fold_left
+        (fun k id ->
+          let saved = design.Power_model.vt.(id) in
+          design.Power_model.vt.(id) <- vt_high;
+          if (Power_model.evaluate env design).Power_model.feasible then k + 1
+          else begin
+            design.Power_model.vt.(id) <- saved;
+            k
+          end)
+        0 order
+    in
+    if promoted = 0 then best
+    else
+      let sol =
+        Solution.make ~label:"multi-vt"
+          ~meets_budgets:solution.Solution.meets_budgets env design
+      in
+      Option.value (Solution.better (Some best) sol) ~default:best
+  in
+  Array.fold_left
+    (fun best vt_high -> if vt_high > vt_low then promote best vt_high else best)
+    solution candidates
+
+let test_greedy_dual_vt_matches_full_evaluation () =
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  let check label core constraints =
+    let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
+    let env =
+      Power_model.make_env ?constraints ~tech ~fc core
+        (Activity.local_profile core specs)
+    in
+    let budgets =
+      (Delay_assign.assign ?constraints core ~cycle_time:(1.0 /. fc))
+        .Delay_assign.t_max
+    in
+    let budgets =
+      match
+        Budget_repair.repair env ~budgets ~vdd:tech.Tech.vdd_max
+          ~vt:tech.Tech.vt_min
+      with
+      | Budget_repair.Repaired { budgets; _ } -> budgets
+      | Budget_repair.Infeasible _ -> budgets
+    in
+    let single =
+      Option.get
+        (Heuristic.optimize
+           ~options:
+             { Heuristic.default_options with strategy = Heuristic.Grid_refine }
+           env ~budgets)
+    in
+    let want = greedy_dual_vt_ref env single in
+    let got = Multi_vt.greedy_dual_vt env single in
+    Alcotest.(check bool) (label ^ " promotes") true
+      (List.length (Solution.vt_values want) = 2);
+    Alcotest.(check (list int64)) (label ^ " vt bits")
+      (bits want.Solution.design.Power_model.vt)
+      (bits got.Solution.design.Power_model.vt);
+    Alcotest.(check (list int64)) (label ^ " energy bits")
+      (bits
+         [| Solution.static_energy want; Solution.dynamic_energy want;
+            Solution.total_energy want; Solution.critical_delay want |])
+      (bits
+         [| Solution.static_energy got; Solution.dynamic_energy got;
+            Solution.total_energy got; Solution.critical_delay got |])
+  in
+  (* an output delay on the first output and an input delay
+     on the first input: per-endpoint feasibility and seeded arrivals *)
+  let sdc core =
+    let name id = (Circuit.node core id).Circuit.name in
+    let tc = 1.0 /. fc in
+    {
+      (Dcopt_timing.Constraints.of_cycle_time tc) with
+      Dcopt_timing.Constraints.output_delays =
+        [
+          {
+            Dcopt_timing.Constraints.port = name (Circuit.outputs core).(0);
+            io_clock = None;
+            io_delay = 0.05 *. tc;
+          };
+        ];
+      input_delays =
+        [
+          {
+            Dcopt_timing.Constraints.port = name (Circuit.inputs core).(0);
+            io_clock = None;
+            io_delay = 0.02 *. tc;
+          };
+        ];
+    }
+  in
+  List.iter
+    (fun (label, core) ->
+      check label core None;
+      check (label ^ " sdc") core (Some (sdc core)))
+    [
+      ("s298", Circuit.combinational_core (Dcopt_suite.Suite.find_exn "s298"));
+      ("s1488", Circuit.combinational_core (Dcopt_suite.Suite.find_exn "s1488"));
+      ( "dag200",
+        Dcopt_netlist.Generator.(
+          random_dag (default_dag ~seed:1L ~gates:200 ())) );
+    ]
+
 let test_multi_vt_classify () =
   let _, env, budgets = setup () in
   let classes = Multi_vt.classify env ~budgets ~classes:3 in
@@ -366,8 +498,7 @@ let test_repair_detects_impossible () =
   | Budget_repair.Infeasible _ -> ()
   | Budget_repair.Repaired _ -> Alcotest.fail "30 GHz cannot be feasible"
 
-(* On generated DAGs across sizes, clocks, skew factors, path caps and
-   corners, repair either hands back budgets every gate can be sized to
+(* On generated DAGs across sizes, clocks, skew factors and corners, repair either hands back budgets every gate can be sized to
    or names a gate that cannot make it. *)
 let repair_sizes_or_names_property =
   QCheck.Test.make
@@ -375,7 +506,7 @@ let repair_sizes_or_names_property =
     QCheck.(
       pair (int_bound 10_000)
         (quad (int_bound 2) (int_bound 2) (int_bound 1) (int_bound 1)))
-    (fun (seed, (size, clock, cap, corner)) ->
+    (fun (seed, (size, clock, skew, corner)) ->
       let core =
         Dcopt_netlist.Generator.(
           random_dag
@@ -383,7 +514,7 @@ let repair_sizes_or_names_property =
                ~gates:[| 30; 200; 600 |].(size) ()))
       in
       let fc = [| 50e6; 300e6; 2e9 |].(clock) in
-      let skew_factor, max_paths = [| (0.95, None); (0.8, Some 8) |].(cap) in
+      let skew_factor = [| 0.95; 0.8 |].(skew) in
       let vdd, vt =
         [| (tech.Tech.vdd_max, tech.Tech.vt_min); (1.0, 0.3) |].(corner)
       in
@@ -392,7 +523,7 @@ let repair_sizes_or_names_property =
         Power_model.make_env ~tech ~fc core (Activity.local_profile core specs)
       in
       let raw =
-        (Delay_assign.assign ~skew_factor ?max_paths core ~cycle_time:(1.0 /. fc))
+        (Delay_assign.assign ~skew_factor core ~cycle_time:(1.0 /. fc))
           .Delay_assign.t_max
       in
       match Budget_repair.repair env ~budgets:raw ~vdd ~vt with
@@ -481,6 +612,8 @@ let () =
           Alcotest.test_case "greedy dual-vt improves" `Quick
             test_greedy_dual_vt_improves;
           Alcotest.test_case "classify" `Quick test_multi_vt_classify;
+          Alcotest.test_case "greedy dual-vt = full evaluation" `Quick
+            test_greedy_dual_vt_matches_full_evaluation;
         ] );
       ( "budget repair",
         [

@@ -4,7 +4,6 @@ module Patterns = Dcopt_netlist.Patterns
 module Generator = Dcopt_netlist.Generator
 module Flat = Dcopt_netlist.Flat
 module Flat_sta = Dcopt_timing.Flat_sta
-module Kpaths = Dcopt_timing.Kpaths
 module Delay_assign = Dcopt_timing.Delay_assign
 
 let diamond () =
@@ -83,169 +82,220 @@ let test_sta_meets () =
   Alcotest.(check (float 0.0)) "critical delay" 6.0 critical
 
 (* ------------------------------------------------------------------ *)
-(* K paths                                                             *)
+(* Differential against the brute-force oracle (test/proc1_ref.ml)     *)
 
-let test_effective_fanout_floor () =
-  let c = diamond () in
-  let eff = Kpaths.effective_fanouts (Flat.of_circuit c) in
-  (* out is a PO with no gate fanouts: effective fanout 1 *)
-  Alcotest.(check int) "po gate" 1 eff.(Circuit.find c "out");
-  Array.iteri
-    (fun id e ->
-      Alcotest.(check int) "floored fanout_count"
-        (max 1 (Circuit.fanout_count c id))
-        e)
-    eff
+let generated ~gates ~seed =
+  Circuit.combinational_core
+    (Generator.generate
+       {
+         Generator.profile_name = "proc1";
+         primary_inputs = 4;
+         primary_outputs = 3;
+         flip_flops = 2;
+         gates;
+         logic_depth = 6;
+         seed = Some (Int64.of_int seed);
+       })
 
-let test_kpaths_diamond () =
-  let c = diamond () in
-  let paths = List.of_seq (Kpaths.enumerate c) in
-  Alcotest.(check int) "two paths" 2 (List.length paths);
-  (* criticality sums: fast path = f(fast)+f(out) = 1+1; slow = 1+1+1 *)
-  match paths with
-  | [ p1; p2 ] ->
-    Alcotest.(check int) "most critical first" 3 p1.Kpaths.criticality;
-    Alcotest.(check int) "then the short one" 2 p2.Kpaths.criticality
-  | _ -> Alcotest.fail "expected exactly two"
+let dag ~gates seed =
+  Generator.random_dag (Generator.default_dag ~seed ~gates ())
 
-let test_kpaths_nonincreasing_property =
-  QCheck.Test.make ~name:"paths emitted in non-increasing criticality"
-    ~count:30
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let c =
-        Circuit.combinational_core
-          (Generator.generate
-             {
-               Generator.profile_name = "kp";
-               primary_inputs = 4;
-               primary_outputs = 3;
-               flip_flops = 2;
-               gates = 30;
-               logic_depth = 5;
-               seed = Some (Int64.of_int seed);
-             })
+(* Every suite core but s1488, whose 381,017 paths are too many to list,
+   and seeded 200-gate DAGs, which have dead gates. *)
+let oracle_inputs =
+  lazy
+    (List.filter_map
+       (fun (name, c) ->
+         if name = "s1488" then None
+         else Some (name, Circuit.combinational_core c))
+       (Dcopt_suite.Suite.all ())
+    @ List.map
+        (fun seed -> (Printf.sprintf "dag200/%Ld" seed, dag ~gates:200 seed))
+        [ 1L; 2L; 3L ])
+
+let bits a = Array.to_list (Array.map Int64.bits_of_float a)
+
+let matches_oracle ?(label = "") c =
+  let cycle_time = 1.0 /. 300e6 in
+  let b = Delay_assign.assign c ~cycle_time in
+  let r = Proc1_ref.assign c ~cycle_time in
+  Alcotest.(check (list int64)) (label ^ " t_max bits") (bits r.Proc1_ref.t_max)
+    (bits b.Delay_assign.t_max);
+  Alcotest.(check int) (label ^ " paths used") r.Proc1_ref.paths_used
+    b.Delay_assign.paths_used;
+  Alcotest.(check int) (label ^ " fallback gates") r.Proc1_ref.fallback_gates
+    b.Delay_assign.fallback_gates;
+  Alcotest.(check int) (label ^ " slope adjusted") r.Proc1_ref.slope_adjusted
+    b.Delay_assign.slope_adjusted
+
+let test_assign_matches_oracle () =
+  List.iter
+    (fun (label, c) -> matches_oracle ~label c)
+    (Lazy.force oracle_inputs)
+
+let generated_matches_oracle_property =
+  QCheck.Test.make ~name:"generated 30-60-gate circuits = oracle" ~count:40
+    QCheck.(pair (int_bound 10_000) (int_range 30 60))
+    (fun (seed, gates) ->
+      matches_oracle (generated ~gates ~seed);
+      true)
+
+(* Procedure 1's own definition, independent of the tie rule: replaying
+   the oracle's consumed paths, each holds a gate no earlier path holds,
+   and no path holding such a gate is more critical; at the end every
+   gate on a path is covered. *)
+let consumed_paths_most_critical c =
+  let all = Proc1_ref.paths c in
+  let covered = Array.make (Circuit.size c) false in
+  let fresh p = Array.exists (fun g -> not covered.(g)) p.Proc1_ref.gates in
+  List.for_all
+    (fun p ->
+      let best =
+        Array.fold_left
+          (fun acc q -> if fresh q then max acc q.Proc1_ref.criticality else acc)
+          (-1) all
       in
-      let paths = List.of_seq (Kpaths.enumerate ~max_paths:200 c) in
+      let ok = fresh p && p.Proc1_ref.criticality = best in
+      Array.iter (fun g -> covered.(g) <- true) p.Proc1_ref.gates;
+      ok)
+    (Proc1_ref.assign c ~cycle_time:1e-9).Proc1_ref.consumed
+  && not (Array.exists fresh all)
+
+let test_consumed_paths_most_critical () =
+  List.iter
+    (fun (label, c) ->
+      Alcotest.(check bool) label true (consumed_paths_most_critical c))
+    (Lazy.force oracle_inputs)
+
+(* Gates from which no primary output is reachable, by reverse
+   reachability from the outputs over fanin records. *)
+let dead_gate_count c =
+  let live = Array.make (Circuit.size c) false in
+  let rec mark id =
+    if not live.(id) then begin
+      live.(id) <- true;
+      Array.iter mark (Circuit.node c id).Circuit.fanins
+    end
+  in
+  Array.iter mark (Circuit.outputs c);
+  Array.fold_left
+    (fun acc nd ->
+      match nd.Circuit.kind with
+      | Gate.Input | Gate.Dff -> acc
+      | _ -> if live.(nd.Circuit.id) then acc else acc + 1)
+    0 (Circuit.nodes c)
+
+let test_fallback_counts_dead_gates () =
+  let c = dag ~gates:2000 4L in
+  let dead = dead_gate_count c in
+  Alcotest.(check bool) "the DAG has dead gates" true (dead > 0);
+  Alcotest.(check int) "2000-gate DAG" dead
+    (Delay_assign.assign c ~cycle_time:(1.0 /. 60e6)).Delay_assign.fallback_gates;
+  List.iter
+    (fun (name, c) ->
+      let c = Circuit.combinational_core c in
+      Alcotest.(check int) name 0 (dead_gate_count c);
+      Alcotest.(check int) name 0
+        (Delay_assign.assign c ~cycle_time:(1.0 /. 300e6))
+          .Delay_assign.fallback_gates)
+    (Dcopt_suite.Suite.all ())
+
+(* ------------------------------------------------------------------ *)
+(* Procedure 1's paths                                                 *)
+
+let test_effective_fanout_counts_output () =
+  (* g1 is a primary output and drives g2: its effective fanout is 2,
+     one consuming pin plus one for the output *)
+  let c =
+    Circuit.create ~name:"po-tap"
+      ~nodes:
+        [
+          ("a", Gate.Input, []);
+          ("g1", Gate.Not, [ "a" ]);
+          ("g2", Gate.Not, [ "g1" ]);
+        ]
+      ~outputs:[ "g1"; "g2" ]
+  in
+  let b = Delay_assign.assign ~skew_factor:1.0 c ~cycle_time:3.0 in
+  let t = b.Delay_assign.t_max in
+  Alcotest.(check (float 0.0)) "g1 twice the share" 2.0 t.(Circuit.find c "g1");
+  Alcotest.(check (float 0.0)) "g2" 1.0 t.(Circuit.find c "g2");
+  (* [g1] alone is a PI-to-PO path too, but [g1; g2] is more critical
+     and covers both *)
+  Alcotest.(check int) "paths used" 1 b.Delay_assign.paths_used
+
+let test_diamond_paths () =
+  let c = diamond () in
+  let ids = List.map (Circuit.find c) in
+  let consumed =
+    (Proc1_ref.assign c ~cycle_time:6.0).Proc1_ref.consumed
+    |> List.map (fun p ->
+           (Array.to_list p.Proc1_ref.gates, p.Proc1_ref.criticality))
+  in
+  (* criticality sums: slow path 1 + 1 + 1, then the fast path 1 + 1 *)
+  Alcotest.(check (list (pair (list int) int)))
+    "slow path first, then the fast one"
+    [ (ids [ "slow1"; "slow2"; "out" ], 3); (ids [ "fast"; "out" ], 2) ]
+    consumed;
+  Alcotest.(check int) "paths used" 2
+    (Delay_assign.assign c ~cycle_time:6.0).Delay_assign.paths_used
+
+let test_ladder_paths () =
+  (* the ladder is a chain of 5 gates, each with its own fresh input, so
+     there is one PI-to-PO path per start gate; the longest covers them
+     all and, every fanout being 1, splits the budget evenly *)
+  let c = Patterns.and_or_ladder ~rungs:5 in
+  Alcotest.(check int) "PI-to-PO paths" 5 (Array.length (Proc1_ref.paths c));
+  let b = Delay_assign.assign c ~cycle_time:1e-9 in
+  Alcotest.(check int) "paths used" 1 b.Delay_assign.paths_used;
+  Alcotest.(check int) "fallback gates" 0 b.Delay_assign.fallback_gates;
+  let t = b.Delay_assign.t_max in
+  let r0 = t.(Circuit.find c "r0") in
+  for i = 1 to 4 do
+    Alcotest.(check (float 0.0)) (Printf.sprintf "r%d = r0" i) r0
+      t.(Circuit.find c (Printf.sprintf "r%d" i))
+  done
+
+let consumed_nonincreasing_property =
+  QCheck.Test.make ~name:"paths consumed in non-increasing criticality"
+    ~count:30
+    QCheck.(pair (int_bound 10_000) (int_range 30 60))
+    (fun (seed, gates) ->
       let rec non_increasing = function
         | a :: (b :: _ as rest) ->
-          a.Kpaths.criticality >= b.Kpaths.criticality && non_increasing rest
+          a.Proc1_ref.criticality >= b.Proc1_ref.criticality
+          && non_increasing rest
         | _ -> true
       in
-      non_increasing paths)
+      non_increasing
+        (Proc1_ref.assign (generated ~gates ~seed) ~cycle_time:1e-9)
+          .Proc1_ref.consumed)
 
-let test_kpaths_paths_are_connected =
-  QCheck.Test.make ~name:"every emitted path is a fanin chain ending at a PO"
-    ~count:30
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let c =
-        Circuit.combinational_core
-          (Generator.generate
-             {
-               Generator.profile_name = "kpc";
-               primary_inputs = 4;
-               primary_outputs = 2;
-               flip_flops = 3;
-               gates = 40;
-               logic_depth = 6;
-               seed = Some (Int64.of_int seed);
-             })
-      in
-      let eff = Kpaths.effective_fanouts (Flat.of_circuit c) in
+let consumed_connected_property =
+  QCheck.Test.make
+    ~name:"every consumed path is a fanout chain from a PI to a PO" ~count:30
+    QCheck.(pair (int_bound 10_000) (int_range 30 60))
+    (fun (seed, gates) ->
+      let c = generated ~gates ~seed in
+      let is_pi id = (Circuit.node c id).Circuit.kind = Gate.Input in
       let ok_path p =
-        let ids = p.Kpaths.gate_ids in
+        let ids = p.Proc1_ref.gates in
         let len = Array.length ids in
         let chained = ref true in
         for i = 0 to len - 2 do
           if not (Array.mem ids.(i + 1) (Circuit.fanouts c ids.(i))) then
             chained := false
         done;
-        let ends_at_po = len > 0 && Circuit.is_output c ids.(len - 1) in
-        let crit_ok =
-          p.Kpaths.criticality
-          = Array.fold_left (fun acc id -> acc + eff.(id)) 0 ids
-        in
-        !chained && ends_at_po && crit_ok
+        len > 0 && !chained
+        && Array.exists is_pi (Circuit.node c ids.(0)).Circuit.fanins
+        && Circuit.is_output c ids.(len - 1)
+        && p.Proc1_ref.criticality
+           = Array.fold_left
+               (fun acc id -> acc + Int.max 1 (Circuit.fanout_count c id))
+               0 ids
       in
-      Kpaths.enumerate ~max_paths:100 c |> List.of_seq |> List.for_all ok_path)
-
-let test_kpaths_ladder_count () =
-  (* the ladder is a chain of 5 gates, each with its own fresh input, so
-     there is exactly one PI-to-PO path per possible start gate *)
-  let c = Patterns.and_or_ladder ~rungs:5 in
-  let paths = List.of_seq (Kpaths.enumerate c) in
-  Alcotest.(check int) "path count" 5 (List.length paths)
-
-let test_most_critical () =
-  let c = diamond () in
-  match List.of_seq (Kpaths.enumerate ~max_paths:1 c) with
-  | [ p ] -> Alcotest.(check int) "criticality" 3 p.Kpaths.criticality
-  | _ -> Alcotest.fail "expected exactly one path"
-
-(* ------------------------------------------------------------------ *)
-(* Differential against the list/heap oracle (test/kpaths_ref.ml)      *)
-
-(* Every suite circuit's combinational core and seeded 200- and
-   2000-gate DAGs. The default cap binds on s344, s349, s1488 and the
-   2000-gate DAGs; a cap of 8 sends most gates to the fallback. *)
-let differential_inputs =
-  lazy
-    (List.map
-       (fun (name, c) -> (name, Circuit.combinational_core c))
-       (Dcopt_suite.Suite.all ())
-    @ List.map
-        (fun (gates, seed) ->
-          ( Printf.sprintf "dag%d/%Ld" gates seed,
-            Generator.random_dag (Generator.default_dag ~seed ~gates ()) ))
-        [ (200, 1L); (200, 2L); (2000, 3L) ])
-
-let caps = [ None; Some 8 ]
-
-let cap_label name = function
-  | None -> name ^ " (default cap)"
-  | Some k -> Printf.sprintf "%s (cap %d)" name k
-
-let test_kpaths_matches_oracle () =
-  List.iter
-    (fun (name, c) ->
-      List.iter
-        (fun max_paths ->
-          let got =
-            Kpaths.enumerate ?max_paths c
-            |> Seq.map (fun p ->
-                   (Array.to_list p.Kpaths.gate_ids, p.Kpaths.criticality))
-            |> List.of_seq
-          in
-          Alcotest.(check (list (pair (list int) int)))
-            (cap_label name max_paths)
-            (Kpaths_ref.enumerate ?max_paths c)
-            got)
-        caps)
-    (Lazy.force differential_inputs)
-
-let test_assign_matches_oracle () =
-  let cycle_time = 1.0 /. 300e6 in
-  List.iter
-    (fun (name, c) ->
-      List.iter
-        (fun max_paths ->
-          let label = cap_label name max_paths in
-          let b = Delay_assign.assign ?max_paths c ~cycle_time in
-          let t_max, paths_used, fallback_gates, slope_adjusted =
-            Kpaths_ref.assign ?max_paths c ~cycle_time
-          in
-          let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
-          Alcotest.(check (list int64)) (label ^ " t_max bits") (bits t_max)
-            (bits b.Delay_assign.t_max);
-          Alcotest.(check int) (label ^ " paths used") paths_used
-            b.Delay_assign.paths_used;
-          Alcotest.(check int) (label ^ " fallback gates") fallback_gates
-            b.Delay_assign.fallback_gates;
-          Alcotest.(check int) (label ^ " slope adjusted") slope_adjusted
-            b.Delay_assign.slope_adjusted)
-        caps)
-    (Lazy.force differential_inputs)
+      let consumed = (Proc1_ref.assign c ~cycle_time:1e-9).Proc1_ref.consumed in
+      consumed <> [] && List.for_all ok_path consumed)
 
 (* ------------------------------------------------------------------ *)
 (* Delay assignment (Procedure 1)                                      *)
@@ -329,13 +379,12 @@ let budgets_positive_property =
         (Circuit.nodes c))
 
 (* The guarantee on generated DAGs, not just the ISCAS shapes: seeded
-   sizes, clocks and skew factors, at the default and a small path cap. *)
+   sizes, clocks and skew factors. *)
 let dag_budgets_verify_property =
   QCheck.Test.make ~name:"budgets on generated DAGs meet b * T_c" ~count:24
     QCheck.(
-      pair (int_bound 10_000)
-        (quad (int_bound 2) (int_bound 2) (int_bound 2) (int_bound 1)))
-    (fun (seed, (size, clock, skew, cap)) ->
+      pair (int_bound 10_000) (triple (int_bound 2) (int_bound 2) (int_bound 2)))
+    (fun (seed, (size, clock, skew)) ->
       let c =
         Generator.random_dag
           (Generator.default_dag ~seed:(Int64.of_int seed)
@@ -343,8 +392,7 @@ let dag_budgets_verify_property =
       in
       let cycle_time = [| 1e-9; 3.33e-9; 2e-8 |].(clock) in
       let skew_factor = [| 0.7; 0.95; 1.0 |].(skew) in
-      let max_paths = [| None; Some 8 |].(cap) in
-      let b = Delay_assign.assign ~skew_factor ?max_paths c ~cycle_time in
+      let b = Delay_assign.assign ~skew_factor c ~cycle_time in
       Delay_assign.verify c b ~cycle_time:(skew_factor *. cycle_time))
 
 let test_assign_rejects_bad_args () =
@@ -437,22 +485,24 @@ let () =
           Alcotest.test_case "critical path" `Quick test_sta_critical_path;
           Alcotest.test_case "meets" `Quick test_sta_meets;
         ] );
-      ( "kpaths",
+      ( "procedure 1 paths",
         [
-          Alcotest.test_case "effective fanout" `Quick
-            test_effective_fanout_floor;
-          Alcotest.test_case "diamond" `Quick test_kpaths_diamond;
-          Alcotest.test_case "ladder count" `Quick test_kpaths_ladder_count;
-          Alcotest.test_case "most critical" `Quick test_most_critical;
-          QCheck_alcotest.to_alcotest test_kpaths_nonincreasing_property;
-          QCheck_alcotest.to_alcotest test_kpaths_paths_are_connected;
+          Alcotest.test_case "effective fanout counts an output" `Quick
+            test_effective_fanout_counts_output;
+          Alcotest.test_case "diamond" `Quick test_diamond_paths;
+          Alcotest.test_case "ladder" `Quick test_ladder_paths;
+          QCheck_alcotest.to_alcotest consumed_nonincreasing_property;
+          QCheck_alcotest.to_alcotest consumed_connected_property;
         ] );
-      ( "kpaths oracle",
+      ( "procedure 1 oracle",
         [
-          Alcotest.test_case "emitted sequence" `Quick
-            test_kpaths_matches_oracle;
-          Alcotest.test_case "procedure 1 bits" `Quick
+          Alcotest.test_case "suite and DAG bits" `Quick
             test_assign_matches_oracle;
+          QCheck_alcotest.to_alcotest generated_matches_oracle_property;
+          Alcotest.test_case "consumed paths most critical" `Quick
+            test_consumed_paths_most_critical;
+          Alcotest.test_case "fallback counts dead gates" `Quick
+            test_fallback_counts_dead_gates;
         ] );
       ( "delay assignment",
         [
