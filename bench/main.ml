@@ -996,7 +996,7 @@ let run_timing () =
         let p = Flow.prepare (Suite.find_exn name) in
         let _, dt = wall (fun () -> (Dcopt_core.Optimizer.get "joint").Dcopt_core.Optimizer.run
       (Dcopt_core.Scenario.of_prepared p)) in
-        Dcopt_util.Text_table.add_row t [ name; Printf.sprintf "%.2f s" dt ];
+        Dcopt_util.Text_table.add_row t [ name; Dcopt_util.Si.format ~unit:"s" dt ];
         (name, dt))
       (if !quick then [ "s27" ] else [ "s27"; "s298"; "s344"; "s510" ])
   in

@@ -348,12 +348,21 @@ let ablation_short_circuit ?(config = Flow.default_config)
 
 let ablation_multi_vdd ?(config = Flow.default_config) ?(circuit = "s298") () =
   let p = prepare_at config circuit config.Flow.input_density in
-  let describe r =
+  let describe sol =
+    let d = sol.Solution.design in
+    let vdd_low, low =
+      match d.Power_model.rail with
+      | Some r -> (r.Power_model.vdd_low, fun id -> r.Power_model.low.(id))
+      | None -> (d.Power_model.vdd, fun _ -> false)
+    in
+    let count keep =
+      Array.fold_left
+        (fun k id -> if low id && keep id then k + 1 else k)
+        0 (Power_model.unsafe_gate_ids p.Flow.env)
+    in
     Printf.sprintf "%.2f V / %.2f V, %d gates on the low rail, %d converters"
-      r.Dcopt_opt.Multi_vdd.vdd_high r.Dcopt_opt.Multi_vdd.vdd_low
-      r.Dcopt_opt.Multi_vdd.supply_assignment.Dcopt_opt.Multi_vdd.low_count
-      r.Dcopt_opt.Multi_vdd.supply_assignment
-        .Dcopt_opt.Multi_vdd.converter_count
+      d.Power_model.vdd vdd_low (count (fun _ -> true))
+      (count (Circuit.is_output p.Flow.core))
   in
   let joint_single =
     optimized_energy p
@@ -365,10 +374,10 @@ let ablation_multi_vdd ?(config = Flow.default_config) ?(circuit = "s298") () =
     Flow.run_with_budgets ~name:"multi-vdd" p (fun budgets ->
         Dcopt_opt.Multi_vdd.optimize ~m_steps:p.Flow.config.Flow.m_steps
           p.Flow.env ~budgets)
-    |> Option.map (fun r ->
+    |> Option.map (fun sol ->
            { label = "joint dual-vdd";
-             value = Solution.total_energy r.Dcopt_opt.Multi_vdd.solution;
-             detail = describe r })
+             value = Solution.total_energy sol;
+             detail = describe sol })
   in
   (* the conventional-process case: Vt pinned at 700 mV, where a second
      rail has real headroom under the high baseline supply *)
@@ -387,10 +396,10 @@ let ablation_multi_vdd ?(config = Flow.default_config) ?(circuit = "s298") () =
     Option.bind fixed_budgets (fun budgets ->
         Dcopt_opt.Multi_vdd.optimize ~m_steps:config.Flow.m_steps
           ~vt_fixed:Dcopt_opt.Baseline.default_vt p.Flow.env ~budgets)
-    |> Option.map (fun r ->
+    |> Option.map (fun sol ->
            { label = "fixed-vt dual-vdd";
-             value = Solution.total_energy r.Dcopt_opt.Multi_vdd.solution;
-             detail = describe r })
+             value = Solution.total_energy sol;
+             detail = describe sol })
   in
   List.filter_map Fun.id [ joint_single; joint_dual; fixed_single; fixed_dual ]
 

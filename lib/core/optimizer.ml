@@ -99,21 +99,10 @@ let builtins =
       name = "multi-vdd";
       doc = "dual supplies via clustered voltage scaling";
       run =
-        (fun ?observer s ->
-          (* A multi-vdd design record holds only its high rail, so a
-             corner re-evaluation would score every gate on that rail. *)
-          if not (Scenario.is_legacy s) then
-            invalid_arg
-              "multi-vdd: process corners are not supported (a multi-vdd \
-               design records only its high supply, so re-evaluating it at \
-               a corner would score every gate on the high rail)";
-          scenario_run
-            (fun ?observer p ->
-              Flow.run_with_budgets ~name:"multi-vdd" p (fun budgets ->
-                  Multi_vdd.optimize ?observer
-                    ~m_steps:p.Flow.config.Flow.m_steps p.Flow.env ~budgets)
-              |> Option.map (fun r -> r.Multi_vdd.solution))
-            ?observer s);
+        scenario_run (fun ?observer p ->
+            Flow.run_with_budgets ~name:"multi-vdd" p (fun budgets ->
+                Multi_vdd.optimize ?observer ~m_steps:p.Flow.config.Flow.m_steps
+                  p.Flow.env ~budgets));
     };
     {
       name = "tilos";

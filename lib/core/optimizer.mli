@@ -11,11 +11,10 @@
     (a search strategy, [n_vt], annealing schedules) compose
     {!Flow.run_with_budgets} with the {!Dcopt_opt} engines directly.
 
-    Descriptors whose underlying engine takes no telemetry observer
-    (multi-vt, multi-vdd) ignore the argument — which also means
-    service timeouts cannot interrupt them mid-search (cooperative
-    cancellation rides the observer stream; see
-    {!Dcopt_service.Service}). *)
+    Every builtin hands [?observer] to its engine — multi-vt and
+    multi-vdd to their inner single-threshold search and then their own
+    trials — so service timeouts, which ride the observer stream
+    ({!Dcopt_service.Service}), interrupt any of them mid-search. *)
 
 type t = {
   name : string;  (** unique registry key, e.g. "joint" *)

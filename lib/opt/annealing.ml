@@ -87,11 +87,8 @@ let run_pass ?record env ~budgets ~options rng =
            ~vt:(Array.make n vt0) ~budgets)
     else
       (* the paper's setting: a cold mid-range start the walk must shape *)
-      {
-        Power_model.vdd = 0.6 *. tech.Tech.vdd_max;
-        vt = Array.make n vt0;
-        widths = Array.make n (sqrt (tech.Tech.w_min *. tech.Tech.w_max));
-      }
+      Power_model.uniform_design env ~vdd:(0.6 *. tech.Tech.vdd_max) ~vt:vt0
+        ~w:(sqrt (tech.Tech.w_min *. tech.Tech.w_max))
   in
   let cooling =
     if options.cooling > 0.0 then options.cooling

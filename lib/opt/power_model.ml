@@ -8,7 +8,14 @@ module Wire = Dcopt_wiring.Wire_model
 module Activity = Dcopt_activity.Activity
 module Par = Dcopt_par.Par
 
-type design = { mutable vdd : float; vt : float array; widths : float array }
+type rail = { vdd_low : float; low : bool array }
+
+type design = {
+  mutable vdd : float;
+  vt : float array;
+  widths : float array;
+  rail : rail option;
+}
 
 (* Per-node structural attributes live in flat columns indexed by node id
    (struct-of-arrays): the evaluation sweeps read contiguous float arrays
@@ -196,7 +203,7 @@ let activity env id =
 
 let uniform_design env ~vdd ~vt ~w =
   let n = Circuit.size env.env_circuit in
-  { vdd; vt = Array.make n vt; widths = Array.make n w }
+  { vdd; vt = Array.make n vt; widths = Array.make n w; rail = None }
 
 (* Fanout gate capacitance straight off the fanout CSR, folded in the
    same (ascending consumer id) order as Circuit.fanouts reports. *)
@@ -269,6 +276,27 @@ let drive_ctx cache ~vt =
   in
   find cache.cache_entries
 
+(* The caches of one sweep: the supply's, and the low rail's (on a
+   one-rail design the same cache, never asked). *)
+let rail_caches env design =
+  let high = drive_cache env ~vdd:design.vdd in
+  match design.rail with
+  | None -> (high, high)
+  | Some r -> (high, drive_cache env ~vdd:r.vdd_low)
+
+(* Level-converter model: a small dual-rail stage behind each low-rail
+   primary output. Its delay is two inverter-ish delays driven at the
+   low supply (in the gate's low-rail context); its switching energy is
+   a 6-w-unit gate load at the high supply. *)
+let converter_delay env ctx_low =
+  let tech = env.env_tech in
+  2.0
+  *. Drive.gate_delay tech ctx_low ~w:2.0
+       { Delay.no_load with Delay.cap_wire = 4.0 *. tech.Tech.c_gate }
+
+let converter_energy tech ~vdd ~activity =
+  0.5 *. activity *. vdd *. vdd *. (6.0 *. tech.Tech.c_gate)
+
 let sc_energy env ctx design ~max_fanin_delay id =
   Drive.short_circuit_energy ctx ~w:design.widths.(id) ~activity:env.acts.(id)
     ~input_transition_time:(Drive.transition_time_of_delay max_fanin_delay)
@@ -284,9 +312,13 @@ let sc_energy env ctx design ~max_fanin_delay id =
    non-finite term is clamped to +infinity in place — the result is an
    infinite (never NaN) objective that loses every comparison, and the
    evaluation is marked infeasible. The guard is the identity on finite
-   values, so well-conditioned designs are evaluated bit-identically. *)
-let eval_range env design cache delays arrival st_terms dy_terms sc_terms
-    tripped lo hi =
+   values, so well-conditioned designs are evaluated bit-identically.
+
+   A low-rail gate takes its context from the low rail's cache; at a
+   primary output it also drives a level converter, whose delay joins
+   the gate's and whose energy gets a column of its own, [cv_terms]. *)
+let eval_range env design (cache, low_cache) delays arrival st_terms dy_terms
+    sc_terms cv_terms tripped lo hi =
   let f = env.env_flat in
   let order = f.Flat.gate_level_order in
   let fanin_off = f.Flat.fanin_off in
@@ -314,11 +346,17 @@ let eval_range env design cache delays arrival st_terms dy_terms sc_terms
       worst_arrival := Float.max !worst_arrival (Array.unsafe_get arrival fi)
     done;
     let max_fanin_delay = !max_fanin_delay in
-    let ctx = drive_ctx cache ~vt:design.vt.(id) in
+    let low = match design.rail with Some r -> r.low.(id) | None -> false in
+    let ctx = drive_ctx (if low then low_cache else cache) ~vt:design.vt.(id) in
+    let converts = low && Circuit.is_output env.env_circuit id in
     let w = design.widths.(id) in
     (* one load per gate: the delay and the dynamic-energy term share it *)
     let load = gate_load env design ~max_fanin_delay id in
-    let d = guarded "evaluate.delay" (Drive.gate_delay tech ctx ~w load) in
+    let d = Drive.gate_delay tech ctx ~w load in
+    let d =
+      guarded "evaluate.delay"
+        (if converts then d +. converter_delay env ctx else d)
+    in
     Array.unsafe_set delays id d;
     Array.unsafe_set arrival id (!worst_arrival +. d);
     Array.unsafe_set st_terms id
@@ -326,6 +364,10 @@ let eval_range env design cache delays arrival st_terms dy_terms sc_terms
     Array.unsafe_set dy_terms id
       (guarded "evaluate.dynamic"
          (Drive.dynamic_energy tech ctx ~w ~activity:env.acts.(id) ~load));
+    if converts then
+      cv_terms.(id) <-
+        guarded "evaluate.dynamic"
+          (converter_energy tech ~vdd:design.vdd ~activity:env.acts.(id));
     if env.short_circuit then
       Array.unsafe_set sc_terms id
         (guarded "evaluate.short_circuit"
@@ -361,8 +403,10 @@ let evaluate_with ~jobs ~min_par_width env design =
   let dy_terms = Array.make n 0.0 in
   (* read and written only when the short-circuit term is on *)
   let sc_terms = if env.short_circuit then Array.make n 0.0 else [||] in
+  let two_rail = Option.is_some design.rail in
+  let cv_terms = if two_rail then Array.make n 0.0 else [||] in
   let tripped = Atomic.make false in
-  let cache = drive_cache env ~vdd:design.vdd in
+  let caches = rail_caches env design in
   let f = env.env_flat in
   let off = f.Flat.gate_level_off in
   for l = 0 to f.Flat.depth do
@@ -378,13 +422,12 @@ let evaluate_with ~jobs ~min_par_width env design =
             let clo = lo + (c * chunk) in
             let chi = min hi (clo + chunk) in
             if clo < chi then
-              let ccache = drive_cache env ~vdd:design.vdd in
-              eval_range env design ccache delays arrival st_terms dy_terms
-                sc_terms tripped clo chi)
+              eval_range env design (rail_caches env design) delays arrival
+                st_terms dy_terms sc_terms cv_terms tripped clo chi)
       end
       else
-        eval_range env design cache delays arrival st_terms dy_terms sc_terms
-          tripped lo hi
+        eval_range env design caches delays arrival st_terms dy_terms sc_terms
+          cv_terms tripped lo hi
   done;
   (* Deterministic sequential folds in topological gate order: each
      accumulator sees exactly the same additions, in the same order, as
@@ -395,6 +438,9 @@ let evaluate_with ~jobs ~min_par_width env design =
     (fun id ->
       static_e := !static_e +. st_terms.(id);
       dynamic_e := !dynamic_e +. dy_terms.(id);
+      (* a converter's energy is a term of its own, right after its
+         gate's: summing the two first would round the total differently *)
+      if two_rail then dynamic_e := !dynamic_e +. cv_terms.(id);
       if env.short_circuit then short_e := !short_e +. sc_terms.(id))
     env.gates_topo;
   let critical_delay =
@@ -455,7 +501,9 @@ let size_gate_with sizer ctx env design ~budgets id =
 
 let size_all env ~vdd ~vt ~budgets =
   let n = Circuit.size env.env_circuit in
-  let design = { vdd; vt; widths = Array.make n env.env_tech.Tech.w_min } in
+  let design =
+    { vdd; vt; widths = Array.make n env.env_tech.Tech.w_min; rail = None }
+  in
   let cache = drive_cache env ~vdd in
   let sizer = Drive.sizer env.env_tech in
   let all_met = ref true in
@@ -580,6 +628,8 @@ module Incr = struct
     if Array.length design.vt <> Circuit.size env.env_circuit
        || Array.length design.widths <> Circuit.size env.env_circuit
     then invalid_arg "Power_model.Incr.create: design size mismatch";
+    if Option.is_some design.rail then
+      invalid_arg "Power_model.Incr.create: two-rail design";
     let n = Circuit.size env.env_circuit in
     let t =
       {
@@ -735,11 +785,7 @@ module Incr = struct
   let critical_delay t = t.crit
 
   let feasible t =
-    match t.ienv.req_times with
-    | None -> t.crit <= t.ienv.tc *. (1.0 +. 1e-6)
-    | Some _ ->
-      arrivals_feasible t.ienv ~critical_delay:t.crit
-        (Incr_sta.arrivals t.ist)
+    arrivals_feasible t.ienv ~critical_delay:t.crit (Incr_sta.arrivals t.ist)
 
   let critical_path t =
     Dcopt_timing.Flat_sta.critical_path_of_arrival t.ienv.env_flat

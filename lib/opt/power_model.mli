@@ -5,12 +5,24 @@
     point — a supply voltage, per-gate thresholds and per-gate widths — in
     O(gates). *)
 
+type rail = {
+  vdd_low : float;      (** the second supply, V *)
+  low : bool array;     (** per node id: the gate runs from [vdd_low];
+                            only gate entries are read *)
+}
+(** A second supply rail (clustered voltage scaling, {!Multi_vdd}). A
+    low-rail gate that is a primary output drives a level converter:
+    {!evaluate} adds the converter's delay, driven in the gate's low-rail
+    context, to the gate's, and its switching energy at [vdd] to the
+    gate's dynamic term. *)
+
 type design = {
   mutable vdd : float;
                         (** mutable so {!Incr} global moves can swing the
                             supply in place; treat as read-only elsewhere *)
   vt : float array;     (** per node id; only gate entries are read *)
   widths : float array; (** per node id, in w-units; only gate entries read *)
+  rail : rail option;   (** [None]: every gate runs from [vdd] *)
 }
 
 type env
@@ -28,7 +40,9 @@ type evaluation = {
   dynamic_power : float;   (** W *)
   delays : float array;    (** achieved per-gate delays, s *)
   critical_delay : float;  (** achieved critical path delay, s *)
-  feasible : bool;         (** critical delay <= cycle time *)
+  feasible : bool;
+    (** every primary output meets its required time
+        ({!arrivals_feasible}) and no term was clamped *)
 }
 
 val make_env :
@@ -119,6 +133,10 @@ val budget_fanin_delay : env -> budgets:float array -> int -> float
 (** Max of the drivers' delay budgets — the conservative driver delay used
     while sizing (a driver meeting its budget can only be faster). *)
 
+val converter_delay : env -> Dcopt_device.Drive.ctx -> float
+(** The level converter's delay behind a low-rail primary output, in the
+    gate's low-rail context — what {!evaluate} adds to its delay. *)
+
 val arrivals_feasible :
   env -> critical_delay:float -> float array -> bool
 (** The feasibility verdict of {!evaluate}: with per-endpoint required
@@ -128,7 +146,9 @@ val arrivals_feasible :
 
 val evaluate : env -> design -> evaluation
 (** Full evaluation: achieved delays by topological propagation, energy
-    totals over all gates, feasibility against the cycle time.
+    totals over all gates, feasibility per endpoint
+    ({!arrivals_feasible}). Each gate is scored in the context of its
+    rail, level converters included (see {!rail}).
 
     Poison-safe: a non-finite delay or energy term (vt at or above vdd,
     overflow) is clamped to [+infinity] via {!Guard.clamp} — the result
@@ -211,7 +231,8 @@ module Incr : sig
   (** Full initial evaluation. The design record is owned by the engine
       from here on: mutate it only through [set_*] (callers may still
       probe-and-restore fields between engine calls, as TILOS's
-      sensitivity probe does).
+      sensitivity probe does). Raises [Invalid_argument] on a two-rail
+      design: no optimizer moves one incrementally.
 
       Raises {!Guard.Non_finite} when the design evaluates to a
       non-finite delay or energy term (e.g. vt at or above vdd): the

@@ -96,6 +96,23 @@ let json_schema_version = 1
 let float_array_json a =
   Json.List (List.map (fun f -> Json.Float f) (Array.to_list a))
 
+(* One-rail designs write no [rail] member, so their rows stay
+   byte-identical to rows written before the member existed. *)
+let rail_json = function
+  | None -> []
+  | Some r ->
+    [
+      ( "rail",
+        Json.Obj
+          [
+            ("vdd_low", Json.Float r.Power_model.vdd_low);
+            ( "low",
+              Json.List
+                (List.map (fun b -> Json.Bool b) (Array.to_list r.Power_model.low))
+            );
+          ] );
+    ]
+
 let to_json t =
   let d = t.design and e = t.evaluation in
   Json.Obj
@@ -105,11 +122,12 @@ let to_json t =
       ("meets_budgets", Json.Bool t.meets_budgets);
       ( "design",
         Json.Obj
-          [
-            ("vdd", Json.Float d.Power_model.vdd);
-            ("vt", float_array_json d.Power_model.vt);
-            ("widths", float_array_json d.Power_model.widths);
-          ] );
+          ([
+             ("vdd", Json.Float d.Power_model.vdd);
+             ("vt", float_array_json d.Power_model.vt);
+             ("widths", float_array_json d.Power_model.widths);
+           ]
+          @ rail_json d.Power_model.rail) );
       ( "evaluation",
         Json.Obj
           [
@@ -148,6 +166,19 @@ let float_array_of json name =
   in
   convert [] items
 
+let rail_of d ~n =
+  match Json.field "rail" d with
+  | None -> Ok None
+  | Some r ->
+    let* vdd_low = req r "vdd_low" Json.get_float in
+    let* items = req r "low" Json.get_list in
+    let low = List.filter_map Json.get_bool items in
+    if List.length low <> List.length items then
+      Error "solution: \"low\" must be an array of booleans"
+    else if List.length low <> n then
+      Error "solution: \"low\" and \"vt\" differ in length"
+    else Ok (Some { Power_model.vdd_low; low = Array.of_list low })
+
 let of_json json =
   let* version = req json "version" Json.get_int in
   if version <> json_schema_version then
@@ -159,6 +190,7 @@ let of_json json =
     let* vdd = req d "vdd" Json.get_float in
     let* vt = float_array_of d "vt" in
     let* widths = float_array_of d "widths" in
+    let* rail = rail_of d ~n:(Array.length vt) in
     let* e = req json "evaluation" Option.some in
     let* static_energy = req e "static_energy" Json.get_float in
     let* dynamic_energy = req e "dynamic_energy" Json.get_float in
@@ -173,7 +205,7 @@ let of_json json =
       {
         label;
         meets_budgets;
-        design = { Power_model.vdd; vt; widths };
+        design = { Power_model.vdd; vt; widths; rail };
         evaluation =
           {
             Power_model.static_energy;

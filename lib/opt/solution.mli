@@ -75,6 +75,10 @@ val to_json : t -> Dcopt_util.Json.t
 (** Versioned JSON (schema version 1) carrying the full design and
     evaluation — including the per-node [vt]/[widths]/[delays] arrays —
     with exact float round-trips, so {!of_json} reproduces the solution
-    bit-for-bit. Used by the service result cache and [minpower --json]. *)
+    bit-for-bit. A two-rail design adds a [design.rail] member holding
+    [vdd_low] and the per-node [low] flags; a one-rail design has none.
+    Used by the service result cache and [minpower --json]. *)
 
 val of_json : Dcopt_util.Json.t -> (t, string) result
+(** Inverse of {!to_json}. A missing [design.rail] is one rail; a [low]
+    array whose length differs from [vt]'s is an error. *)

@@ -7,16 +7,9 @@ module Numeric = Dcopt_util.Numeric
 let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
   let tech = Power_model.tech env in
   let circuit = Power_model.circuit env in
-  let n = Circuit.size circuit in
   let gate_count = max 1 (Circuit.gate_count circuit) in
   let limit = Option.value max_iterations ~default:(50 * gate_count) in
-  let design =
-    {
-      Power_model.vdd;
-      vt = Array.make n vt;
-      widths = Array.make n tech.Tech.w_min;
-    }
-  in
+  let design = Power_model.uniform_design env ~vdd ~vt ~w:tech.Tech.w_min in
   (* Vdd and Vt are uniform here, so one context serves every probe. *)
   let ctx = Power_model.drive env ~vdd ~vt in
   let fc = Power_model.clock_frequency env in

@@ -19,9 +19,10 @@
       [job.retries] times; each attempt gets a fresh deadline.
 
     Timeouts are cooperative: the service injects a deadline check into
-    the optimizer's telemetry observer stream, so optimizers that ignore
-    [?observer] (multi-vt, multi-vdd — see {!Dcopt_core.Optimizer})
-    run to completion regardless.
+    the optimizer's telemetry observer stream. Every builtin optimizer
+    streams its trials ({!Dcopt_core.Optimizer}), so a deadline reaches
+    each of them mid-search; a registered optimizer that ignores
+    [?observer] runs to completion regardless.
 
     Observability (all under the [service.] prefix): [jobs],
     [solved]/[infeasible]/[failed], [cache.hits]/[cache.misses] and

@@ -17,7 +17,7 @@ type t = { dir : string }
 
 (* bump whenever device models, optimizers or the config/solution
    schemas change numerically observable behaviour *)
-let code_model_version = "3"
+let code_model_version = "4"
 
 let rec mkdir_p path =
   if not (Sys.file_exists path) then begin

@@ -255,8 +255,7 @@ let test_multivdd_equal_rails_matches_single () =
   let a = Multi_vdd.classify env ~budgets ~slack_threshold:1.5 in
   match Multi_vdd.evaluate env a ~vdd_high:1.0 ~vdd_low:1.0 ~vt:0.2 ~budgets with
   | None -> Alcotest.fail "equal rails should size"
-  | Some r ->
-    Alcotest.(check bool) "feasible" true (Solution.feasible r.Multi_vdd.solution)
+  | Some sol -> Alcotest.(check bool) "feasible" true (Solution.feasible sol)
 
 let test_multivdd_rejects_inverted_rails () =
   let env, budgets = setup "s27" in
@@ -276,12 +275,14 @@ let test_multivdd_optimize_no_worse () =
   in
   match Multi_vdd.optimize env ~budgets with
   | None -> Alcotest.fail "expected a result"
-  | Some r ->
+  | Some sol ->
     Alcotest.(check bool) "no worse than single" true
-      (Solution.total_energy r.Multi_vdd.solution
+      (Solution.total_energy sol
       <= Solution.total_energy single *. (1.0 +. 1e-9));
     Alcotest.(check bool) "rails ordered" true
-      (r.Multi_vdd.vdd_low <= r.Multi_vdd.vdd_high)
+      (match sol.Solution.design.Power_model.rail with
+       | Some r -> r.Power_model.vdd_low <= Solution.vdd sol
+       | None -> true)
 
 (* With a per-endpoint constraint (an output delay of a quarter cycle on
    the first output), multi-vdd's feasibility verdict must be the one the
@@ -335,13 +336,14 @@ let test_multivdd_helps_fixed_vt () =
   let single = Option.get (Dcopt_opt.Baseline.optimize env ~budgets) in
   match Multi_vdd.optimize ~vt_fixed:0.7 env ~budgets with
   | None -> Alcotest.fail "expected a result"
-  | Some r ->
+  | Some sol ->
     (* at the high conventional supply the second rail has headroom *)
     Alcotest.(check bool) "some gates on the low rail" true
-      (r.Multi_vdd.supply_assignment.Multi_vdd.low_count > 0);
+      (match sol.Solution.design.Power_model.rail with
+       | Some r -> Array.exists Fun.id r.Power_model.low
+       | None -> false);
     Alcotest.(check bool) "saves energy" true
-      (Solution.total_energy r.Multi_vdd.solution
-      < Solution.total_energy single)
+      (Solution.total_energy sol < Solution.total_energy single)
 
 (* ------------------------------------------------------------------ *)
 (* Yield                                                               *)

@@ -165,23 +165,42 @@ let check_evaluation_bits what (a : Power_model.evaluation)
 
 (* The parallel power sweep carries the same determinism contract as the
    timing sweeps: chunking only partitions the gate index space, and the
-   totals are folded sequentially afterwards. *)
+   totals are folded sequentially afterwards. The two-rail design puts
+   every third node on a low rail, so each chunk builds both rails'
+   contexts and some outputs drive converters. *)
 let test_evaluate_par_differential () =
   List.iter
     (fun (what, gates) ->
       let env = make_env (generated 21L gates) in
-      let design =
-        Power_model.uniform_design env ~vdd:(0.8 *. tech.Tech.vdd_max)
+      let vdd = 0.8 *. tech.Tech.vdd_max in
+      let one_rail =
+        Power_model.uniform_design env ~vdd
           ~vt:(0.5 *. (tech.Tech.vt_min +. tech.Tech.vt_max))
           ~w:4.0
       in
-      let seq = Power_model.evaluate_seq env design in
-      let p1 = Power_model.evaluate_par ~jobs:1 env design in
-      let p4 =
-        Power_model.evaluate_par ~jobs:4 ~min_par_width:1 env design
+      let two_rail =
+        {
+          one_rail with
+          Power_model.rail =
+            Some
+              {
+                Power_model.vdd_low = 0.6 *. vdd;
+                low = Array.init (Array.length one_rail.Power_model.vt)
+                        (fun id -> id mod 3 = 0);
+              };
+        }
       in
-      check_evaluation_bits (what ^ " par jobs:1 vs seq") seq p1;
-      check_evaluation_bits (what ^ " par jobs:4 vs seq") seq p4)
+      List.iter
+        (fun (rails, design) ->
+          let what = what ^ rails in
+          let seq = Power_model.evaluate_seq env design in
+          let p1 = Power_model.evaluate_par ~jobs:1 env design in
+          let p4 =
+            Power_model.evaluate_par ~jobs:4 ~min_par_width:1 env design
+          in
+          check_evaluation_bits (what ^ " par jobs:1 vs seq") seq p1;
+          check_evaluation_bits (what ^ " par jobs:4 vs seq") seq p4)
+        [ ("", one_rail); (" two-rail", two_rail) ])
     [ ("pm-1k", 1_000); ("pm-10k", 10_000) ]
 
 let check_rel what reference fast =

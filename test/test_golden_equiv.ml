@@ -15,7 +15,10 @@
    [gate_delay <= budget] — as the oracle and require every width to be
    bitwise equal, on the suite and on generated DAGs, under raw and
    repaired budgets, over a (vdd, vt) grid and a two-threshold design,
-   and on a width range where the kernel must bisect every gate. *)
+   and on a width range where the kernel must bisect every gate.
+
+   Two-rail designs are scored against the sweep Multi_vdd kept before
+   the design record carried its rail (Mvdd_ref). *)
 
 module Circuit = Dcopt_netlist.Circuit
 module Tech = Dcopt_device.Tech
@@ -102,7 +105,7 @@ let reference_size_all env ~vdd ~vt ~budgets =
   let tech = Power_model.tech env in
   let n = Circuit.size (Power_model.circuit env) in
   let design =
-    { Power_model.vdd; vt; widths = Array.make n tech.Tech.w_min }
+    { Power_model.vdd; vt; widths = Array.make n tech.Tech.w_min; rail = None }
   in
   let gates = Power_model.gate_ids env in
   let all_met = ref true in
@@ -308,6 +311,128 @@ let test_size_all_non_dyadic () =
   Alcotest.(check int) "every sized gate bisected" gates
     (counter "sizing.bisections" - bisections0)
 
+(* ------------------------------------------------------------------ *)
+(* Two rails: Power_model.evaluate against the sweep Multi_vdd kept
+   before the design record carried its rail (Mvdd_ref). Delays,
+   critical delay, feasibility and every energy total match to the bit:
+   evaluate adds each converter's energy to the running dynamic sum
+   right after its gate's term, as the sweep did. *)
+
+module Multi_vdd = Dcopt_opt.Multi_vdd
+module Constraints = Dcopt_timing.Constraints
+
+(* (vdd_high, vdd_low, vt), equal rails included *)
+let rail_points =
+  [ (1.0, 0.5, 0.15); (1.0, 0.65, 0.3); (0.8, 0.8, 0.2); (1.2, 0.6, 0.25);
+    (0.6, 0.48, 0.12) ]
+
+let check_two_rail ~what env (design : Power_model.design) =
+  let vdd_high = design.Power_model.vdd in
+  let vdd_low, uses_low =
+    match design.Power_model.rail with
+    | Some r -> (r.Power_model.vdd_low, r.Power_model.low)
+    | None -> Alcotest.failf "%s: expected a two-rail design" what
+  in
+  let vt = design.Power_model.vt.((Power_model.gate_ids env).(0)) in
+  let fast = Power_model.evaluate env design in
+  let refe =
+    Mvdd_ref.evaluate env ~vdd_high ~vdd_low ~vt ~uses_low
+      ~widths:design.Power_model.widths
+  in
+  check_bits (what ^ " static") refe.Power_model.static_energy
+    fast.Power_model.static_energy;
+  check_bits (what ^ " dynamic") refe.Power_model.dynamic_energy
+    fast.Power_model.dynamic_energy;
+  check_bits (what ^ " total") refe.Power_model.total_energy
+    fast.Power_model.total_energy;
+  check_bits (what ^ " critical") refe.Power_model.critical_delay
+    fast.Power_model.critical_delay;
+  Alcotest.(check bool) (what ^ " feasible") refe.Power_model.feasible
+    fast.Power_model.feasible;
+  Array.iteri
+    (fun id d ->
+      check_bits (Printf.sprintf "%s delay[%d]" what id) d
+        fast.Power_model.delays.(id))
+    refe.Power_model.delays
+
+(* An output delay on the first output and an input delay on the first
+   input: per-endpoint feasibility and seeded arrivals. *)
+let sdc_constraints core ~fc =
+  let name id = (Circuit.node core id).Circuit.name in
+  let tc = 1.0 /. fc in
+  let io port d = { Constraints.port = name port; io_clock = None; io_delay = d } in
+  {
+    (Constraints.of_cycle_time tc) with
+    Constraints.output_delays = [ io (Circuit.outputs core).(0) (0.05 *. tc) ];
+    input_delays = [ io (Circuit.inputs core).(0) (0.02 *. tc) ];
+  }
+
+(* On each suite core and a 200-gate DAG, under a scalar and an SDC env,
+   at the nominal and a slow corner, at every rail point: the design
+   Multi_vdd.evaluate sizes when it sizes, and otherwise classify's
+   assignment at size_all's high-rail widths; plus every gate on the low
+   rail, so every output drives a converter. *)
+let test_two_rail_bitwise () =
+  let inputs =
+    List.map
+      (fun (name, c) -> (name, Circuit.combinational_core c, 300e6))
+      (Dcopt_suite.Suite.all ())
+    @ [ ("dag200", dag ~seed:3L ~gates:200, 60e6) ]
+  in
+  let sized = ref 0 in
+  List.iter
+    (fun (name, core, fc) ->
+      let n = Circuit.size core in
+      let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
+      let profile = Activity.local_profile core specs in
+      let budgets =
+        (Delay_assign.assign core ~cycle_time:(1.0 /. fc)).Delay_assign.t_max
+      in
+      List.iter
+        (fun (env_label, constraints) ->
+          let nominal = Power_model.make_env ?constraints ~tech ~fc core profile in
+          let assignment =
+            Multi_vdd.classify nominal ~budgets ~slack_threshold:1.5
+          in
+          let all_low = Array.make n false in
+          Array.iter (fun id -> all_low.(id) <- true) (Power_model.gate_ids nominal);
+          List.iter
+            (fun env ->
+              List.iter
+                (fun (vdd_high, vdd_low, vt) ->
+                  let what label =
+                    Printf.sprintf "%s %s stress=%g %.2f/%.2f V vt=%.2f %s"
+                      name env_label (Power_model.vt_stress env) vdd_high
+                      vdd_low vt label
+                  in
+                  let widths =
+                    (fst
+                       (Power_model.size_all env ~vdd:vdd_high
+                          ~vt:(Array.make n vt) ~budgets))
+                      .Power_model.widths
+                  in
+                  let design low =
+                    { Power_model.vdd = vdd_high; vt = Array.make n vt;
+                      widths; rail = Some { Power_model.vdd_low; low } }
+                  in
+                  (match
+                     Multi_vdd.evaluate env assignment ~vdd_high ~vdd_low ~vt
+                       ~budgets
+                   with
+                  | Some sol ->
+                    incr sized;
+                    check_two_rail ~what:(what "sized") env
+                      sol.Dcopt_opt.Solution.design
+                  | None ->
+                    check_two_rail ~what:(what "classified") env
+                      (design (Array.copy assignment.Multi_vdd.uses_low)));
+                  check_two_rail ~what:(what "all low") env (design all_low))
+                rail_points)
+            [ nominal; Power_model.with_vt_stress nominal 1.1 ])
+        [ ("scalar", None); ("sdc", Some (sdc_constraints core ~fc)) ])
+    inputs;
+  Alcotest.(check bool) "Multi_vdd sized some points" true (!sized > 0)
+
 let () =
   Alcotest.run "golden_equiv"
     [
@@ -322,5 +447,10 @@ let () =
             test_size_all_bitwise;
           Alcotest.test_case "non-dyadic range bisects, bitwise" `Quick
             test_size_all_non_dyadic;
+        ] );
+      ( "two rails",
+        [
+          Alcotest.test_case "suite and DAG = private sweep" `Quick
+            test_two_rail_bitwise;
         ] );
     ]

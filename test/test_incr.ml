@@ -131,6 +131,20 @@ let random_dag () =
       seed = Some 42L;
     }
 
+(* No optimizer moves a two-rail design, so the engine refuses one at
+   the door instead of scoring every gate on the high rail. *)
+let test_refuses_two_rails () =
+  let core = s27 () in
+  let env = make_env core in
+  let design = Power_model.uniform_design env ~vdd:1.0 ~vt:0.2 ~w:4.0 in
+  let low = Array.make (Circuit.size core) true in
+  match
+    Incr.create env
+      { design with Power_model.rail = Some { Power_model.vdd_low = 0.7; low } }
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Incr.create accepted a two-rail design"
+
 let () =
   Alcotest.run "incr"
     [
@@ -149,5 +163,7 @@ let () =
             "s27 + short-circuit: 200 moves match full evaluate" `Quick
             (run_moves ~include_short_circuit:true ~moves:200 ~seed:0x5CL
                "s27-sc" (s27 ()));
+          Alcotest.test_case "two-rail design refused" `Quick
+            test_refuses_two_rails;
         ] );
     ]

@@ -1,6 +1,7 @@
 module Flow = Dcopt_core.Flow
 module Optimizer = Dcopt_core.Optimizer
 module Solution = Dcopt_opt.Solution
+module Power_model = Dcopt_opt.Power_model
 module Suite = Dcopt_suite.Suite
 module Tech = Dcopt_device.Tech
 module Tech_io = Dcopt_device.Tech_io
@@ -72,18 +73,56 @@ let test_tech_roundtrip () =
       (Json.to_string (Tech_io.to_json tech'))
 
 let test_solution_roundtrip () =
-  let p = Flow.prepare (Suite.find_exn "s27") in
-  match (Dcopt_core.Optimizer.get "baseline").Dcopt_core.Optimizer.run
-      (Dcopt_core.Scenario.of_prepared p) with
-  | None -> Alcotest.fail "s27 baseline infeasible"
-  | Some sol -> (
+  let solve ?(config = Flow.default_config) optimizer =
+    let p = Flow.prepare ~config (Suite.find_exn "s27") in
+    match
+      (Dcopt_core.Optimizer.get optimizer).Dcopt_core.Optimizer.run
+        (Dcopt_core.Scenario.of_prepared p)
+    with
+    | None -> Alcotest.failf "s27 %s infeasible" optimizer
+    | Some sol -> sol
+  in
+  let roundtrip what sol =
     let j1 = Solution.to_json sol in
     match Solution.of_json j1 with
     | Error msg -> Alcotest.fail msg
     | Ok sol' ->
       Alcotest.(check string)
-        "solution json round-trips byte-exactly" (Json.to_string j1)
-        (Json.to_string (Solution.to_json sol')))
+        (what ^ " solution json round-trips byte-exactly") (Json.to_string j1)
+        (Json.to_string (Solution.to_json sol'));
+      sol'
+  in
+  let one = roundtrip "one-rail" (solve "baseline") in
+  Alcotest.(check bool) "no rail member, one rail" true
+    (one.Solution.design.Power_model.rail = None);
+  let two =
+    solve ~config:{ Flow.default_config with Flow.clock_frequency = 270e6 }
+      "multi-vdd"
+  in
+  let two' = roundtrip "two-rail" two in
+  Alcotest.(check bool) "the rail survives" true
+    (two'.Solution.design.Power_model.rail <> None);
+  (* a [low] array one flag short of [vt] is refused *)
+  let shorten = function
+    | Json.List (_ :: rest) -> Json.List rest
+    | j -> j
+  in
+  let rec edit path f json =
+    match (path, json) with
+    | [], j -> f j
+    | key :: rest, Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = key then (k, edit rest f v) else (k, v))
+           fields)
+    | _, j -> j
+  in
+  match
+    Solution.of_json
+      (edit [ "design"; "rail"; "low" ] shorten (Solution.to_json two))
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a low array shorter than vt must be rejected"
 
 let test_job_and_row_roundtrip () =
   let job =
@@ -302,45 +341,120 @@ let test_timeout_multi_optimizers () =
       | _ -> Alcotest.fail (r.Job.job_id ^ " should time out"))
     rows
 
-(* A multi-vdd design records only its high rail, so the optimizer
-   refuses process corners: the row fails with the reason and is never
-   stored, while the same job without corners is untouched. *)
-let test_multivdd_refuses_corners () =
-  let contains ~sub s =
-    let n = String.length sub in
-    let rec at i =
-      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+(* A row re-evaluated from its own JSON, with Power_model.evaluate on
+   the env Flow.prepare builds from its job's config, reproduces the
+   row's evaluation bit for bit (Solution JSON round-trips floats
+   exactly, so equal strings are equal bits). *)
+let check_row_reevaluates (job : Job.t) row =
+  let what = Option.value job.Job.id ~default:job.Job.circuit in
+  match
+    Result.bind (Json.of_string (Json.to_string (Job.row_to_json row)))
+      Job.row_of_json
+  with
+  | Ok { Job.outcome = Job.Solved sol; _ } ->
+    let config =
+      match job.Job.config with
+      | None -> Flow.default_config
+      | Some overrides -> Result.get_ok (Flow.config_of_json overrides)
     in
-    at 0
+    let p = Flow.prepare ~config (Suite.find_exn job.Job.circuit) in
+    let again =
+      { sol with
+        Solution.evaluation = Power_model.evaluate p.Flow.env sol.Solution.design }
+    in
+    Alcotest.(check string) (what ^ " re-evaluates bit for bit")
+      (Json.to_string (Solution.to_json sol))
+      (Json.to_string (Solution.to_json again))
+  | Ok _ -> Alcotest.failf "%s: expected a solved row" what
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+let rails (sol : Solution.t) =
+  match sol.Solution.design.Power_model.rail with Some _ -> 2 | None -> 1
+
+let solved row =
+  match row.Job.outcome with
+  | Job.Solved sol -> sol
+  | _ -> Alcotest.failf "%s: expected a solution" row.Job.job_id
+
+(* The multi-vdd jobs of the seed-1 iscas-sweep workload of bench/e2e:
+   every row re-evaluates to itself, the two-rail ones included. *)
+let test_multivdd_rows_reevaluate () =
+  let jobs =
+    List.map
+      (fun (circuit, fc) ->
+        Job.make ~id:(circuit ^ "-multi-vdd") ~optimizer:"multi-vdd"
+          ~config:(Json.Obj [ ("clock_frequency", Json.Float fc) ])
+          circuit)
+      [ ("s27", 270e6); ("s298", 140e6); ("s344", 200e6); ("s349", 140e6);
+        ("s382", 270e6); ("s386", 260e6); ("s400", 170e6); ("s444", 220e6);
+        ("s510", 220e6); ("s526", 230e6); ("s820", 240e6); ("s832", 190e6);
+        ("s1488", 160e6) ]
   in
-  let corner name =
-    Json.Obj [ ("name", Json.String name); ("vt_factor", Json.Float 1.0) ]
+  let rows = Service.run_batch jobs in
+  List.iter2 check_row_reevaluates jobs rows;
+  Alcotest.(check bool) "some rows have two rails" true
+    (List.exists (fun r -> rails (solved r) = 2) rows)
+
+(* With the crowbar term on, two-rail candidates are scored with it too:
+   on s298 at 300 MHz none then beats the single-rail design, whose
+   short-circuit energy the row reports. *)
+let test_multivdd_short_circuit () =
+  let job =
+    Job.make ~id:"s298-sc" ~optimizer:"multi-vdd"
+      ~config:(Json.Obj [ ("include_short_circuit", Json.Bool true) ])
+      "s298"
   in
-  let scenarios =
+  match Service.run_batch [ job ] with
+  | [ row ] ->
+    let sol = solved row in
+    Alcotest.(check bool) "short-circuit energy reported" true
+      (sol.Solution.evaluation.Power_model.short_circuit_energy > 0.0);
+    check_row_reevaluates job row
+  | _ -> Alcotest.fail "expected one row"
+
+(* Corners re-evaluate a multi-vdd design rail by rail: two corners at
+   vt_factor 1.0 return the plain job's two-rail solution bit for bit,
+   and a leaky/slow pair solves and is stored. *)
+let test_multivdd_corners () =
+  let scenarios corners =
     Json.Obj
-      [ ("version", Json.Int 1); ("corners", Json.List [ corner "a"; corner "b" ]) ]
+      [
+        ("version", Json.Int 1);
+        ( "corners",
+          Json.List
+            (List.map
+               (fun (name, f) ->
+                 Json.Obj
+                   [ ("name", Json.String name); ("vt_factor", Json.Float f) ])
+               corners) );
+      ]
   in
-  let plain () = Job.make ~id:"plain" ~optimizer:"multi-vdd" "s27" in
+  let job ?scenarios id =
+    Job.make ~id ~optimizer:"multi-vdd" ?scenarios
+      ~config:(Json.Obj [ ("clock_frequency", Json.Float 270e6) ])
+      "s27"
+  in
   let store = Store.open_ (temp_store ()) in
   let rows =
     Service.run_batch ~store
-      [ Job.make ~id:"corners" ~optimizer:"multi-vdd" ~scenarios "s27"; plain () ]
+      [
+        job "plain";
+        job ~scenarios:(scenarios [ ("a", 1.0); ("b", 1.0) ]) "twin";
+        job ~scenarios:(scenarios [ ("leaky", 0.9); ("slow", 1.1) ]) "corners";
+      ]
   in
+  let json sol = Json.to_string (Solution.to_json sol) in
   match rows with
-  | [ corners; plain_row ] ->
-    (match corners.Job.outcome with
-    | Job.Failed { error; _ } ->
-      Alcotest.(check bool) "says why" true
-        (contains ~sub:"process corners are not supported" error)
-    | _ -> Alcotest.fail "a multi-vdd job with corners must fail");
-    Alcotest.(check bool) "failed row not stored" true
-      (Store.find store corners.Job.digest = None);
-    Alcotest.(check bool) "plain row stored" true
-      (Store.find store plain_row.Job.digest <> None);
-    let alone = Service.run_batch [ plain () ] in
-    Alcotest.(check string) "plain row unchanged" (rows_to_string alone)
-      (rows_to_string [ plain_row ])
-  | _ -> Alcotest.fail "expected two rows"
+  | [ plain; twin; corners ] ->
+    Alcotest.(check int) "the plain design has two rails" 2
+      (rails (solved plain));
+    Alcotest.(check string) "1.0/1.0 corners = plain job, bit for bit"
+      (json (solved plain)) (json (solved twin));
+    Alcotest.(check bool) "leaky/slow solves" true
+      (Solution.feasible (solved corners));
+    Alcotest.(check bool) "leaky/slow row stored" true
+      (Store.find store corners.Job.digest <> None)
+  | _ -> Alcotest.fail "expected three rows"
 
 let test_unknown_inputs_become_rows () =
   let rows =
@@ -702,8 +816,12 @@ let () =
           Alcotest.test_case "cooperative timeout" `Quick test_timeout;
           Alcotest.test_case "timeout reaches multi-vt and multi-vdd" `Quick
             test_timeout_multi_optimizers;
-          Alcotest.test_case "multi-vdd refuses corners" `Quick
-            test_multivdd_refuses_corners;
+          Alcotest.test_case "multi-vdd corners" `Quick
+            test_multivdd_corners;
+          Alcotest.test_case "multi-vdd rows re-evaluate" `Quick
+            test_multivdd_rows_reevaluate;
+          Alcotest.test_case "multi-vdd short circuit" `Quick
+            test_multivdd_short_circuit;
           Alcotest.test_case "unknown inputs" `Quick
             test_unknown_inputs_become_rows;
         ] );
