@@ -192,26 +192,20 @@ let finish obs code =
       Logs.err (fun m -> m "cannot write trace: %s" msg);
       if code = 0 then 1 else code)
 
-let load_circuit spec =
-  if Sys.file_exists spec then
-    match Dcopt_netlist.Bench_format.parse_file_checked spec with
-    | Ok c -> Ok c
-    | Error diags ->
-      (* every problem in the file, one located line each, plus a roll-up *)
-      Error
-        (Dcopt_util.Diag.render diags
-        ^ Printf.sprintf "%s: %s" spec (Dcopt_util.Diag.summary diags))
-  else
-    match Suite.find spec with
-    | Ok c -> Ok c
-    | Error msg -> Error (msg ^ " (try `minpower list`)")
-
 let with_circuit spec f =
-  match load_circuit spec with
+  match Service.resolve_circuit spec with
   | Error msg ->
-    Printf.eprintf "%s\n" msg;
+    prerr_endline msg;
     1
   | Ok circuit -> f circuit
+
+(* Every diagnostic of one input on stderr, one located line each, then a
+   roll-up naming the input; the command exits 2. *)
+let report_diags (source, diags) =
+  Printf.eprintf "%s%s: %s\n" (Diag.render diags) source (Diag.summary diags);
+  2
+
+let ( let* ) = Result.bind
 
 let circuit_arg =
   let doc =
@@ -235,7 +229,7 @@ let cycle_target_arg =
 
 let sdc_arg =
   let doc =
-    "SDC-lite constraint file: clock periods, per-endpoint      set_max_delay/set_min_delay, false paths and I/O delays. The      tightest clock period defines the clock frequency; conflicts with      $(b,--cycle-target)."
+    "SDC-lite constraint file: clock periods, per-endpoint      set_max_delay, false paths and I/O delays; set_min_delay and the      other unmodelled commands are checked, then ignored with a warning      on stderr. The      tightest clock period defines the clock frequency; conflicts with      $(b,--cycle-target)."
   in
   Arg.(value & opt (some file) None & info [ "sdc" ] ~docv:"FILE" ~doc)
 
@@ -279,23 +273,42 @@ let tech_arg =
   let doc = "Technology file (key = value format; see `minpower tech`)." in
   Arg.(value & opt (some file) None & info [ "tech" ] ~docv:"FILE" ~doc)
 
-let load_tech = function
-  | None -> Dcopt_device.Tech.default
-  | Some path -> Dcopt_device.Tech_io.parse_file path
-
+(* The run configuration of the shared flags. A --tech file that does not
+   parse, or a configuration that Flow.validate_config refuses, comes back
+   as the input's name and its located diagnostics, so no command reaches
+   Flow.prepare with it. *)
 let config_of ?tech fc activity probability m_steps exact =
-  {
-    Flow.default_config with
-    Flow.tech = load_tech tech;
-    Flow.clock_frequency = fc;
-    input_density = activity;
-    input_probability = probability;
-    m_steps;
-    engine = (if exact then Flow.Exact_when_small else Flow.First_order);
-  }
+  let* tech =
+    match tech with
+    | None -> Ok Dcopt_device.Tech.default
+    | Some path ->
+      Result.map_error
+        (fun diags -> (path, diags))
+        (Dcopt_device.Tech_io.parse_file_checked path)
+  in
+  let config =
+    {
+      Flow.default_config with
+      Flow.tech;
+      Flow.clock_frequency = fc;
+      input_density = activity;
+      input_probability = probability;
+      m_steps;
+      engine = (if exact then Flow.Exact_when_small else Flow.First_order);
+    }
+  in
+  match Diag.errors (Flow.validate_config config) with
+  | [] -> Ok config
+  | errors ->
+    let source = "<command-line>" in
+    Error
+      (source, List.map (fun d -> { d with Diag.file = Some source }) errors)
 
 let with_prepared spec config f =
-  with_circuit spec (fun circuit -> f (Flow.prepare ~config circuit))
+  match config with
+  | Error e -> report_diags e
+  | Ok config ->
+    with_circuit spec (fun circuit -> f (Flow.prepare ~config circuit))
 
 (* Shared --json convention: commands that produce a solution can emit it
    as the versioned machine-readable document of Solution.to_json instead
@@ -368,20 +381,17 @@ let optimize_cmd =
           in
           finish obs
             (with_circuit spec (fun circuit ->
-                 let constraints_result =
-                   match sdc with
-                   | None -> Ok None
-                   | Some path -> (
-                     match Sdc.parse_file_checked ~circuit path with
-                     | Ok c -> Ok (Some c)
-                     | Error diags -> Error (path, diags))
-                 in
-                 match constraints_result with
-                 | Error (path, diags) ->
-                   Printf.eprintf "%s%s: %s\n" (Diag.render diags) path
-                     (Diag.summary diags);
-                   2
-                 | Ok constraints ->
+                 let run =
+                   let* constraints, warnings =
+                     match sdc with
+                     | None -> Ok (None, [])
+                     | Some path -> (
+                       match Sdc.parse_file_checked ~circuit path with
+                       | Ok (c, warnings) -> Ok (Some c, warnings)
+                       | Error diags -> Error (path, diags))
+                   in
+                   (* ignored commands and options: said, not fatal *)
+                   prerr_string (Diag.render warnings);
                    let fc =
                      match (cycle_target, constraints) with
                      | Some t, _ -> 1.0 /. t
@@ -391,7 +401,7 @@ let optimize_cmd =
                        | None -> fc)
                      | None, None -> fc
                    in
-                   let config =
+                   let* config =
                      config_of ?tech fc activity probability m_steps exact
                    in
                    let p = Flow.prepare ~config ?constraints circuit in
@@ -416,7 +426,9 @@ let optimize_cmd =
                        let name = if grid then "joint-grid" else "joint" in
                        (Optimizer.get name).Optimizer.run s
                    in
-                   print_solution ~json p sol))))
+                   Ok (print_solution ~json p sol)
+                 in
+                 match run with Ok code -> code | Error e -> report_diags e))))
   in
   let doc = "Jointly optimize Vdd, Vt and device widths (Procedure 2)." in
   Cmd.v
@@ -818,9 +830,35 @@ let generate_cmd =
 
 let pareto_cmd =
   let run spec activity probability m_steps points fc_lo fc_hi obs =
-    let frequencies =
-      Dcopt_util.Numeric.log_interp_points ~lo:fc_lo ~hi:fc_hi ~n:points
+    (* the sweep and every point's configuration are checked before the
+       first point runs *)
+    let configs =
+      let* frequencies =
+        if points >= 2 && fc_lo > 0.0 && fc_hi >= fc_lo then
+          Ok
+            (Dcopt_util.Numeric.log_interp_points ~lo:fc_lo ~hi:fc_hi
+               ~n:points)
+        else
+          let source = "<command-line>" in
+          Error
+            ( source,
+              [
+                Diag.errorf ~file:source ~code:"config.range"
+                  "--points %d --fc-min %g --fc-max %g: a sweep needs at \
+                   least 2 points and 0 < fc-min <= fc-max"
+                  points fc_lo fc_hi;
+              ] )
+      in
+      Array.fold_right
+        (fun fc acc ->
+          let* config = config_of fc activity probability m_steps false in
+          let* configs = acc in
+          Ok (config :: configs))
+        frequencies (Ok [])
     in
+    match configs with
+    | Error e -> finish obs (report_diags e)
+    | Ok configs ->
     finish obs
       (with_circuit spec (fun circuit ->
            let table =
@@ -829,9 +867,9 @@ let pareto_cmd =
                  [ "Clock"; "Vdd (V)"; "Vt (mV)"; "Energy/cycle"; "Power";
                    "Energy*Delay" ]
            in
-           Array.iter
-             (fun fc ->
-               let config = config_of fc activity probability m_steps false in
+           List.iter
+             (fun config ->
+               let fc = config.Flow.clock_frequency in
                let p = Flow.prepare ~config circuit in
                match
                  (Optimizer.get "joint-grid").Optimizer.run
@@ -856,7 +894,7 @@ let pareto_cmd =
                      Si.format ~unit:"W" (e *. fc);
                      Si.format ~unit:"Js" (e /. fc);
                    ])
-             frequencies;
+             configs;
            Text_table.print table;
            0))
   in
@@ -946,9 +984,11 @@ let spice_cmd =
 let equiv_cmd =
   let run spec_a spec_b obs =
     finish obs
-      (match (load_circuit spec_a, load_circuit spec_b) with
+      (match
+         (Service.resolve_circuit spec_a, Service.resolve_circuit spec_b)
+       with
       | Error msg, _ | _, Error msg ->
-        Printf.eprintf "%s\n" msg;
+        prerr_endline msg;
         2
       | Ok a, Ok b -> (
         let core_a = Circuit.combinational_core a in

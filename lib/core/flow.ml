@@ -327,7 +327,10 @@ let config_of_json ?(base = default_config) json =
               Error (Printf.sprintf "config: unsupported version %d" n)
             | None -> Error "config: version must be an integer")
           | "tech" ->
-            let* tech = Dcopt_device.Tech_io.of_json ~base:config.tech v in
+            let* tech =
+              Result.map_error (( ^ ) "config: ")
+                (Dcopt_device.Tech_io.of_json ~base:config.tech v)
+            in
             Ok { config with tech }
           | "clock_frequency" ->
             let* f = float_of key v in
@@ -339,7 +342,9 @@ let config_of_json ?(base = default_config) json =
             let* f = float_of key v in
             Ok { config with input_density = f }
           | "engine" ->
-            let* engine = engine_of_json v in
+            let* engine =
+              Result.map_error (( ^ ) "config: ") (engine_of_json v)
+            in
             Ok { config with engine }
           | "skew_factor" ->
             let* f = float_of key v in

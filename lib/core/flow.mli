@@ -61,7 +61,8 @@ val config_of_json :
   ?base:config -> Dcopt_util.Json.t -> (config, string) result
 (** Reads a (possibly partial) config object over [base] (default
     {!default_config}), so job specs can override single fields; unknown
-    fields are typed errors. *)
+    fields are typed errors. Every error message starts with
+    ["config: "], so callers pass it on as is. *)
 
 type prepared = {
   config : config;

@@ -141,19 +141,8 @@ let corners_of_spec spec =
     match !diags with [] -> Ok corners | ds -> Error (List.rev ds)
 
 (* ------------------------------------------------------------------ *)
-(* JSON for the batch job [scenarios] field (the enclosing scenarios
-   object carries the schema version). *)
-
-let corners_to_json corners =
-  Json.List
-    (List.map
-       (fun c ->
-         Json.Obj
-           [
-             ("name", Json.String c.corner_name);
-             ("vt_factor", Json.Float c.vt_factor);
-           ])
-       corners)
+(* The batch job [scenarios] field's corner list (the enclosing
+   scenarios object carries the schema version). *)
 
 let corners_of_json json =
   let ( let* ) = Result.bind in

@@ -70,12 +70,12 @@ val corners_of_spec : string -> (corner list, Dcopt_util.Diag.t list) result
     or an explicit [name:factor] pair. Problems are located
     [config.corners] diagnostics against ["<command-line>"]. *)
 
-val corners_to_json : corner list -> Dcopt_util.Json.t
 val corners_of_json :
   Dcopt_util.Json.t -> (corner list, string) result
-(** The ["corners"] list of the batch job [scenarios] field (the
-    enclosing object carries the schema version); exact float
-    round-trips, same validation as {!make}. *)
+(** Reads the ["corners"] list of the batch job [scenarios] field, a
+    list of [{"name": string, "vt_factor": number}] objects (the
+    enclosing object carries the schema version); same validation as
+    {!make}. *)
 
 val corners_digest_string : corner list -> string
 (** Canonical one-line rendering folded into the result-store digest —

@@ -1,5 +1,3 @@
-exception Parse_error of { line : int; message : string }
-
 (* Field table: name, getter (for serialization), setter (for parsing).
    Keeping both directions side by side makes it impossible to add a field
    to one and forget the other. *)
@@ -104,23 +102,11 @@ let parse ?file ?(base = Tech.default) text =
   | [] -> Ok !tech
   | ds -> Error ds
 
-let parse_string ?base text =
-  match parse ?base text with
-  | Ok tech -> tech
-  | Error ds -> (
-    match Diag.errors ds with
-    | { Diag.line = Some line; message; _ } :: _ ->
-      raise (Parse_error { line; message })
-    | { Diag.message; _ } :: _ -> invalid_arg ("Tech_io.parse_string: " ^ message)
-    | [] -> assert false)
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_file ?base path = parse_string ?base (read_file path)
 
 let parse_file_checked ?base path =
   match read_file path with
@@ -136,12 +122,6 @@ let to_string t =
       Buffer.add_string buf (Printf.sprintf "%s = %.17g\n" k (get t)))
     float_fields;
   Buffer.contents buf
-
-let write_file path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
 
 (* ------------------------------------------------------------------ *)
 (* JSON (schema version 1): {"version":1,"name":...,<float fields>}    *)

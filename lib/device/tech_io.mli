@@ -15,9 +15,8 @@
 
     Unknown keys are rejected (typos should not silently become defaults);
     omitted keys inherit from a base technology (default {!Tech.default}).
-    [to_string] then [parse_string] round-trips exactly. *)
-
-exception Parse_error of { line : int; message : string }
+    [to_string] then {!parse} round-trips exactly. A malformed file comes
+    back as located diagnostics, never as an exception. *)
 
 val parse :
   ?file:string ->
@@ -30,22 +29,13 @@ val parse :
     so every problem in a file is reported at once. [Error] is never
     empty. *)
 
-val parse_string : ?base:Tech.t -> string -> Tech.t
-(** First-error wrapper over {!parse}: raises {!Parse_error} on syntax
-    errors/unknown keys and [Invalid_argument] when the resulting record
-    fails {!Tech.validate}. *)
-
-val parse_file : ?base:Tech.t -> string -> Tech.t
-
 val parse_file_checked :
   ?base:Tech.t -> string -> (Tech.t, Dcopt_util.Diag.t list) result
 (** {!parse} on a file's contents (unreadable file = one [tech.io]
     diagnostic), with the path stamped into every diagnostic. *)
 
 val to_string : Tech.t -> string
-(** Every field, one per line, parseable by {!parse_string}. *)
-
-val write_file : string -> Tech.t -> unit
+(** Every field, one per line, parseable by {!parse}. *)
 
 val known_keys : string list
 (** Accepted parameter names, for error messages and documentation. *)

@@ -1,5 +1,3 @@
-exception Parse_error of { line : int; message : string }
-
 module Diag = Dcopt_util.Diag
 
 let strip s =
@@ -146,25 +144,11 @@ let parse ?file ~name text =
              Diag.error ?file ~code p)
            problems))
 
-let parse_string ~name text =
-  match parse ~name text with
-  | Ok c -> c
-  | Error ds -> (
-    match Diag.errors ds with
-    | { Diag.line = Some line; message; _ } :: _ ->
-      raise (Parse_error { line; message })
-    | { Diag.message; _ } :: _ -> raise (Circuit.Invalid message)
-    | [] -> assert false)
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_file path =
-  let base = Filename.remove_extension (Filename.basename path) in
-  parse_string ~name:base (read_file path)
 
 let parse_file_checked path =
   match read_file path with

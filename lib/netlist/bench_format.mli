@@ -2,9 +2,10 @@
 
     The format: one declaration per line, [#] comments,
     [INPUT(n)] / [OUTPUT(n)] pin declarations and
-    [n = KIND(a, b, ...)] gate definitions. *)
+    [n = KIND(a, b, ...)] gate definitions.
 
-exception Parse_error of { line : int; message : string }
+    {!parse} and {!parse_file_checked} are the only readers: a malformed
+    netlist comes back as located diagnostics, never as an exception. *)
 
 val parse :
   ?file:string ->
@@ -19,23 +20,15 @@ val parse :
     back as [bench.cycle]/[bench.semantic]/[bench.empty]). [?file] is
     stamped into the diagnostics' locations. [Error] is never empty. *)
 
-val parse_string : name:string -> string -> Circuit.t
-(** [parse_string ~name text] parses `.bench` [text] into a validated
-    circuit called [name]. First-error wrapper over {!parse}: raises
-    {!Parse_error} when the first error has a line and {!Circuit.Invalid}
-    otherwise. *)
-
-val parse_file : string -> Circuit.t
-(** Reads a file; the circuit takes the file's basename (without extension)
-    as its name. *)
-
 val parse_file_checked : string -> (Circuit.t, Dcopt_util.Diag.t list) result
 (** {!parse} on a file's contents (unreadable file = one [bench.io]
-    diagnostic); the path is stamped into every diagnostic. *)
+    diagnostic); the circuit takes the file's basename (without
+    extension) as its name, and the path is stamped into every
+    diagnostic. *)
 
 val to_string : Circuit.t -> string
 (** Renders a circuit back to `.bench` text (header comment, INPUT/OUTPUT
-    declarations, then gate definitions in id order). [parse_string] of the
+    declarations, then gate definitions in id order). {!parse} of the
     result reconstructs an identical circuit. *)
 
 val write_file : string -> Circuit.t -> unit

@@ -21,8 +21,8 @@ type t = {
           {!Dcopt_core.Flow.config_of_json} *)
   scenarios : Dcopt_util.Json.t option;
       (** versioned multi-corner scenario object: [{"version": 1,
-          "sdc": "<path>", "corners": <Scenario.corners_to_json>}], both
-          inner members optional. Resolution failures (unreadable or
+          "sdc": "<path>", "corners": [{"name": ..., "vt_factor": ...}]}],
+          both inner members optional. Resolution failures (unreadable or
           diagnosed SDC, bad corner list) become typed per-job failures.
           Jobs without this field keep their pre-scenario store digest. *)
   timeout_s : float option;

@@ -61,11 +61,14 @@ let batch_seq = Atomic.make 0
 
 exception Timed_out
 
+(* Diagnostics as one row-sized line: every one, in order, each with
+   its own location. *)
+let diags_line diags = String.concat "; " (List.map Diag.to_string diags)
+
 let resolve_circuit spec =
   if Sys.file_exists spec then
-    try Ok (Dcopt_netlist.Bench_format.parse_file spec)
-    with Dcopt_netlist.Bench_format.Parse_error { line; message } ->
-      Error (Printf.sprintf "%s:%d: %s" spec line message)
+    Result.map_error diags_line
+      (Dcopt_netlist.Bench_format.parse_file_checked spec)
   else Dcopt_suite.Suite.find spec
 
 (* A job whose inputs all resolved: ready to digest and run. *)
@@ -75,6 +78,7 @@ type resolved = {
   circuit : Dcopt_netlist.Circuit.t;
   constraints : Constraints.t option;
   corners : Scenario.corner list option;
+  warnings : Diag.t list;  (** input warnings, logged and never in rows *)
   key : string;
   timeout_s : float option;
   retries : int;
@@ -86,9 +90,9 @@ let scenarios_schema_version = 1
 
 (* The [scenarios] job field: both members optional, any resolution
    failure (unreadable/diagnosed SDC, bad corner entry) is a typed
-   per-job error. *)
+   per-job error; a clean SDC file's warnings come back beside it. *)
 let resolve_scenarios circuit = function
-  | None -> Ok (None, None)
+  | None -> Ok (None, [], None)
   | Some sc ->
     let* () =
       match Json.get_obj sc with
@@ -109,19 +113,16 @@ let resolve_scenarios circuit = function
       | Some _ -> Error "scenarios: unsupported schema version"
       | None -> Error "scenarios: missing \"version\""
     in
-    let* constraints =
+    let* constraints, warnings =
       match Json.field "sdc" sc with
-      | None -> Ok None
+      | None -> Ok (None, [])
       | Some v -> (
         match Json.get_string v with
         | None -> Error "scenarios: \"sdc\" must be a file path"
         | Some path -> (
           match Sdc.parse_file_checked ~circuit path with
-          | Ok c -> Ok (Some c)
-          | Error diags ->
-            Error
-              ("sdc: "
-              ^ String.concat "; " (List.map Diag.to_string diags))))
+          | Ok (c, warnings) -> Ok (Some c, warnings)
+          | Error diags -> Error ("sdc: " ^ diags_line diags)))
     in
     let* corners =
       match Json.field "corners" sc with
@@ -131,7 +132,7 @@ let resolve_scenarios circuit = function
         | Ok ks -> Ok (Some ks)
         | Error msg -> Error msg)
     in
-    Ok (constraints, corners)
+    Ok (constraints, warnings, corners)
 
 (* A canonical scenario rendering for the store key — present only for
    jobs that carry a [scenarios] field, so scenario-less digests (and
@@ -162,12 +163,11 @@ let resolve_job (job : Job.t) =
   let* config =
     match job.Job.config with
     | None -> Ok Flow.default_config
-    | Some overrides -> (
-      match Flow.config_of_json overrides with
-      | Ok c -> Ok c
-      | Error msg -> Error ("config: " ^ msg))
+    | Some overrides -> Flow.config_of_json overrides
   in
-  let* constraints, corners = resolve_scenarios circuit job.Job.scenarios in
+  let* constraints, warnings, corners =
+    resolve_scenarios circuit job.Job.scenarios
+  in
   let scenario =
     match job.Job.scenarios with
     | None -> None
@@ -183,6 +183,7 @@ let resolve_job (job : Job.t) =
       circuit;
       constraints;
       corners;
+      warnings;
       key;
       timeout_s = job.Job.timeout_s;
       retries = job.Job.retries;
@@ -331,8 +332,10 @@ let fresh_batch_id () = 1 + Atomic.fetch_and_add batch_seq 1
    executor is the in-process domain pool; the fleet executor ships
    tasks to worker processes. Rows depend only on what [execute]
    returns, never on how it scheduled — the byte-identity invariant
-   across [--jobs]/[--workers] paths lives here. *)
-let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
+   across [--jobs]/[--workers] paths lives here. [log_warnings] is
+   false only on a fleet worker: its coordinator resolved the same job
+   and logged its warnings already. *)
+let batch_via ~log_warnings ?store ?checkpoint ?batch_id ~execute jobs =
   Span.with_ "service.batch" @@ fun () ->
   let batch_id =
     match batch_id with Some id -> id | None -> fresh_batch_id ()
@@ -348,6 +351,22 @@ let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
     | Some id -> id
     | None -> Printf.sprintf "job%d" i
   in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok r when log_warnings && r.warnings <> [] ->
+        Events.with_scope ~job_id:(job_id_at i) (fun () ->
+            List.iter
+              (fun d ->
+                Events.warn "job.warning"
+                  ~fields:
+                    [
+                      ("code", Json.String d.Diag.code);
+                      ("diagnostic", Json.String (Diag.to_string d));
+                    ])
+              r.warnings)
+      | _ -> ())
+    resolved;
   (* first-occurrence order of each distinct digest; later identical
      jobs reuse the first one's outcome, so cache_hit flags and results
      never depend on scheduling. Each unique computation carries the
@@ -512,10 +531,22 @@ let in_process_execute ?checkpoint ~batch_id tasks =
       c)
     tasks
 
+let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
+  batch_via ~log_warnings:true ?store ?checkpoint ?batch_id ~execute jobs
+
 let run_batch ?store ?checkpoint ?batch_id jobs =
   run_batch_via ?store ?checkpoint ?batch_id
     ~execute:(in_process_execute ?checkpoint)
     jobs
+
+let run_assigned ?store ~batch_id job =
+  match
+    batch_via ~log_warnings:false ?store ~batch_id
+      ~execute:(in_process_execute ?checkpoint:None)
+      [ job ]
+  with
+  | [ row ] -> row
+  | _ -> assert false (* one job in, one row out *)
 
 (* The rows of a batch that are already answerable without computing
    anything: resolution failures, store hits, checkpoint hits. This is

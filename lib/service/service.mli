@@ -11,10 +11,11 @@
       scheduling, so their [cache_hit] flags don't depend on scheduling
       either: the first occurrence computes (or hits the store), the
       rest always read as hits.
-    - {b Isolation}: everything a job can do wrong — unknown circuit or
-      optimizer, malformed config, optimizer exception, timeout after
-      all retries — becomes a [Failed] row; sibling jobs and the batch
-      itself are unaffected.
+    - {b Isolation}: everything a job can do wrong — unknown or
+      malformed circuit, unknown optimizer, malformed config or
+      scenarios, optimizer exception, timeout after all retries —
+      becomes a [Failed] row; sibling jobs and the batch itself are
+      unaffected.
     - {b Bounded retry}: a crash or timeout is retried up to
       [job.retries] times; each attempt gets a fresh deadline.
 
@@ -35,7 +36,9 @@
     [service.job] children recorded in each worker's own trace buffer.
 
     Every batch also narrates itself to {!Dcopt_obs.Events} under a
-    fresh [batch_id]: [batch.start], per-job [job.store_hit] /
+    fresh [batch_id]: [batch.start], per-job [job.warning] (one per
+    warning of a job's inputs, such as an ignored SDC command; warnings
+    never reach rows) / [job.store_hit] /
     [job.checkpoint_hit] / [job.start] / [job.retry] / [job.done] /
     [job.failed] (each carrying the correlation chain
     [run_id]/[batch_id]/[job_id]; the [job_id] of a deduplicated
@@ -43,8 +46,10 @@
 
 val resolve_circuit :
   string -> (Dcopt_netlist.Circuit.t, string) result
-(** The CLI rule: an existing path is parsed as a [.bench] file
-    (parse errors become [Error]), anything else is looked up in
+(** The one circuit resolver of the CLI and the service: an existing
+    path is read by {!Dcopt_netlist.Bench_format.parse_file_checked},
+    whose located diagnostics come back as the [Error], every one of
+    them, joined by ["; "]; anything else is looked up in
     {!Dcopt_suite.Suite}. *)
 
 (** {1 Pluggable execution}
@@ -123,6 +128,12 @@ val run_batch :
     the store when one is given), so resuming an interrupted batch with
     the same checkpoint directory yields byte-identical rows to an
     uninterrupted run. Store hits are preferred over checkpoint hits. *)
+
+val run_assigned : ?store:Store.t -> batch_id:int -> Job.t -> Job.row
+(** A fleet worker's step: {!run_batch} on the one job its coordinator
+    assigned, under the coordinator's [batch_id]. The coordinator
+    resolved the same job and logged its [job.warning] events, so this
+    logs none: each warning reaches the event log once per job. *)
 
 val partial_rows :
   ?store:Store.t -> ?checkpoint:Checkpoint.t -> Job.t list -> Job.row list

@@ -86,15 +86,10 @@ let session ?store ~heartbeat_interval_s ~worker_id fd =
                batch_id: store hits work here too (any worker can serve
                any job the shared store has), and isolation guarantees
                a row comes back whatever the job does *)
-            let rows =
+            let row =
               Fun.protect
                 ~finally:(fun () -> Atomic.set computing false)
-                (fun () -> Service.run_batch ?store ~batch_id [ job ])
-            in
-            let row =
-              match rows with
-              | [ row ] -> row
-              | _ -> assert false (* one job in, one row out *)
+                (fun () -> Service.run_assigned ?store ~batch_id job)
             in
             apply_worker_faults "worker.result";
             send ~site:"wire.send.result" (Wire.Result { seq; row }))

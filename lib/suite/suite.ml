@@ -24,7 +24,11 @@ let s27_bench =
    G12 = NOR(G1, G7)\n\
    G13 = NOR(G2, G12)\n"
 
-let s27 () = Bench_format.parse_string ~name:"s27" s27_bench
+let s27 () =
+  match Bench_format.parse ~name:"s27" s27_bench with
+  | Ok c -> c
+  | Error diags ->
+    failwith ("embedded s27 netlist: " ^ Dcopt_util.Diag.render diags)
 
 (* Published ISCAS-89 structural profiles:
    (name, PI, PO, DFF, combinational gates, logic depth). *)

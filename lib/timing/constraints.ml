@@ -1,4 +1,4 @@
-(* Timing-constraint model: clocks, per-endpoint max/min delay bounds,
+(* Timing-constraint model: clocks, per-endpoint max-delay bounds,
    false-path exceptions and I/O delays, projected onto per-node
    required-time / arrival-offset arrays for the STA engines. See
    constraints.mli for the contract; the scalar compatibility story
@@ -26,7 +26,6 @@ type io_delay = { port : string; io_clock : string option; io_delay : float }
 type t = {
   clocks : clock list;
   max_delays : path_rule list;
-  min_delays : path_rule list;
   false_paths : exception_path list;
   input_delays : io_delay list;
   output_delays : io_delay list;
@@ -36,7 +35,6 @@ let empty =
   {
     clocks = [];
     max_delays = [];
-    min_delays = [];
     false_paths = [];
     input_delays = [];
     output_delays = [];
@@ -58,7 +56,6 @@ let scalar_cycle_time t =
   | {
    clocks = [ { clock_name; period; waveform = None; sources = [] } ];
    max_delays = [];
-   min_delays = [];
    false_paths = [];
    input_delays = [];
    output_delays = [];
@@ -150,25 +147,6 @@ let required_times t ~default circuit =
     t.false_paths;
   req
 
-let min_bounds t circuit =
-  let n = Circuit.size circuit in
-  let lo = Array.make n neg_infinity in
-  let raise_to id v = if v > lo.(id) then lo.(id) <- v in
-  let outputs = Circuit.outputs circuit in
-  List.iter
-    (fun r ->
-      match r.rule_to with
-      | [] -> Array.iter (fun id -> raise_to id r.bound) outputs
-      | names ->
-          List.iter
-            (fun nm ->
-              match find_opt circuit nm with
-              | Some id -> raise_to id r.bound
-              | None -> ())
-            names)
-    t.min_delays;
-  lo
-
 let arrival_offsets t circuit =
   match t.input_delays with
   | [] -> None
@@ -222,127 +200,7 @@ let to_json t =
       ("version", Json.Int 1);
       ("clocks", Json.List (List.map clock_to_json t.clocks));
       ("max_delays", Json.List (List.map rule_to_json t.max_delays));
-      ("min_delays", Json.List (List.map rule_to_json t.min_delays));
       ("false_paths", Json.List (List.map exc_to_json t.false_paths));
       ("input_delays", Json.List (List.map io_to_json t.input_delays));
       ("output_delays", Json.List (List.map io_to_json t.output_delays));
     ]
-
-let ( let* ) r f = Result.bind r f
-
-let get ~what f j =
-  match f j with Some v -> Ok v | None -> Error ("constraints: bad " ^ what)
-
-let names_of_json ~what j =
-  let* l = get ~what Json.get_list j in
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* s = get ~what Json.get_string s in
-      Ok (s :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
-let clock_of_json j =
-  let* name = get ~what:"clock name" Json.get_string
-      (Option.value (Json.field "name" j) ~default:Json.Null) in
-  let* period = get ~what:"clock period" Json.get_float
-      (Option.value (Json.field "period" j) ~default:Json.Null) in
-  let* waveform =
-    match Json.field "waveform" j with
-    | None -> Ok None
-    | Some (Json.List [ r; f ]) -> (
-        match (Json.get_float r, Json.get_float f) with
-        | Some r, Some f -> Ok (Some (r, f))
-        | _ -> Error "constraints: bad waveform")
-    | Some _ -> Error "constraints: bad waveform"
-  in
-  let* sources =
-    match Json.field "sources" j with
-    | None -> Ok []
-    | Some s -> names_of_json ~what:"clock sources" s
-  in
-  Ok { clock_name = name; period; waveform; sources }
-
-let rule_of_json j =
-  let* rule_from =
-    names_of_json ~what:"rule from"
-      (Option.value (Json.field "from" j) ~default:(Json.List []))
-  in
-  let* rule_to =
-    names_of_json ~what:"rule to"
-      (Option.value (Json.field "to" j) ~default:(Json.List []))
-  in
-  let* bound = get ~what:"rule bound" Json.get_float
-      (Option.value (Json.field "bound" j) ~default:Json.Null) in
-  Ok { rule_from; rule_to; bound }
-
-let exc_of_json j =
-  let* exc_from =
-    names_of_json ~what:"exception from"
-      (Option.value (Json.field "from" j) ~default:(Json.List []))
-  in
-  let* exc_to =
-    names_of_json ~what:"exception to"
-      (Option.value (Json.field "to" j) ~default:(Json.List []))
-  in
-  Ok { exc_from; exc_to }
-
-let io_of_json j =
-  let* port = get ~what:"io port" Json.get_string
-      (Option.value (Json.field "port" j) ~default:Json.Null) in
-  let* io_delay = get ~what:"io delay" Json.get_float
-      (Option.value (Json.field "delay" j) ~default:Json.Null) in
-  let io_clock =
-    Option.bind (Json.field "clock" j) Json.get_string
-  in
-  Ok { port; io_clock; io_delay }
-
-let list_of_json ~what one j =
-  let* l = get ~what Json.get_list j in
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* v = one x in
-      Ok (v :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
-let of_json j =
-  let* version = get ~what:"version" Json.get_int
-      (Option.value (Json.field "version" j) ~default:Json.Null) in
-  if version <> 1 then Error "constraints: unsupported version"
-  else
-    let sect name = Option.value (Json.field name j) ~default:(Json.List []) in
-    let* clocks = list_of_json ~what:"clocks" clock_of_json (sect "clocks") in
-    let* max_delays =
-      list_of_json ~what:"max_delays" rule_of_json (sect "max_delays")
-    in
-    let* min_delays =
-      list_of_json ~what:"min_delays" rule_of_json (sect "min_delays")
-    in
-    let* false_paths =
-      list_of_json ~what:"false_paths" exc_of_json (sect "false_paths")
-    in
-    let* input_delays =
-      list_of_json ~what:"input_delays" io_of_json (sect "input_delays")
-    in
-    let* output_delays =
-      list_of_json ~what:"output_delays" io_of_json (sect "output_delays")
-    in
-    Ok { clocks; max_delays; min_delays; false_paths; input_delays; output_delays }
-
-let describe t =
-  let part n what = if n = 0 then None else Some (Printf.sprintf "%d %s" n what) in
-  let parts =
-    List.filter_map Fun.id
-      [
-        part (List.length t.clocks) "clocks";
-        part (List.length t.max_delays) "max-delay";
-        part (List.length t.min_delays) "min-delay";
-        part (List.length t.false_paths) "false-path";
-        part (List.length t.input_delays) "input-delay";
-        part (List.length t.output_delays) "output-delay";
-      ]
-  in
-  if parts = [] then "empty constraint set" else String.concat ", " parts

@@ -2,16 +2,19 @@
     cycle target.
 
     A constraint set carries clocks (period + optional waveform),
-    per-endpoint [set_max_delay]/[set_min_delay] bounds, false-path
-    exceptions and input/output delays — the SDC-lite subset parsed by
-    {!Sdc}. All times are in {e seconds} (the parser converts from the
-    SDC convention of nanoseconds).
+    per-endpoint [set_max_delay] bounds, false-path exceptions and
+    input/output delays — the SDC-lite subset parsed by {!Sdc}. All
+    times are in {e seconds} (the parser converts from the SDC
+    convention of nanoseconds). Hold-style [set_min_delay] bounds are
+    not modelled — feasibility is judged against required times only —
+    so {!Sdc} validates that command and reports it as an ignored
+    [sdc.unsupported] warning.
 
     The whole timing stack consumes a constraint set through one
     projection: {!required_times}, a per-node array of required arrival
     times ([+infinity] for non-endpoints and false-path'd endpoints)
-    that {!Flat_sta.analyze} seeds its backward sweep from, and {!arrival_offsets}, the input-delay seeds for the forward
-    sweep.
+    that {!Flat_sta.analyze} seeds its backward sweep from, and
+    {!arrival_offsets}, the input-delay seeds for the forward sweep.
 
     The legacy scalar [cycle_target] is the degenerate one-clock set
     built by {!of_cycle_time}; every pre-redesign caller migrates
@@ -47,7 +50,6 @@ type io_delay = {
 type t = {
   clocks : clock list;
   max_delays : path_rule list;
-  min_delays : path_rule list;
   false_paths : exception_path list;
   input_delays : io_delay list;
   output_delays : io_delay list;
@@ -82,11 +84,6 @@ val required_times : t -> default:float -> Dcopt_netlist.Circuit.t -> float arra
     Startpoint-specific rules tighten their named endpoints too — the
     conservative per-endpoint projection of a path rule. *)
 
-val min_bounds : t -> Dcopt_netlist.Circuit.t -> float array
-(** Per-node [set_min_delay] floors ([neg_infinity] when unconstrained):
-    the hold-style lower bounds, surfaced in reports but not folded into
-    {!required_times}. *)
-
 val arrival_offsets : t -> Dcopt_netlist.Circuit.t -> float array option
 (** Input-delay seeds for the forward sweep: [None] when the set has no
     input delays (the scalar fast path), else a per-node array that is
@@ -95,10 +92,4 @@ val arrival_offsets : t -> Dcopt_netlist.Circuit.t -> float array option
 val to_json : t -> Dcopt_util.Json.t
 (** Canonical JSON rendering (version 1) — folded into the store digest
     for scenario jobs, so editing a constraint file invalidates cached
-    rows. [of_cycle_time] round-trips through it. *)
-
-val of_json : Dcopt_util.Json.t -> (t, string) result
-
-val describe : t -> string
-(** One-line human summary, e.g.
-    ["2 clocks, 3 max-delay, 1 false-path, 2 input-delay"]. *)
+    rows. Nothing reads it back. *)

@@ -58,7 +58,6 @@ type state = {
   mutable diags : Diag.t list; (* reverse order *)
   mutable clocks : Constraints.clock list;
   mutable max_delays : Constraints.path_rule list;
-  mutable min_delays : Constraints.path_rule list;
   mutable false_paths : Constraints.exception_path list;
   mutable input_delays : Constraints.io_delay list;
   mutable output_delays : Constraints.io_delay list;
@@ -203,7 +202,9 @@ let parse_create_clock st ~line tokens =
                 }
                 :: st.clocks)
 
-(* set_max_delay / set_min_delay: value plus optional -from/-to specs. *)
+(* set_max_delay / set_min_delay: value plus optional -from/-to specs.
+   A set_min_delay is validated like set_max_delay, then reported as
+   ignored: hold-style lower bounds are not modelled. *)
 let parse_path_delay st ~line ~cmd ~min_delay tokens =
   let value = ref None in
   let from_ = ref [] in
@@ -245,11 +246,12 @@ let parse_path_delay st ~line ~cmd ~min_delay tokens =
     match !value with
     | None -> error st ~line ~code:"sdc.syntax" "%s: missing delay value" cmd
     | Some bound ->
-        let rule =
-          { Constraints.rule_from = !from_; rule_to = !to_; bound }
-        in
-        if min_delay then st.min_delays <- rule :: st.min_delays
-        else st.max_delays <- rule :: st.max_delays
+        if min_delay then
+          warning st ~line ~code:"sdc.unsupported" "command %S is ignored" cmd
+        else
+          st.max_delays <-
+            { Constraints.rule_from = !from_; rule_to = !to_; bound }
+            :: st.max_delays
 
 let parse_false_path st ~line tokens =
   let from_ = ref [] in
@@ -391,7 +393,6 @@ let parse ?file ?circuit text =
       diags = [];
       clocks = [];
       max_delays = [];
-      min_delays = [];
       false_paths = [];
       input_delays = [];
       output_delays = [];
@@ -416,14 +417,14 @@ let parse ?file ?circuit text =
   if Diag.has_errors diags then Error diags
   else
     Ok
-      {
-        Constraints.clocks = List.rev st.clocks;
-        max_delays = List.rev st.max_delays;
-        min_delays = List.rev st.min_delays;
-        false_paths = List.rev st.false_paths;
-        input_delays = List.rev st.input_delays;
-        output_delays = List.rev st.output_delays;
-      }
+      ( {
+          Constraints.clocks = List.rev st.clocks;
+          max_delays = List.rev st.max_delays;
+          false_paths = List.rev st.false_paths;
+          input_delays = List.rev st.input_delays;
+          output_delays = List.rev st.output_delays;
+        },
+        diags )
 
 let parse_file_checked ?circuit path =
   match

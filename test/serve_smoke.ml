@@ -152,6 +152,21 @@ let () =
           (String.sub frame 0 (min 40 (String.length frame)))
           row)
     fuzz_frames;
+  (* a malformed netlist is answered with its located diagnostic, not
+     an internal error *)
+  let cyc = "serve_smoke_cyc.bench" in
+  let oc = open_out cyc in
+  output_string oc "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = AND(a, y)\n";
+  close_out oc;
+  send (Printf.sprintf "{\"id\":\"cyc\",\"circuit\":%S}" cyc);
+  let cyc_row = input_line tic in
+  Sys.remove cyc;
+  if
+    not
+      (contains ~needle:"serve_smoke_cyc.bench: error[bench.cycle]" cyc_row
+      && contains ~needle:"\"status\":\"failed\"" cyc_row)
+    || contains ~needle:"internal error" cyc_row
+  then fail "cyclic netlist not answered with its diagnostic: %S" cyc_row;
   (* the session survived all of it: a real job still runs *)
   send "{\"id\":\"after-fuzz\",\"circuit\":\"s27\",\"optimizer\":\"baseline\"}";
   let row3 = input_line tic in

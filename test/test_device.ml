@@ -281,44 +281,51 @@ let test_power_energy_consistency () =
 (* Tech file I/O                                                      *)
 
 module Tech_io = Dcopt_device.Tech_io
+module Diag = Dcopt_util.Diag
+
+(* [Tech_io.parse] on text that must be well-formed. *)
+let parse_ok text =
+  match Tech_io.parse text with
+  | Ok t -> t
+  | Error diags -> Alcotest.fail (Diag.render diags)
+
+(* A malformed tech text reports exactly these (code, line) pairs. *)
+let check_diags what expected text =
+  match Tech_io.parse ~file:"bad.tech" text with
+  | Ok _ -> Alcotest.fail (what ^ ": parsed cleanly")
+  | Error diags ->
+    Alcotest.(check (list (pair string (option int))))
+      what expected
+      (List.map (fun d -> (d.Diag.code, d.Diag.line)) diags)
 
 let test_tech_io_roundtrip () =
   let text = Tech_io.to_string tech in
-  let parsed = Tech_io.parse_string text in
+  let parsed = parse_ok text in
   Alcotest.(check bool) "round-trip" true (parsed = tech)
 
 let test_tech_io_partial_override () =
-  let parsed = Tech_io.parse_string "alpha = 1.3\nname = custom\n" in
+  let parsed = parse_ok "alpha = 1.3\nname = custom\n" in
   Alcotest.(check (float 1e-12)) "overridden" 1.3 parsed.Tech.alpha;
   Alcotest.(check string) "renamed" "custom" parsed.Tech.tech_name;
   Alcotest.(check (float 1e-12)) "inherited" tech.Tech.k_drive
     parsed.Tech.k_drive
 
 let test_tech_io_comments_and_blanks () =
-  let parsed =
-    Tech_io.parse_string "# a comment\n\n  alpha = 1.2  # trailing\n"
-  in
+  let parsed = parse_ok "# a comment\n\n  alpha = 1.2  # trailing\n" in
   Alcotest.(check (float 1e-12)) "parsed through noise" 1.2 parsed.Tech.alpha
 
 let test_tech_io_unknown_key () =
-  match Tech_io.parse_string "frobnicate = 3\n" with
-  | exception Tech_io.Parse_error { line = 1; _ } -> ()
-  | _ -> Alcotest.fail "expected Parse_error on unknown key"
+  check_diags "unknown key" [ ("tech.key", Some 1) ] "frobnicate = 3\n"
 
 let test_tech_io_bad_number () =
-  match Tech_io.parse_string "alpha = banana\n" with
-  | exception Tech_io.Parse_error { line = 1; _ } -> ()
-  | _ -> Alcotest.fail "expected Parse_error on bad number"
+  check_diags "bad number" [ ("tech.number", Some 1) ] "alpha = banana\n"
 
 let test_tech_io_missing_equals () =
-  match Tech_io.parse_string "just words\n" with
-  | exception Tech_io.Parse_error _ -> ()
-  | _ -> Alcotest.fail "expected Parse_error"
+  check_diags "missing equals" [ ("tech.syntax", Some 1) ] "just words\n"
 
 let test_tech_io_validation () =
-  match Tech_io.parse_string "alpha = -1\n" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected validation failure"
+  (* ill-posed physics has no line: the record, not a line, is wrong *)
+  check_diags "validation" [ ("tech.validate", None) ] "alpha = -1\n"
 
 let test_temperature_scaling () =
   let hot = Tech.at_temperature tech ~celsius:125.0 in

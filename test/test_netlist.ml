@@ -4,6 +4,13 @@ module Bench_format = Dcopt_netlist.Bench_format
 module Generator = Dcopt_netlist.Generator
 module Patterns = Dcopt_netlist.Patterns
 module Stats = Dcopt_netlist.Circuit_stats
+module Diag = Dcopt_util.Diag
+
+(* [Bench_format.parse] on text that must be well-formed. *)
+let parse_ok ~name text =
+  match Bench_format.parse ~name text with
+  | Ok c -> c
+  | Error diags -> Alcotest.fail (Diag.render diags)
 
 (* ------------------------------------------------------------------ *)
 (* Gate                                                               *)
@@ -311,7 +318,7 @@ let test_parse_simple () =
   let text =
     "# comment\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)  # trailing\n"
   in
-  let c = Bench_format.parse_string ~name:"x" text in
+  let c = parse_ok ~name:"x" text in
   Alcotest.(check int) "gates" 1 (Circuit.gate_count c);
   Alcotest.(check bool) "kind" true
     ((Circuit.node c (Circuit.find c "y")).Circuit.kind = Gate.Nand)
@@ -319,7 +326,7 @@ let test_parse_simple () =
 let test_parse_crlf_and_case () =
   (* Windows line endings and mixed-case keywords both parse *)
   let text = "INPUT(a)\r\ninput(b)\r\nOUTPUT(y)\r\ny = nand(a, b)\r\n" in
-  let c = Bench_format.parse_string ~name:"crlf" text in
+  let c = parse_ok ~name:"crlf" text in
   Alcotest.(check int) "two inputs" 2 (Array.length (Circuit.inputs c));
   Alcotest.(check int) "one gate" 1 (Circuit.gate_count c)
 
@@ -340,16 +347,22 @@ let test_generator_depth_one () =
   Alcotest.(check int) "six gates" 6 (Circuit.gate_count c)
 
 let test_parse_errors () =
-  let bad line text =
-    match Bench_format.parse_string ~name:"bad" text with
-    | exception Bench_format.Parse_error { line = l; _ } ->
-      Alcotest.(check int) "line" line l
-    | _ -> Alcotest.fail "expected parse error"
+  (* every diagnostic of each text, in order, with its code and line *)
+  let bad expected text =
+    match Bench_format.parse ~file:"bad.bench" ~name:"bad" text with
+    | Ok _ -> Alcotest.fail (Printf.sprintf "%S parsed cleanly" text)
+    | Error diags ->
+      Alcotest.(check (list (pair string (option int))))
+        text expected
+        (List.map (fun d -> (d.Diag.code, d.Diag.line)) diags)
   in
-  bad 1 "garbage here";
-  bad 2 "INPUT(a)\ny = FROB(a, a)\n";
-  bad 1 "INPUT(a, b)\n";
-  bad 2 "INPUT(a)\n= NAND(a, a)\n"
+  bad [ ("bench.syntax", Some 1); ("bench.empty", None) ] "garbage here";
+  bad [ ("bench.gate", Some 2) ] "INPUT(a)\ny = FROB(a, a)\n";
+  bad [ ("bench.syntax", Some 1); ("bench.empty", None) ] "INPUT(a, b)\n";
+  bad [ ("bench.syntax", Some 2) ] "INPUT(a)\n= NAND(a, a)\n";
+  (* a cycle has no line of its own *)
+  bad [ ("bench.cycle", None) ]
+    "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = AND(a, y)\n"
 
 let roundtrip_property =
   let profile_gen =
@@ -371,7 +384,7 @@ let roundtrip_property =
     (QCheck.make profile_gen)
     (fun profile ->
       let c = Generator.generate profile in
-      let c' = Bench_format.parse_string ~name:"rt" (Bench_format.to_string c) in
+      let c' = parse_ok ~name:"rt" (Bench_format.to_string c) in
       let s = Stats.compute c and s' = Stats.compute c' in
       s.Stats.gates = s'.Stats.gates
       && s.Stats.depth = s'.Stats.depth

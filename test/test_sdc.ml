@@ -47,7 +47,13 @@ let good_sdc =
 let test_good_parse () =
   match Sdc.parse ~file:"good.sdc" good_sdc with
   | Error diags -> Alcotest.fail (Diag.render diags)
-  | Ok t ->
+  | Ok (t, warnings) ->
+    (* the one unmodelled command comes back with the result, located *)
+    Alcotest.(check (list (pair string (option int))))
+      "warnings" [ ("sdc.unsupported", Some 10) ]
+      (List.map (fun d -> (d.Diag.code, d.Diag.line)) warnings);
+    Alcotest.(check bool) "warnings are not errors" false
+      (Diag.has_errors warnings);
     Alcotest.(check int) "clocks" 2 (List.length t.Constraints.clocks);
     let fast = List.hd t.Constraints.clocks in
     Alcotest.(check string) "first clock named" "clk_fast"
@@ -74,12 +80,47 @@ let test_good_parse () =
     Alcotest.(check int) "input delays fan out per port" 2
       (List.length t.Constraints.input_delays);
     Alcotest.(check int) "output delays" 1
-      (List.length t.Constraints.output_delays);
-    (* version-1 JSON round-trips structurally *)
-    (match Constraints.of_json (Constraints.to_json t) with
-    | Ok t' ->
-      Alcotest.(check bool) "JSON round-trip" true (t = t')
-    | Error msg -> Alcotest.fail msg)
+      (List.length t.Constraints.output_delays)
+
+(* Ignored commands are warnings that change nothing: set_load and a
+   set_min_delay (validated, not modelled) beside a clock give the same
+   constraint set and the same joint solution as the clock alone. *)
+let test_ignored_commands_warn () =
+  let circuit = Dcopt_suite.Suite.s27 () in
+  let clock_only = "create_clock -period 5 -name clk\n" in
+  let noisy =
+    clock_only ^ "set_load 0.01 G17\nset_min_delay 4.9 -to [get_ports G17]\n"
+  in
+  let parse text =
+    match Sdc.parse ~file:"w.sdc" ~circuit text with
+    | Ok r -> r
+    | Error diags -> Alcotest.fail (Diag.render diags)
+  in
+  let plain, none = parse clock_only in
+  let constraints, warnings = parse noisy in
+  Alcotest.(check int) "a clean file warns of nothing" 0 (List.length none);
+  Alcotest.(check (list string))
+    "two located warnings"
+    [
+      "w.sdc:2: warning[sdc.unsupported]: command \"set_load\" is ignored";
+      "w.sdc:3: warning[sdc.unsupported]: command \"set_min_delay\" is \
+       ignored";
+    ]
+    (List.map Diag.to_string warnings);
+  Alcotest.(check bool) "same constraint set" true (plain = constraints);
+  let solve constraints =
+    let config =
+      { Flow.default_config with Flow.clock_frequency = 1.0 /. (5.0 *. ns) }
+    in
+    let p = Flow.prepare ~config ~constraints circuit in
+    match
+      (Dcopt_core.Optimizer.get "joint").Dcopt_core.Optimizer.run
+        (Scenario.of_prepared p)
+    with
+    | Some sol -> Dcopt_util.Json.to_string (Dcopt_opt.Solution.to_json sol)
+    | None -> Alcotest.fail "joint should close on s27 at 5 ns"
+  in
+  Alcotest.(check string) "same solution" (solve plain) (solve constraints)
 
 let golden_sdc =
   String.concat "\n"
@@ -183,7 +224,8 @@ let test_port_crosscheck () =
     Alcotest.(check (option int)) "line" (Some 1) d.Diag.line);
   (* without the circuit the same file parses clean *)
   match Sdc.parse ~file:"ports.sdc" text with
-  | Ok _ -> ()
+  | Ok (_, []) -> ()
+  | Ok (_, warnings) -> Alcotest.fail (Diag.render warnings)
   | Error diags -> Alcotest.fail (Diag.render diags)
 
 (* --- per-endpoint projection ------------------------------------------- *)
@@ -450,6 +492,8 @@ let () =
           Alcotest.test_case "non-finite numbers rejected" `Quick
             test_non_finite_rejected;
           Alcotest.test_case "port cross-check" `Quick test_port_crosscheck;
+          Alcotest.test_case "ignored commands warn" `Quick
+            test_ignored_commands_warn;
         ] );
       ( "projection",
         [

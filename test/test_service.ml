@@ -465,6 +465,7 @@ let test_unknown_inputs_become_rows () =
         Job.make ~id:"badcfg"
           ~config:(Json.Obj [ ("no_such_field", Json.Int 1) ])
           "s27";
+        Job.make ~id:"m0" ~config:(Json.Obj [ ("m_steps", Json.Int 0) ]) "s27";
       ]
   in
   List.iter
@@ -473,7 +474,102 @@ let test_unknown_inputs_become_rows () =
       | Job.Failed { attempts; _ } ->
         Alcotest.(check int) "never attempted" 0 attempts
       | _ -> Alcotest.fail (r.Job.job_id ^ " should be a failure row"))
-    rows
+    rows;
+  (* the config error carries one prefix, not one per layer *)
+  match List.rev rows with
+  | { Job.outcome = Job.Failed { error; _ }; _ } :: _ ->
+    Alcotest.(check string) "config error text" "config: m_steps must be >= 1"
+      error
+  | _ -> Alcotest.fail "m0 should be a failure row"
+
+(* A malformed netlist is a failed row with every located diagnostic of
+   the file; its sibling still solves, with the row it has alone. *)
+let test_bad_netlist_is_a_row () =
+  let path = "service_test_cyc.bench" in
+  let oc = open_out path in
+  output_string oc "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = AND(a, y)\n";
+  close_out oc;
+  let rows =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Service.run_batch [ Job.make ~id:"cyc" path; Job.make ~id:"s27" "s27" ])
+  in
+  match rows with
+  | [ cyc; s27 ] ->
+    (match cyc.Job.outcome with
+    | Job.Failed { error; attempts } ->
+      Alcotest.(check string) "located diagnostic"
+        "service_test_cyc.bench: error[bench.cycle]: circuit contains a \
+         combinational cycle"
+        error;
+      Alcotest.(check int) "never attempted" 0 attempts
+    | _ -> Alcotest.fail "the cyclic netlist should be a failed row");
+    Alcotest.(check string) "sibling row as if alone"
+      (rows_to_string (Service.run_batch [ Job.make ~id:"s27" "s27" ]))
+      (rows_to_string [ s27 ]);
+    (match s27.Job.outcome with
+    | Job.Solved _ -> ()
+    | _ -> Alcotest.fail "s27 should solve")
+  | _ -> Alcotest.fail "expected two rows"
+
+(* An SDC file's warnings reach the event log once per job: the batch
+   logs them under the job's id, and a fleet worker's step on the same
+   job logs none (its coordinator has), answering the same row. *)
+let test_warnings_logged_once () =
+  let module Events = Dcopt_obs.Events in
+  let sdc = "service_test_warn.sdc" and log = "service_test_warn.jsonl" in
+  let oc = open_out sdc in
+  output_string oc
+    "create_clock -period 5 -name clk\nset_load 0.01 G17\n\
+     set_min_delay 4.9 -to [get_ports G17]\n";
+  close_out oc;
+  let job =
+    Job.make ~id:"w"
+      ~scenarios:
+        (Json.Obj [ ("version", Json.Int 1); ("sdc", Json.String sdc) ])
+      "s27"
+  in
+  (* the job.warning events the run logs, as (job_id, code) pairs *)
+  let warnings_of run =
+    if Sys.file_exists log then Sys.remove log;
+    Events.open_file ~min_level:Events.Warn log;
+    let rows = Fun.protect ~finally:Events.close run in
+    let ic = open_in log in
+    let rec read acc =
+      match input_line ic with
+      | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+      | line ->
+        let ev = Json.of_string_exn line in
+        let str k = Option.bind (Json.field k ev) Json.get_string in
+        if str "event" = Some "job.warning" then
+          read ((str "job_id", str "code") :: acc)
+        else read acc
+    in
+    (rows, read [])
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove sdc;
+      Sys.remove log)
+    (fun () ->
+      let rows, logged = warnings_of (fun () -> Service.run_batch [ job ]) in
+      Alcotest.(check (list (pair (option string) (option string))))
+        "one event per warning, under the job's id"
+        [
+          (Some "w", Some "sdc.unsupported");
+          (Some "w", Some "sdc.unsupported");
+        ]
+        logged;
+      let row, again =
+        warnings_of (fun () -> Service.run_assigned ~batch_id:1 job)
+      in
+      Alcotest.(check int) "the worker's step logs none" 0
+        (List.length again);
+      Alcotest.(check string) "the worker's step answers the same row"
+        (rows_to_string rows) (rows_to_string [ row ]))
 
 (* --- fleet wire protocol ---------------------------------------------- *)
 
@@ -824,5 +920,9 @@ let () =
             test_multivdd_short_circuit;
           Alcotest.test_case "unknown inputs" `Quick
             test_unknown_inputs_become_rows;
+          Alcotest.test_case "malformed netlist" `Quick
+            test_bad_netlist_is_a_row;
+          Alcotest.test_case "warnings logged once" `Quick
+            test_warnings_logged_once;
         ] );
     ]

@@ -155,7 +155,11 @@ let test_data_files_roundtrip () =
       (fun name ->
         let path = Filename.concat dir (name ^ ".bench") in
         if Sys.file_exists path then begin
-          let parsed = Dcopt_netlist.Bench_format.parse_file path in
+          let parsed =
+            match Dcopt_netlist.Bench_format.parse_file_checked path with
+            | Ok c -> c
+            | Error diags -> Alcotest.fail (Dcopt_util.Diag.render diags)
+          in
           let s1 = Stats.compute parsed and s2 = Stats.compute (Suite.find_exn name) in
           Alcotest.(check int) (name ^ " gates") s2.Stats.gates s1.Stats.gates;
           Alcotest.(check int) (name ^ " depth") s2.Stats.depth s1.Stats.depth;
