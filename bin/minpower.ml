@@ -127,7 +127,9 @@ let obs_term =
   in
   let setup level trace metrics open_metrics events events_level run_id jobs =
     Fmt_tty.setup_std_outputs ();
-    Logs.set_reporter (Logs_fmt.reporter ());
+    (* stdout carries results only (rows, JSON, tables); every log line,
+       application level included, goes to stderr *)
+    Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ());
     Logs.set_level level;
     if trace <> None then Span.set_enabled true;
     (match jobs with
@@ -1126,13 +1128,10 @@ let parse_listen = function
         (Dcopt_util.Diag.errorf ~file:"<command-line>" ~code:"config.addr"
            "--listen %s: %s" s msg))
 
-let fleet_of ~workers ?listen ~store_dir obs =
-  let worker_args =
-    (match store_dir with Some d -> [ "--store"; d ] | None -> [])
-    @ obs.worker_passthrough
-  in
+let fleet_of ~workers ?listen obs =
   Dcopt_service.Fleet.create
-    (Dcopt_service.Fleet.options ~workers ~worker_args ?listen ())
+    (Dcopt_service.Fleet.options ~workers ~worker_args:obs.worker_passthrough
+       ?listen ())
 
 let read_lines ic =
   let rec go acc n =
@@ -1160,7 +1159,6 @@ let batch_cmd =
       finish obs 2
     | None ->
     let listen = Result.get_ok (parse_listen listen) in
-    let store_dir = store in
     let lines =
       if jobs_path = "-" then read_lines stdin
       else begin
@@ -1180,20 +1178,8 @@ let batch_cmd =
             | Error msg ->
               Some
                 (`Row
-                   {
-                     Job.job_id = Printf.sprintf "line%d" line_no;
-                     row_circuit = "";
-                     row_optimizer = "";
-                     digest = "";
-                     cache_hit = false;
-                     outcome =
-                       Job.Failed
-                         {
-                           error =
-                             Printf.sprintf "%s:%d: %s" jobs_path line_no msg;
-                           attempts = 0;
-                         };
-                   }))
+                   (Service.failed_line_row ~line_no
+                      (Printf.sprintf "%s:%d: %s" jobs_path line_no msg))))
         lines
     in
     let store = Option.map Store.open_ store in
@@ -1229,7 +1215,7 @@ let batch_cmd =
       match workers with
       | None -> Service.run_batch ?store ?checkpoint jobs
       | Some n ->
-        let fleet = fleet_of ~workers:n ?listen ~store_dir obs in
+        let fleet = fleet_of ~workers:n ?listen obs in
         Fun.protect
           ~finally:(fun () -> Dcopt_service.Fleet.shutdown fleet)
           (fun () ->
@@ -1306,7 +1292,6 @@ let serve_cmd =
       finish obs 2
     | None ->
       let listen = Result.get_ok (parse_listen listen) in
-      let store_dir = store in
       let store = Option.map Store.open_ store in
       let run_jobs =
         match workers with
@@ -1315,7 +1300,7 @@ let serve_cmd =
           (* the pool is persistent across the whole serve session:
              spawned lazily at the first job that needs computing,
              replaced as workers die, reused by every subsequent job *)
-          let fleet = fleet_of ~workers:n ?listen ~store_dir obs in
+          let fleet = fleet_of ~workers:n ?listen obs in
           at_exit (fun () -> Dcopt_service.Fleet.shutdown fleet);
           Some (fun jobs -> Dcopt_service.Fleet.run_batch fleet ?store jobs)
       in
@@ -1345,7 +1330,7 @@ let serve_cmd =
       $ fault_plan_arg $ obs_term)
 
 let worker_cmd =
-  let run connect worker_id reconnect store obs =
+  let run connect worker_id reconnect _store obs =
     (* fleet parallelism replaces the domain pool: a worker computes one
        job at a time unless --jobs explicitly says otherwise *)
     if obs.jobs_flag = None then Dcopt_par.Par.set_jobs 1;
@@ -1363,10 +1348,7 @@ let worker_cmd =
       Printf.eprintf "%s\n" (Dcopt_util.Diag.to_string diag);
       finish obs 2
     | Ok addr -> (
-      let store = Option.map Store.open_ store in
-      match
-        Dcopt_service.Worker.run ?store ~reconnect ~connect:addr ~worker_id ()
-      with
+      match Dcopt_service.Worker.run ~reconnect ~connect:addr ~worker_id () with
       | clean -> finish obs (if clean then 0 else 1)
       | exception Failure msg ->
         (* Worker.run refuses addresses it cannot use (resolution
@@ -1386,9 +1368,9 @@ let worker_cmd =
     "Run as a fleet worker: connect to a coordinator address (spawned \
      automatically by $(b,minpower batch --workers) / $(b,minpower serve \
      --workers); invoked by hand with $(b,--connect host:port) to join a \
-     TCP fleet from another machine), pull job frames, execute them \
-     through the service pipeline and stream result rows back. Defaults \
-     the domain pool to jobs=1."
+     TCP fleet from another machine), pull job frames, compute them and \
+     stream result rows back; the coordinator owns the result store. \
+     Defaults the domain pool to jobs=1."
   in
   let connect =
     Arg.(
@@ -1419,9 +1401,19 @@ let worker_cmd =
              coordinator instead). A clean shutdown frame never \
              reconnects.")
   in
+  let store =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "store" ] ~docv:"DIR"
+          ~doc:
+            "Ignored: a worker never reads or writes the result store (its \
+             coordinator serves hits and persists results). Accepted so \
+             existing worker command lines keep working.")
+  in
   Cmd.v
     (Cmd.info "worker" ~doc)
-    Term.(const run $ connect $ worker_id $ reconnect $ store_arg $ obs_term)
+    Term.(const run $ connect $ worker_id $ reconnect $ store $ obs_term)
 
 let tech_cmd =
   let run scale_factor obs =

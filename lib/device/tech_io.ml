@@ -102,17 +102,10 @@ let parse ?file ?(base = Tech.default) text =
   | [] -> Ok !tech
   | ds -> Error ds
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse_file_checked ?base path =
-  match read_file path with
-  | exception Sys_error msg ->
-    Error [ Diag.error ~file:path ~code:"tech.io" msg ]
-  | text -> parse ~file:path ?base text
+  match Dcopt_util.File.read path with
+  | Error msg -> Error [ Diag.error ~file:path ~code:"tech.io" msg ]
+  | Ok text -> parse ~file:path ?base text
 
 let to_string t =
   let buf = Buffer.create 1024 in

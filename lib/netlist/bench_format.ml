@@ -144,17 +144,10 @@ let parse ?file ~name text =
              Diag.error ?file ~code p)
            problems))
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse_file_checked path =
-  match read_file path with
-  | exception Sys_error msg ->
-    Error [ Diag.error ~file:path ~code:"bench.io" msg ]
-  | text ->
+  match Dcopt_util.File.read path with
+  | Error msg -> Error [ Diag.error ~file:path ~code:"bench.io" msg ]
+  | Ok text ->
     let base = Filename.remove_extension (Filename.basename path) in
     parse ~file:path ~name:base text
 

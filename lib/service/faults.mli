@@ -25,7 +25,7 @@
     [DCOPT_FAULT_PLAN]) and exports the plan string through the
     environment, so spawned fleet workers inherit it and arm themselves
     ({!arm_from_env}); the role guard is what separates "the
-    coordinator's store" from "worker w2's store".
+    coordinator's frames" from "worker w2's frames".
 
     Every fault that fires bumps [faults.fired] plus a per-class counter
     ([faults.wire] / [faults.store] / [faults.worker] / [faults.clock])

@@ -48,58 +48,33 @@ let quarantined_c =
            budget (no longer respawned or accepted)"
     "service.fleet.quarantined"
 
+(* Jobs outstanding per worker, requeues per job before the coordinator
+   computes it itself, seconds a spawned worker has to say hello, and
+   losses before an identity is quarantined. *)
+let max_in_flight = 2
+let max_requeues = 2
+let spawn_timeout_s = 30.0
+let quarantine_after = 2
+
 type options = {
   workers : int;
   binary : string;
   worker_args : string list;
-  max_in_flight : int;
   heartbeat_timeout_s : float;
-  max_requeues : int;
-  spawn_timeout_s : float;
   listen : Wire.addr option;
-  quarantine_after : int;
 }
 
-let env_float name default =
-  match Option.map float_of_string_opt (Sys.getenv_opt name) with
-  | Some (Some v) when v > 0.0 -> v
-  | _ -> default
-
-let env_int name default =
-  match Option.map int_of_string_opt (Sys.getenv_opt name) with
-  | Some (Some v) when v >= 0 -> v
-  | _ -> default
-
-let options ?(binary = Sys.executable_name) ?(worker_args = [])
-    ?(max_in_flight = 2) ?heartbeat_timeout_s ?max_requeues
-    ?(spawn_timeout_s = 30.0) ?listen ?quarantine_after ~workers () =
+let options ?(binary = Sys.executable_name) ?(worker_args = []) ?listen
+    ~workers () =
   if workers < 1 then invalid_arg "Fleet.options: workers must be >= 1";
   let heartbeat_timeout_s =
-    match heartbeat_timeout_s with
-    | Some v -> v
-    | None -> env_float "DCOPT_FLEET_HEARTBEAT_S" 5.0
+    match
+      Option.map float_of_string_opt (Sys.getenv_opt "DCOPT_FLEET_HEARTBEAT_S")
+    with
+    | Some (Some v) when v > 0.0 -> v
+    | _ -> 5.0
   in
-  let max_requeues =
-    match max_requeues with
-    | Some v -> v
-    | None -> env_int "DCOPT_FLEET_MAX_REQUEUES" 2
-  in
-  let quarantine_after =
-    match quarantine_after with
-    | Some v -> max 1 v
-    | None -> max 1 (env_int "DCOPT_FLEET_QUARANTINE_AFTER" 2)
-  in
-  {
-    workers;
-    binary;
-    worker_args;
-    max_in_flight = max 1 max_in_flight;
-    heartbeat_timeout_s;
-    max_requeues;
-    spawn_timeout_s;
-    listen;
-    quarantine_after;
-  }
+  { workers; binary; worker_args; heartbeat_timeout_s; listen }
 
 type wstate = Spawning | Ready | Lost
 
@@ -173,7 +148,7 @@ let create opts =
     sock_path = (match addr with Wire.Unix_path p -> Some p | Wire.Tcp _ -> None);
     connect_addr = connectable bound;
     listen_fd;
-    losses = Policy.quarantine ~after:opts.quarantine_after ();
+    losses = Policy.quarantine ~after:quarantine_after ();
     workers = [];
     pending = [];
     next_seq = 0;
@@ -309,7 +284,7 @@ let execute t ?checkpoint ~batch_id tasks =
               ("in_flight", Json.Int (List.length w.w_inflight));
               ("losses", Json.Int loss_count);
             ];
-        if loss_count = t.opts.quarantine_after then begin
+        if loss_count = quarantine_after then begin
           Metrics.incr quarantined_c;
           Events.warn "fleet.quarantine"
             ~fields:
@@ -336,7 +311,7 @@ let execute t ?checkpoint ~batch_id tasks =
                     ("worker_id", Json.String w.w_id);
                     ("attempt", Json.Int (requeues.(idx) + 1));
                   ];
-              if requeues.(idx) > t.opts.max_requeues then
+              if requeues.(idx) > max_requeues then
                 fallback idx ~why:"requeue budget exhausted"
               else Queue.add idx queue
             end)
@@ -350,7 +325,7 @@ let execute t ?checkpoint ~batch_id tasks =
       let continue = ref true in
       while
         !continue && w.w_state = Ready
-        && List.length w.w_inflight < t.opts.max_in_flight
+        && List.length w.w_inflight < max_in_flight
         && not (Queue.is_empty queue)
       do
         let idx = Queue.pop queue in
@@ -399,6 +374,16 @@ let execute t ?checkpoint ~batch_id tasks =
           (* a dispatch this coordinator already wrote off; the requeued
              copy is authoritative, this answer is dropped *)
           ()
+        | Some (_, idx, _) when row.Job.digest <> Service.task_digest tasks.(idx)
+          ->
+          (* the worker resolved the spec over other inputs (its own
+             files under the job's names): the row solves another job,
+             so the frame is as bad as a corrupt one *)
+          lose_worker w
+            ~why:
+              (Printf.sprintf "result for another job: digest %S, want %S"
+                 row.Job.digest
+                 (Service.task_digest tasks.(idx)))
         | Some (_, idx, t0) ->
           w.w_inflight <- List.filter (fun (s, _, _) -> s <> seq) w.w_inflight;
           Metrics.incr results_c;
@@ -562,7 +547,7 @@ let execute t ?checkpoint ~batch_id tasks =
                  && now () -. w.w_last_seen > t.opts.heartbeat_timeout_s ->
             lose_worker w ~why:"heartbeat timeout"
           | Spawning
-            when now () -. w.w_last_seen > t.opts.spawn_timeout_s ->
+            when now () -. w.w_last_seen > spawn_timeout_s ->
             lose_worker w ~why:"never connected"
           | _ -> ())
         t.workers;

@@ -10,23 +10,31 @@
     identity the coordinator did not spawn is accepted as long as the id
     is free and not quarantined. {!run_batch} is a drop-in replacement
     for {!Service.run_batch}: the whole batch pipeline (dedup,
-    store/checkpoint lookups, row assembly) still runs on the
-    coordinator via {!Service.run_batch_via}, and only the compute step
-    is distributed — so rows are byte-identical to the in-process path
-    by construction, whatever the worker count and whatever crashes.
+    store/checkpoint lookups, store writes, row assembly) still runs on
+    the coordinator via {!Service.run_batch_via}, and only the compute
+    step is distributed — so rows are byte-identical to the in-process
+    path by construction, whatever the worker count and whatever
+    crashes. Only the job spec travels, so a worker reads the job's
+    files itself: a result is accepted only when its row's digest is
+    the assigned task's ({!Service.task_digest}). Any other digest
+    means the worker resolved other inputs under the job's names, and
+    the frame counts as a corrupt one. Results persist at the batch
+    barrier, as in-process ones do; a [checkpoint] records each as it
+    lands.
 
     Scheduling is worker-pull with backpressure: tasks sit in one shared
-    queue, and any ready worker with in-flight room (at most
-    [max_in_flight] outstanding jobs, default 2) takes the next task —
-    a slow worker's share drains to whoever is keeping up, with no
-    static sharding. Health is tracked per worker on the {e monotonic}
-    clock ({!Dcopt_util.Clock}), so a wall-clock jump (NTP step, DST,
-    an injected [clock.tick:jump]) never triggers — or masks — a
-    timeout: a worker computing a job streams heartbeats, and silence
-    from a worker {e with jobs in flight} beyond [heartbeat_timeout_s],
-    an EOF, a write error, a malformed or checksum-failed frame, or a
-    reaped exit all count it lost. Its in-flight jobs are requeued onto
-    survivors (at most [max_requeues] times each, then computed
+    queue, and any ready worker with in-flight room (at most 2
+    outstanding jobs) takes the next task — a slow worker's share
+    drains to whoever is keeping up, with no static sharding. Health is
+    tracked per worker on the {e monotonic} clock ({!Dcopt_util.Clock}),
+    so a wall-clock jump (NTP step, DST, an injected [clock.tick:jump])
+    never triggers — or masks — a timeout: a worker computing a job
+    streams heartbeats, and silence from a worker {e with jobs in
+    flight} beyond the heartbeat timeout ([DCOPT_FLEET_HEARTBEAT_S],
+    read at {!options} time, default 5 s), an EOF, a write error, a
+    malformed, checksum-failed or wrong-digest frame, a spawn silent
+    for 30 s, or a reaped exit all count it lost. Its in-flight jobs
+    are requeued onto survivors (at most twice each, then computed
     in-process by the coordinator); if the whole fleet dies, the
     coordinator drains the queue itself. A batch therefore {e always}
     completes with a full, deterministic row set.
@@ -34,13 +42,10 @@
     Failure budgets: the spawned roster is the fixed identity set
     [w0..w(workers-1)]. A lost spawned id is respawned {e under the same
     name} — mid-batch, as soon as there is still queued work — so its
-    losses accumulate across incarnations; after [quarantine_after]
-    losses (default 2, env [DCOPT_FLEET_QUARANTINE_AFTER]) the id is
+    losses accumulate across incarnations; after 2 losses the id is
     quarantined: never respawned again and refused at hello, so a
     crash-looping worker (bad host, poisoned environment) cannot grind
-    a batch forever. Other defaults also read the environment once at
-    {!options} time: [DCOPT_FLEET_HEARTBEAT_S] (5.0),
-    [DCOPT_FLEET_MAX_REQUEUES] (2).
+    a batch forever. External identities share the same budget.
 
     Workers are spawned lazily on the first batch that actually has
     something to compute (a fully warm batch spawns nothing) and are
@@ -56,40 +61,22 @@
     [clock.tick] ([jump] displaces the wall clock the event log reads;
     scheduling must not notice). *)
 
-type options = private {
-  workers : int;
-  binary : string;
-  worker_args : string list;
-  max_in_flight : int;
-  heartbeat_timeout_s : float;
-  max_requeues : int;
-  spawn_timeout_s : float;
-  listen : Wire.addr option;
-  quarantine_after : int;
-}
+type options
 
 val options :
   ?binary:string ->
   ?worker_args:string list ->
-  ?max_in_flight:int ->
-  ?heartbeat_timeout_s:float ->
-  ?max_requeues:int ->
-  ?spawn_timeout_s:float ->
   ?listen:Wire.addr ->
-  ?quarantine_after:int ->
   workers:int ->
   unit ->
   options
 (** [binary] defaults to [Sys.executable_name] (the coordinator spawns
     its own executable with the [worker] subcommand); [worker_args] are
-    appended to the worker argv (store/events/run-id passthrough).
-    [listen] defaults to a fresh private unix-domain socket; pass
-    [Wire.Tcp (host, port)] to accept external workers (port [0] binds
-    an ephemeral port — the actual one is what spawned workers dial).
-    [heartbeat_timeout_s], [max_requeues] and [quarantine_after]
-    default from [DCOPT_FLEET_HEARTBEAT_S] / [DCOPT_FLEET_MAX_REQUEUES]
-    / [DCOPT_FLEET_QUARANTINE_AFTER], then 5.0 / 2 / 2. Raises
-    [Invalid_argument] when [workers < 1]. *)
+    appended to the worker argv (the CLI passes the run id and the event
+    log there). [listen] defaults to a fresh private unix-domain socket;
+    pass [Wire.Tcp (host, port)] to accept external workers (port [0]
+    binds an ephemeral port — the actual one is what spawned workers
+    dial). Raises [Invalid_argument] when [workers < 1]. *)
 
 type t
 

@@ -135,6 +135,12 @@ type row = {
   outcome : outcome;
 }
 
+let row ?job ?(digest = "") ?(cache_hit = false) ~job_id outcome =
+  let row_circuit, row_optimizer =
+    match job with Some j -> (j.circuit, j.optimizer) | None -> ("", "")
+  in
+  { job_id; row_circuit; row_optimizer; digest; cache_hit; outcome }
+
 let row_to_json r =
   Json.Obj
     ([

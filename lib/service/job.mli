@@ -71,6 +71,14 @@ type row = {
   outcome : outcome;
 }
 
+val row :
+  ?job:t -> ?digest:string -> ?cache_hit:bool -> job_id:string -> outcome ->
+  row
+(** The one row constructor: circuit and optimizer come from [job] (both
+    [""] for an input line that never parsed as a job); [digest]
+    defaults to [""] (inputs that did not resolve), [cache_hit] to
+    [false]. *)
+
 val row_to_json : row -> Dcopt_util.Json.t
 val row_of_json : Dcopt_util.Json.t -> (row, string) result
 val render_rows : row list -> string

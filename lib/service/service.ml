@@ -325,6 +325,10 @@ let compute_task ~batch_id t =
 
 let fresh_batch_id () = 1 + Atomic.fetch_and_add batch_seq 1
 
+(* A job's row and event-log identity: its own id, else its batch index. *)
+let job_id_at i (job : Job.t) =
+  match job.Job.id with Some id -> id | None -> Printf.sprintf "job%d" i
+
 (* The batch pipeline with the compute step abstracted out: resolution,
    dedup, store/checkpoint lookups, bookkeeping and row assembly all
    happen here (on the calling domain), and [execute] turns the deduped
@@ -332,10 +336,8 @@ let fresh_batch_id () = 1 + Atomic.fetch_and_add batch_seq 1
    executor is the in-process domain pool; the fleet executor ships
    tasks to worker processes. Rows depend only on what [execute]
    returns, never on how it scheduled — the byte-identity invariant
-   across [--jobs]/[--workers] paths lives here. [log_warnings] is
-   false only on a fleet worker: its coordinator resolved the same job
-   and logged its warnings already. *)
-let batch_via ~log_warnings ?store ?checkpoint ?batch_id ~execute jobs =
+   across [--jobs]/[--workers] paths lives here. *)
+let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
   Span.with_ "service.batch" @@ fun () ->
   let batch_id =
     match batch_id with Some id -> id | None -> fresh_batch_id ()
@@ -346,15 +348,11 @@ let batch_via ~log_warnings ?store ?checkpoint ?batch_id ~execute jobs =
   Events.info "batch.start"
     ~fields:[ ("jobs", Json.Int (Array.length jobs)) ];
   let resolved = Array.map resolve_job jobs in
-  let job_id_at i =
-    match jobs.(i).Job.id with
-    | Some id -> id
-    | None -> Printf.sprintf "job%d" i
-  in
+  let job_id_at i = job_id_at i jobs.(i) in
   Array.iteri
     (fun i r ->
       match r with
-      | Ok r when log_warnings && r.warnings <> [] ->
+      | Ok r when r.warnings <> [] ->
         Events.with_scope ~job_id:(job_id_at i) (fun () ->
             List.iter
               (fun d ->
@@ -494,14 +492,7 @@ let batch_via ~log_warnings ?store ?checkpoint ?batch_id ~execute jobs =
         | Job.Solved _ -> solved_c
         | Job.Infeasible -> infeasible_c
         | Job.Failed _ -> failed_c);
-      {
-        Job.job_id;
-        row_circuit = job.Job.circuit;
-        row_optimizer = job.Job.optimizer;
-        digest;
-        cache_hit;
-        outcome;
-      })
+      Job.row ~job ~job_id ~digest ~cache_hit outcome)
     (Array.to_list jobs)
   in
   Events.info "batch.done"
@@ -531,22 +522,28 @@ let in_process_execute ?checkpoint ~batch_id tasks =
       c)
     tasks
 
-let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
-  batch_via ~log_warnings:true ?store ?checkpoint ?batch_id ~execute jobs
-
 let run_batch ?store ?checkpoint ?batch_id jobs =
   run_batch_via ?store ?checkpoint ?batch_id
     ~execute:(in_process_execute ?checkpoint)
     jobs
 
-let run_assigned ?store ~batch_id job =
-  match
-    batch_via ~log_warnings:false ?store ~batch_id
-      ~execute:(in_process_execute ?checkpoint:None)
-      [ job ]
-  with
-  | [ row ] -> row
-  | _ -> assert false (* one job in, one row out *)
+(* A fleet worker's step: compute the one job its coordinator assigned,
+   under the coordinator's batch id, and nothing else. Dedup, the store,
+   the checkpoint, the batch counters and events, the job's warnings and
+   the row the batch prints all stay with the coordinator. The row
+   carries the digest this process resolved the spec to, so the
+   coordinator can refuse a result computed over other inputs (a worker
+   reads the job's files itself; only the spec travels). *)
+let run_assigned ~batch_id (job : Job.t) =
+  let job_id = job_id_at 0 job in
+  match resolve_job job with
+  | Error msg ->
+    Job.row ~job ~job_id (Job.Failed { error = msg; attempts = 0 })
+  | Ok r ->
+    let c =
+      compute_task ~batch_id { task_id = job_id; task_job = job; task_res = r }
+    in
+    Job.row ~job ~job_id ~digest:r.key c.comp_outcome
 
 (* The rows of a batch that are already answerable without computing
    anything: resolution failures, store hits, checkpoint hits. This is
@@ -560,26 +557,13 @@ let partial_rows ?store ?checkpoint jobs =
   List.filter_map Fun.id
     (List.mapi
        (fun i (job : Job.t) ->
-         let job_id =
-           match job.Job.id with
-           | Some id -> id
-           | None -> Printf.sprintf "job%d" i
-         in
-         let row ~digest ~cache_hit outcome =
+         let row ?digest ?cache_hit outcome =
            Some
-             {
-               Job.job_id;
-               row_circuit = job.Job.circuit;
-               row_optimizer = job.Job.optimizer;
-               digest;
-               cache_hit;
-               outcome;
-             }
+             (Job.row ~job ~job_id:(job_id_at i job) ?digest ?cache_hit
+                outcome)
          in
          match resolve_job job with
-         | Error msg ->
-           row ~digest:"" ~cache_hit:false
-             (Job.Failed { error = msg; attempts = 0 })
+         | Error msg -> row (Job.Failed { error = msg; attempts = 0 })
          | Ok r -> (
            let from_store =
              match store with
@@ -590,19 +574,13 @@ let partial_rows ?store ?checkpoint jobs =
            | Some outcome -> row ~digest:r.key ~cache_hit:true outcome
            | None -> (
              match Option.bind checkpoint (fun ck -> Checkpoint.find ck r.key) with
-             | Some outcome -> row ~digest:r.key ~cache_hit:false outcome
+             | Some outcome -> row ~digest:r.key outcome
              | None -> None)))
        jobs)
 
 let failed_line_row ~line_no error =
-  {
-    Job.job_id = Printf.sprintf "line%d" line_no;
-    row_circuit = "";
-    row_optimizer = "";
-    digest = "";
-    cache_hit = false;
-    outcome = Job.Failed { error; attempts = 0 };
-  }
+  Job.row ~job_id:(Printf.sprintf "line%d" line_no)
+    (Job.Failed { error; attempts = 0 })
 
 (* Control requests ride the job protocol as bare words (a job line is
    always a JSON object, so the streams cannot collide):

@@ -129,11 +129,14 @@ val run_batch :
     the same checkpoint directory yields byte-identical rows to an
     uninterrupted run. Store hits are preferred over checkpoint hits. *)
 
-val run_assigned : ?store:Store.t -> batch_id:int -> Job.t -> Job.row
-(** A fleet worker's step: {!run_batch} on the one job its coordinator
-    assigned, under the coordinator's [batch_id]. The coordinator
-    resolved the same job and logged its [job.warning] events, so this
-    logs none: each warning reaches the event log once per job. *)
+val run_assigned : batch_id:int -> Job.t -> Job.row
+(** A fleet worker's step: resolve the one job its coordinator assigned
+    and {!compute_task} it under the coordinator's [batch_id]. The row
+    carries the digest this process resolved ([""] when the job did not
+    resolve here) and [cache_hit = false]. No dedup, store, checkpoint,
+    batch counters or batch events, and no [job.warning] events: the
+    coordinator resolved the same job, owns the store and assembles the
+    row the batch prints, so each of those happens once per job. *)
 
 val partial_rows :
   ?store:Store.t -> ?checkpoint:Checkpoint.t -> Job.t list -> Job.row list
@@ -142,6 +145,10 @@ val partial_rows :
     in job order, other jobs silently omitted. This is the interrupt
     path — [minpower batch]'s SIGINT/SIGTERM handler emits these as the
     partial result of a killed run. Touches no batch counters. *)
+
+val failed_line_row : line_no:int -> string -> Job.row
+(** The [Failed] row answering input line [line_no] that is not a job
+    (id ["line<n>"], no circuit, optimizer or digest). *)
 
 val serve :
   ?store:Store.t ->

@@ -27,7 +27,7 @@ let apply_worker_faults site =
 (* One connected session: hello, then the read-execute-reply loop until
    a shutdown frame (`Clean), a dead/desynchronised coordinator
    (`Lost), or an injected death. *)
-let session ?store ~heartbeat_interval_s ~worker_id fd =
+let session ~heartbeat_interval_s ~worker_id fd =
   let ic = Unix.in_channel_of_descr fd in
   (* results and heartbeats interleave from two threads; frames must hit
      the socket whole *)
@@ -82,14 +82,13 @@ let session ?store ~heartbeat_interval_s ~worker_id fd =
             Metrics.incr jobs_c;
             apply_worker_faults "worker.job";
             Atomic.set computing true;
-            (* the full single-job pipeline, sharing the coordinator's
-               batch_id: store hits work here too (any worker can serve
-               any job the shared store has), and isolation guarantees
-               a row comes back whatever the job does *)
+            (* compute only, under the coordinator's batch_id: the
+               coordinator owns the store and the rows, and isolation
+               guarantees a row comes back whatever the job does *)
             let row =
               Fun.protect
                 ~finally:(fun () -> Atomic.set computing false)
-                (fun () -> Service.run_assigned ?store ~batch_id job)
+                (fun () -> Service.run_assigned ~batch_id job)
             in
             apply_worker_faults "worker.result";
             send ~site:"wire.send.result" (Wire.Result { seq; row }))
@@ -104,8 +103,8 @@ let session ?store ~heartbeat_interval_s ~worker_id fd =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   outcome
 
-let run ?store ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect
-    ~worker_id () =
+let run ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect ~worker_id
+    () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Events.set_worker_id worker_id;
   Faults.arm_from_env ();
@@ -144,9 +143,7 @@ let run ?store ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect
     match dial () with
     | None -> false
     | Some fd -> (
-      match
-        session ?store ~heartbeat_interval_s ~worker_id fd
-      with
+      match session ~heartbeat_interval_s ~worker_id fd with
       | `Clean -> true
       | `Lost ->
         if !attempts < reconnect then begin

@@ -1,13 +1,15 @@
 (** Fleet worker process body: the [minpower worker] subcommand.
 
     Connects to a coordinator ({!Fleet}) address, announces itself with
-    a [hello] frame, then loops: read a [job] frame, run it through the
-    full single-job {!Service.run_batch} pipeline (sharing the
-    coordinator's [batch_id], so the event-log correlation chain
-    [run_id → batch_id → worker_id → job_id] spans processes), and send
-    the [result] frame back. While a job computes, a background thread
-    streams [heartbeat] frames so the coordinator can tell a slow
-    optimizer from a dead process; an idle worker is silent.
+    a [hello] frame, then loops: read a [job] frame, compute it with
+    {!Service.run_assigned} (under the coordinator's [batch_id], so the
+    event-log correlation chain [run_id → batch_id → worker_id →
+    job_id] spans processes), and send the [result] frame back. A
+    worker never reads or writes the result store: the coordinator
+    serves hits and persists results. While a job computes, a
+    background thread streams [heartbeat] frames so the coordinator can
+    tell a slow optimizer from a dead process; an idle worker is
+    silent.
 
     With a [reconnect] budget, a lost coordinator connection (or a
     refused dial) is retried under {!Policy.backoff_delay_s}: capped
@@ -29,7 +31,6 @@
     and sends every frame through {!Wire.send} sites. *)
 
 val run :
-  ?store:Store.t ->
   ?heartbeat_interval_s:float ->
   ?reconnect:int ->
   connect:Wire.addr ->
@@ -39,9 +40,8 @@ val run :
 (** Run the worker loop until a clean [shutdown] frame ([true]) or until
     the coordinator stays unreachable / desynchronises with the
     reconnect budget spent ([false]). [reconnect] (default 0) caps
-    reconnection attempts across the whole run. [store] is this
-    worker's handle on the shared warm tier (hits served worker-side);
-    heartbeats default to every 0.5 s. Sets the process event-log
-    worker id and ignores [SIGPIPE]. Raises [Failure] on an unusable
-    address (resolution failure, port 0) and [Unix.Unix_error] on a
-    dial failure with no reconnect budget. *)
+    reconnection attempts across the whole run; heartbeats default to
+    every 0.5 s. Sets the process event-log worker id and ignores
+    [SIGPIPE]. Raises [Failure] on an unusable address (resolution
+    failure, port 0) and [Unix.Unix_error] on a dial failure with no
+    reconnect budget. *)

@@ -427,12 +427,6 @@ let parse ?file ?circuit text =
         diags )
 
 let parse_file_checked ?circuit path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> parse ~file:path ?circuit text
-  | exception Sys_error msg ->
-      Error [ Diag.error ~file:path ~code:"sdc.io" msg ]
+  match Dcopt_util.File.read path with
+  | Ok text -> parse ~file:path ?circuit text
+  | Error msg -> Error [ Diag.error ~file:path ~code:"sdc.io" msg ]

@@ -346,14 +346,9 @@ let write_file path json =
   Sys.rename tmp path
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> (
+  match File.read path with
+  | Error _ as e -> e
+  | Ok text -> (
     match of_string text with
     | Ok _ as ok -> ok
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))

@@ -51,7 +51,8 @@ let read_lines path =
   close_in ic;
   lines
 
-(* run `minpower batch` with extra args; returns (exit_code, JSONL rows) *)
+(* run `minpower batch` with extra args; returns its JSONL rows, and
+   fails on a stdout line that is not one *)
 let run_batch ?(env = []) ?(expect_exit = 0) ~tag extra =
   let out_path = Printf.sprintf "chaos_smoke_%s.out" tag in
   let out_fd =
@@ -68,9 +69,13 @@ let run_batch ?(env = []) ?(expect_exit = 0) ~tag extra =
   | Unix.WEXITED n when n = expect_exit -> ()
   | Unix.WEXITED n -> fail "batch %s exited %d (want %d)" tag n expect_exit
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> fail "batch %s got signal %d" tag n);
-  List.filter
-    (fun line -> String.length line > 0 && line.[0] = '{')
-    (read_lines out_path)
+  let lines = read_lines out_path in
+  List.iter
+    (fun line ->
+      if String.length line = 0 || line.[0] <> '{' then
+        fail "batch %s printed a line that is not a row: %S" tag line)
+    lines;
+  lines
 
 let metric_value om_path name =
   let prefix = name ^ " " in
@@ -233,8 +238,8 @@ let () =
     (fun f -> fail "ENOSPC run left %s in the store" f)
     (Sys.readdir "chaos_store_enospc");
 
-  (* a full disk under a fleet batch: coordinator and workers all fail
-     their puts; rows still byte-identical *)
+  (* a full disk under a fleet batch: the coordinator, the only process
+     that writes the store, fails every put; rows still byte-identical *)
   case ~baseline ~tag:"enospc_fleet" ~env:hb1
     ~extra:[ "--workers"; "2"; "--store"; "chaos_store_fleet" ]
     ~plan:"store.put@*:enospc"

@@ -4,6 +4,7 @@
 module Bench_format = Dcopt_netlist.Bench_format
 module Tech = Dcopt_device.Tech
 module Tech_io = Dcopt_device.Tech_io
+module Sdc = Dcopt_timing.Sdc
 module Flow = Dcopt_core.Flow
 module Diag = Dcopt_util.Diag
 module Json = Dcopt_util.Json
@@ -93,6 +94,38 @@ let test_bench_empty_and_io () =
   | Ok _ -> Alcotest.fail "missing file parsed"
   | Error [ d ] -> Alcotest.(check string) "bench.io" "bench.io" d.Diag.code
   | Error _ -> Alcotest.fail "missing file: expected exactly one diagnostic"
+
+(* Every front door reads files through one reader, which names a
+   directory for what it is. *)
+let input_dir () =
+  let dir = "robust_input_dir" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  dir
+
+let check_dir_diag ~code dir = function
+  | Ok _ -> Alcotest.fail "a directory parsed"
+  | Error [ d ] ->
+    Alcotest.(check string) "code" code d.Diag.code;
+    Alcotest.(check string) "message" (dir ^ ": is a directory") d.Diag.message
+  | Error _ -> Alcotest.fail "a directory: expected exactly one diagnostic"
+
+let test_bench_dir () =
+  let dir = input_dir () in
+  check_dir_diag ~code:"bench.io" dir (Bench_format.parse_file_checked dir)
+
+let test_tech_dir () =
+  let dir = input_dir () in
+  check_dir_diag ~code:"tech.io" dir (Tech_io.parse_file_checked dir)
+
+let test_sdc_dir () =
+  let dir = input_dir () in
+  check_dir_diag ~code:"sdc.io" dir (Sdc.parse_file_checked dir)
+
+let test_json_dir () =
+  let dir = input_dir () in
+  Alcotest.(check (result reject string))
+    "the reader's message" (Error (dir ^ ": is a directory"))
+    (Result.map (fun _ -> ()) (Json.read_file dir))
 
 let test_tech_collects_all_problems () =
   let text = "frobnicate = 1\nalpha = banana\nvt_min = 5.0\n" in
@@ -385,6 +418,14 @@ let () =
             test_bench_empty_and_io;
           Alcotest.test_case "tech collects all problems" `Quick
             test_tech_collects_all_problems;
+          Alcotest.test_case "bench reader names a directory" `Quick
+            test_bench_dir;
+          Alcotest.test_case "tech reader names a directory" `Quick
+            test_tech_dir;
+          Alcotest.test_case "sdc reader names a directory" `Quick
+            test_sdc_dir;
+          Alcotest.test_case "json reader names a directory" `Quick
+            test_json_dir;
         ] );
       ( "degenerate physics",
         [
