@@ -41,7 +41,6 @@ let manager ?(node_limit = 1_000_000) ~var_count () =
   m
 
 let var_count m = m.vars
-let node_count m = m.next - 2
 let bdd_false (_ : manager) : node = 0
 let bdd_true (_ : manager) : node = 1
 let of_bool m b = if b then bdd_true m else bdd_false m

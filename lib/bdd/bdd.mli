@@ -18,8 +18,6 @@ val manager : ?node_limit:int -> var_count:int -> unit -> manager
     1_000_000) bounds the unique table. *)
 
 val var_count : manager -> int
-val node_count : manager -> int
-(** Live unique-table size (excluding the two terminals). *)
 
 val bdd_true : manager -> node
 val bdd_false : manager -> node

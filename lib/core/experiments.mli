@@ -18,22 +18,12 @@ type table_row = {
   savings : float option;      (** Table 2 only: vs the Table-1 row *)
 }
 
-val default_activities : float array
-(** The two input transition densities used by Tables 1-2 (0.1, 0.5). *)
-
-val rows_for :
-  optimizer:string -> ?baseline:string ->
-  ?config:Flow.config -> ?circuits:string list -> ?activities:float array ->
-  unit -> table_row list
-(** One table row per (circuit, activity) pair under any registered
-    {!Optimizer} (dispatched by name); with [baseline] set, each row's
-    savings column compares against that optimizer's result on the same
-    prepared circuit. Raises [Invalid_argument] on unknown names. *)
-
 val table1 :
   ?config:Flow.config -> ?circuits:string list -> ?activities:float array ->
   unit -> table_row list
-(** Baseline rows: Vt fixed at 700 mV, Vdd + widths optimized for 300 MHz. *)
+(** Baseline rows: Vt fixed at 700 mV, Vdd + widths optimized for 300 MHz.
+    One row per (circuit, activity) pair; [activities] defaults to the
+    paper's input transition densities 0.1 and 0.5. *)
 
 val table2 :
   ?config:Flow.config -> ?circuits:string list -> ?activities:float array ->

@@ -21,24 +21,21 @@ type corner = {
   vt_factor : float;  (** multiplier on every gate threshold, > 0 *)
 }
 
-val nominal_corner : corner
-(** ["nominal"] at factor 1.0 — the bit-exact identity corner. *)
-
 type t = {
   prepared : Flow.prepared;
   corners : corner list;  (** non-empty; first = objective corner *)
 }
 
 val of_prepared : Flow.prepared -> t
-(** The legacy single-corner scenario: [{prepared; corners =
-    [nominal_corner]}]. {!prepared_view} returns [prepared] unchanged
-    and {!finalize} is the identity on solutions. *)
+(** The legacy single-corner scenario: one corner ["nominal"] at factor
+    1.0, the bit-exact identity corner. {!prepared_view} returns
+    [prepared] unchanged and {!finalize} is the identity on solutions. *)
 
 val make :
   ?corners:corner list -> Flow.prepared -> t
-(** [corners] defaults to [[nominal_corner]]. Raises [Invalid_argument]
-    on an empty list, a non-positive/non-finite factor, or a duplicate
-    corner name. *)
+(** [corners] defaults to the one {!of_prepared} corner. Raises
+    [Invalid_argument] on an empty list, a non-positive/non-finite
+    factor, or a duplicate corner name. *)
 
 val worst_corner : t -> corner
 (** The corner with the highest [vt_factor] — where optimization runs. *)

@@ -37,9 +37,6 @@ val parse_file_checked :
 val to_string : Tech.t -> string
 (** Every field, one per line, parseable by {!parse}. *)
 
-val known_keys : string list
-(** Accepted parameter names, for error messages and documentation. *)
-
 val to_json : Tech.t -> Dcopt_util.Json.t
 (** Versioned JSON object (schema version 1, every field explicit, exact
     float round-trip). [to_json] then {!of_json} reproduces the record

@@ -47,10 +47,6 @@ let eval kind vs =
   | Xnor -> not (parity ())
   | Input | Dff -> invalid_arg "Gate.eval: not a combinational gate"
 
-let is_inverting = function
-  | Not | Nand | Nor | Xnor -> true
-  | And | Or | Buf | Xor | Input | Dff -> false
-
 let series_stack_depth kind fanin =
   match kind with
   | Not | Buf | Input | Dff -> 1

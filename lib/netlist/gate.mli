@@ -32,9 +32,6 @@ val eval : kind -> bool array -> bool
 (** Boolean function of the gate on its fanin values. [Input] and [Dff] are
     not combinational and must not be evaluated. *)
 
-val is_inverting : kind -> bool
-(** True for [Not], [Nand], [Nor], [Xnor]: a single static CMOS stage. *)
-
 val series_stack_depth : kind -> int -> int
 (** [series_stack_depth kind fanin] is the worst-case number of
     series-connected MOSFETs conducting during a transition — [fanin] for

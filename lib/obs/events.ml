@@ -21,7 +21,7 @@ let level_of_string = function
    emit inside batch tasks), so the channel write is mutex-protected and
    each event is flushed as one whole line — a crashed process leaves a
    valid JSONL prefix, and lines from different domains never shear. *)
-type sink = { chan : out_channel; min_level : level; owns_chan : bool }
+type sink = { chan : out_channel; min_level : level }
 
 let sink_mutex = Mutex.create ()
 let current : sink option ref = ref None
@@ -31,15 +31,9 @@ let close () =
   (match !current with
   | Some s ->
     (try flush s.chan with Sys_error _ -> ());
-    if s.owns_chan then close_out_noerr s.chan;
+    close_out_noerr s.chan;
     current := None
   | None -> ());
-  Mutex.unlock sink_mutex
-
-let set_channel ?(min_level = Info) chan =
-  close ();
-  Mutex.lock sink_mutex;
-  current := Some { chan; min_level; owns_chan = false };
   Mutex.unlock sink_mutex
 
 let open_file ?(min_level = Info) path =
@@ -48,7 +42,7 @@ let open_file ?(min_level = Info) path =
     open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
   in
   Mutex.lock sink_mutex;
-  current := Some { chan; min_level; owns_chan = true };
+  current := Some { chan; min_level };
   Mutex.unlock sink_mutex
 
 let active level =
@@ -105,10 +99,6 @@ let current_scope () =
     match s.run_id with Some _ -> s.run_id | None -> !global_run_id
   in
   (run_id, s.batch_id, s.job_id)
-
-let current_worker_id () =
-  let s = Domain.DLS.get scope_key in
-  match s.worker_id with Some _ -> s.worker_id | None -> !global_worker_id
 
 let emit ?(fields = []) level event =
   match !current with

@@ -31,13 +31,8 @@ val open_file : ?min_level:level -> string -> unit
     any previous sink. Events below [min_level] (default [Info]) are
     dropped. *)
 
-val set_channel : ?min_level:level -> out_channel -> unit
-(** Use an already-open channel as the sink (not closed by {!close};
-    the caller keeps ownership). For tests and for logging to stderr. *)
-
 val close : unit -> unit
-(** Flush and detach the sink (closing it if {!open_file} opened it).
-    Idempotent. *)
+(** Flush, close and detach the sink. Idempotent. *)
 
 val active : level -> bool
 (** Whether an event at this level would currently be written — for
@@ -73,10 +68,6 @@ val with_scope :
 
 val current_scope : unit -> string option * int option * string option
 (** The calling domain's [(run_id, batch_id, job_id)]. *)
-
-val current_worker_id : unit -> string option
-(** The calling domain's worker id (scoped, falling back to
-    {!set_worker_id}'s process-level value). *)
 
 (** {1 Emission} *)
 

@@ -2,26 +2,15 @@ module Tech = Dcopt_device.Tech
 module Prng = Dcopt_util.Prng
 module Numeric = Dcopt_util.Numeric
 
-type options = {
-  passes : int;
-  moves_per_pass : int;
-  initial_temperature : float;
-  cooling : float;
-  seed : int64;
-  warm_start : bool;
-  checkpoint : string option;
-}
+type options = { passes : int; moves_per_pass : int }
 
-let default_options =
-  {
-    passes = 3;
-    moves_per_pass = 4000;
-    initial_temperature = 0.5;
-    cooling = 0.0; (* 0 = derive from moves_per_pass at run time *)
-    seed = 0x5EEDL;
-    warm_start = false;
-    checkpoint = None;
-  }
+let default_options = { passes = 3; moves_per_pass = 4000 }
+
+(* The paper's one fixed setting: every run starts from this seed and
+   temperature, and the geometric cooling reaches 1e-3 of it at the end of
+   each pass. *)
+let seed = 0x5EEDL
+let initial_temperature = 0.5
 
 (* Log-energy cost with a steep timing penalty, so the walk can cross
    mildly-infeasible territory but cannot settle there. *)
@@ -74,37 +63,27 @@ let perturb inc gates rng temperature =
    pass); optimize renumbers and forwards the buffers to the observer in
    pass order, so the stream is identical whether passes ran sequentially
    or on the Par pool. *)
-let run_pass ?record env ~budgets ~options rng =
+let run_pass ?record env ~options rng =
   let tech = Power_model.tech env in
   let gates = Power_model.unsafe_gate_ids env in
-  let n = Dcopt_netlist.Circuit.size (Power_model.circuit env) in
   let vt0 = 0.5 *. (tech.Tech.vt_min +. tech.Tech.vt_max) in
+  (* the paper's setting: a cold mid-range start the walk must shape *)
   let start =
-    if options.warm_start then
-      (* extension: start from a feasible sized design *)
-      fst
-        (Power_model.size_all env ~vdd:tech.Tech.vdd_max
-           ~vt:(Array.make n vt0) ~budgets)
-    else
-      (* the paper's setting: a cold mid-range start the walk must shape *)
-      Power_model.uniform_design env ~vdd:(0.6 *. tech.Tech.vdd_max) ~vt:vt0
-        ~w:(sqrt (tech.Tech.w_min *. tech.Tech.w_max))
+    Power_model.uniform_design env ~vdd:(0.6 *. tech.Tech.vdd_max) ~vt:vt0
+      ~w:(sqrt (tech.Tech.w_min *. tech.Tech.w_max))
   in
-  let cooling =
-    if options.cooling > 0.0 then options.cooling
-    else exp (log 1e-3 /. float_of_int options.moves_per_pass)
-  in
+  let cooling = exp (log 1e-3 /. float_of_int options.moves_per_pass) in
   (* The walk lives in one incremental state: a move mutates it in place,
      an acceptance commits, a rejection rolls back — width moves (60% of
      the mix) cost O(affected cone) instead of a full evaluation. *)
   (* A degenerate start (vt at or above vdd) cannot even be evaluated:
      Incr.create raises Guard.Non_finite, and the surrounding
      Guard.protect turns the whole pass into None instead of a crash. *)
-  Guard.protect ~site:"annealing.pass" @@ fun () ->
+  Guard.protect @@ fun () ->
   let inc = Power_model.Incr.create env (copy_design start) in
   let current_cost = ref (incr_cost env inc) in
   let best = ref None in
-  let temperature = ref options.initial_temperature in
+  let temperature = ref initial_temperature in
   for move = 1 to options.moves_per_pass do
     match perturb inc gates rng !temperature with
     | exception Guard.Non_finite _ ->
@@ -162,77 +141,8 @@ let run_pass ?record env ~budgets ~options rng =
   done;
   !best
 
-(* ------------------------------------------------------------------ *)
-(* Per-pass crash-safe checkpoints                                      *)
-
-module Json = Dcopt_util.Json
-module Metrics = Dcopt_obs.Metrics
-
-let ckpt_hits_c =
-  Metrics.counter ~help:"annealing passes resumed from a checkpoint"
-    "anneal.checkpoint.hits"
-
-let ckpt_writes_c =
-  Metrics.counter ~help:"annealing pass checkpoints written"
-    "anneal.checkpoint.writes"
-
-let checkpoint_version = 1
-
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    let parent = Filename.dirname path in
-    if parent <> path then mkdir_p parent;
-    try Sys.mkdir path 0o755
-    with Sys_error _ when Sys.is_directory path -> ()
-  end
-
-let pass_path dir i = Filename.concat dir (Printf.sprintf "pass%d.json" i)
-
-(* The file carries the run's full identity — seed, every option that
-   shapes the walk, and the pass's pre-split PRNG state — so a stale
-   checkpoint (different options or seed) can never leak into a run. *)
-let pass_doc ~options ~rng_state result =
-  Json.Obj
-    [
-      ("version", Json.Int checkpoint_version);
-      ("seed", Json.String (Int64.to_string options.seed));
-      ("passes", Json.Int options.passes);
-      ("moves_per_pass", Json.Int options.moves_per_pass);
-      ("initial_temperature", Json.Float options.initial_temperature);
-      ("cooling", Json.Float options.cooling);
-      ("warm_start", Json.Bool options.warm_start);
-      ("rng_state", Json.String (Int64.to_string rng_state));
-      ( "result",
-        match result with Some s -> Solution.to_json s | None -> Json.Null );
-    ]
-
-(* [Some result] when the file is present, parses, and matches the run's
-   identity exactly; anything else — missing, corrupt, stale — means the
-   pass must rerun. Identity is compared structurally on the rendered
-   members (Json floats round-trip exactly, so this is bit-precise). *)
-let pass_of_file ~options ~rng_state path =
-  match Json.read_file path with
-  | Error _ -> None
-  | Ok doc -> (
-    let expected = pass_doc ~options ~rng_state None in
-    let identity j =
-      match Json.get_obj j with
-      | Some members -> List.filter (fun (k, _) -> k <> "result") members
-      | None -> []
-    in
-    match identity doc = identity expected && identity doc <> [] with
-    | false -> None
-    | true -> (
-      match Json.field "result" doc with
-      | Some Json.Null -> Some None
-      | Some s -> (
-        match Solution.of_json s with
-        | Ok sol -> Some (Some sol)
-        | Error _ -> None)
-      | None -> None))
-
-let optimize ?observer ?(options = default_options) env ~budgets =
-  let rng = Prng.create options.seed in
+let optimize ?observer ?(options = default_options) env =
+  let rng = Prng.create seed in
   let passes = max 0 options.passes in
   (* Split one rng per pass up front, in pass order — the same streams a
      sequential loop would hand each pass — so the restarts are
@@ -241,43 +151,16 @@ let optimize ?observer ?(options = default_options) env ~budgets =
   for i = 0 to passes - 1 do
     rngs.(i) <- Prng.split rng
   done;
-  (* pre-run states: the checkpoint identity of each pass *)
-  let rng_states = Array.map Prng.state rngs in
-  let resume =
-    match options.checkpoint with
-    | None -> Array.make passes None
-    | Some dir ->
-      mkdir_p dir;
-      Array.init passes (fun i ->
-          let r =
-            pass_of_file ~options ~rng_state:rng_states.(i) (pass_path dir i)
-          in
-          if r <> None then Metrics.incr ckpt_hits_c;
-          r)
-  in
   let buffers = Array.init passes (fun _ -> ref []) in
   let results =
     Dcopt_par.Par.map ~site:"annealing.passes"
       (fun i ->
-        match resume.(i) with
-        | Some result -> result
-        | None ->
-          let record =
-            match observer with
-            | None -> None
-            | Some _ -> Some (fun it -> buffers.(i) := it :: !(buffers.(i)))
-          in
-          let result = run_pass ?record env ~budgets ~options rngs.(i) in
-          (match options.checkpoint with
-          | None -> ()
-          | Some dir ->
-            (* written from the worker right as the pass completes (the
-               pool barrier would lose end-of-batch writes to a SIGKILL);
-               atomic tmp+rename, so a crash never leaves a torn file *)
-            Json.write_file (pass_path dir i)
-              (pass_doc ~options ~rng_state:rng_states.(i) result);
-            Metrics.incr ckpt_writes_c);
-          result)
+        let record =
+          match observer with
+          | None -> None
+          | Some _ -> Some (fun it -> buffers.(i) := it :: !(buffers.(i)))
+        in
+        run_pass ?record env ~options rngs.(i))
       (Array.init passes Fun.id)
   in
   (* Sequential emission in pass order, move indices renumbered to the

@@ -4,30 +4,14 @@
     variables "for evaluation purposes" and found the Procedure-2 heuristic
     consistently better, because the problem (two global voltages plus N
     widths) is too large for annealing to converge in practical time. This
-    module reproduces that comparison. *)
+    module reproduces that comparison with one fixed setting: seed
+    [0x5EED], initial temperature 0.5 in relative-energy units, geometric
+    cooling to 1e-3 of it over each pass, and every pass starting from a
+    cold mid-range design the walk must shape itself. *)
 
 type options = {
   passes : int;           (** independent restarts, default 3 *)
   moves_per_pass : int;   (** default 4000 *)
-  initial_temperature : float; (** in relative-energy units, default 0.5 *)
-  cooling : float;        (** geometric factor per move, default derived *)
-  seed : int64;           (** default 0x5EEDL *)
-  warm_start : bool;
-    (** false (default, the paper's setting): start each pass from a cold
-        mid-range design the walk must shape itself; true: start from a
-        feasible Procedure-2-style sized design — an extension under which
-        annealing becomes competitive (see EXPERIMENTS.md). *)
-  checkpoint : string option;
-    (** directory for crash-safe per-pass checkpoints (default [None]).
-        Each completed pass atomically writes [pass<i>.json] — version,
-        the run's full identity (seed, options, the pass's pre-split PRNG
-        state) and its best solution (or null). A rerun with the same
-        identity skips every checkpointed pass and recomputes only the
-        missing ones, producing the same result as an uninterrupted run;
-        stale or corrupt files (different identity, unparsable) are
-        ignored and the pass reruns. Counted under
-        [anneal.checkpoint.hits]/[anneal.checkpoint.writes]. Resumed
-        passes do not re-emit their telemetry stream. *)
 }
 
 val default_options : options
@@ -36,10 +20,10 @@ val optimize :
   ?observer:Dcopt_obs.Telemetry.observer ->
   ?options:options ->
   Power_model.env ->
-  budgets:float array ->
   Solution.t option
 (** Best feasible design found across all passes; the cost function is
     total energy plus a steep penalty for exceeding the cycle time. May
-    return [None] when no pass ever reaches feasibility.
+    return [None] when no pass ever reaches feasibility. No budgets: the
+    walk is bounded by the cycle time alone.
     [observer] receives one record per proposed move (accepted or not),
     indexed globally across passes. *)

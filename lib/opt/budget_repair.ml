@@ -5,6 +5,11 @@ type outcome =
   | Repaired of { budgets : float array; lifted : int; iterations : int }
   | Infeasible of { limiting_gate : int }
 
+(* At most 24 lift-and-rebalance rounds; a lifted budget sits 1e-3 above
+   the floor it was lifted to. *)
+let max_iterations = 24
+let margin = 1e-3
+
 (* The repair loop drives the *actual* sizing operator: size the whole
    circuit at the corner, lift the budget of every gate that missed to the
    delay it achieved at maximum width (its true floor under the sized
@@ -12,7 +17,7 @@ type outcome =
    each violating path. Lifts only grow and shrinks only shrink the
    complementary set, so the loop either reaches a sized fixpoint or proves
    a floored-end-to-end path. *)
-let repair ?(max_iterations = 24) ?(margin = 1e-3) env ~budgets ~vdd ~vt =
+let repair env ~budgets ~vdd ~vt =
   let flat = Power_model.flat env in
   let n = Circuit.size (Power_model.circuit env) in
   let budgets = Array.copy budgets in

@@ -24,13 +24,9 @@ type outcome =
     (** [limiting_gate]: a gate on an unshrinkable violating path. *)
 
 val repair :
-  ?max_iterations:int ->  (* default 24 *)
-  ?margin:float ->        (* relative safety over the floor, default 1e-3 *)
-  Power_model.env ->
-  budgets:float array ->
-  vdd:float -> vt:float ->
-  outcome
+  Power_model.env -> budgets:float array -> vdd:float -> vt:float -> outcome
 (** Returns budgets whose STA critical delay still fits the original
     distributed cycle budget (max path sum of the input budgets) and whose
-    every entry is at or above the gate's floor — or [Infeasible]. The
-    input array is not mutated. *)
+    every entry is at or above the gate's floor — a lifted budget sits a
+    relative 1e-3 above it — or [Infeasible] when 24 rounds do not reach
+    a fixpoint. The input array is not mutated. *)

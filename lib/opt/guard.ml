@@ -15,17 +15,20 @@ let m_aborted =
   Metrics.counter ~help:"optimizer trials abandoned on a non-finite value"
     "guard.trials_aborted"
 
-(* Guard trips are rare and always suspicious: besides the counters,
-   each one leaves a Warn event carrying the site, so a bad design point
-   is joinable to its batch row via the correlation scope. *)
+(* A +infinity is the delay of a gate that cannot switch at a scanned
+   point (vt at or above vdd), which every (Vdd, Vt) scan meets by design:
+   the counters record it, and nothing more. Any other trip (NaN,
+   -infinity) is always suspicious, so it also leaves a Warn event carrying
+   the site, joinable to its batch row via the correlation scope. *)
 let trip_event ~site ~action v =
-  Events.warn "guard.non_finite"
-    ~fields:
-      [
-        ("site", Dcopt_util.Json.String site);
-        ("value", Dcopt_util.Json.Float v);
-        ("action", Dcopt_util.Json.String action);
-      ]
+  if v <> Float.infinity then
+    Events.warn "guard.non_finite"
+      ~fields:
+        [
+          ("site", Dcopt_util.Json.String site);
+          ("value", Dcopt_util.Json.Float v);
+          ("action", Dcopt_util.Json.String action);
+        ]
 
 let clamp ~site v =
   if Float.is_finite v then v
@@ -46,7 +49,7 @@ let check ~site v =
 
 let abort_trial () = Metrics.incr m_aborted
 
-let protect ~site:_ f =
+let protect f =
   try f ()
   with Non_finite _ ->
     abort_trial ();

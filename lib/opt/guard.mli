@@ -20,7 +20,10 @@
     Every trip is visible through the obs layer: [guard.non_finite]
     counts values trapped, [guard.clamped] the subset clamped in place,
     and [guard.trials_aborted] the trials abandoned via {!abort_trial}/
-    {!protect}. *)
+    {!protect}. A trip also logs a [guard.non_finite] Warn event, unless
+    the value is [+infinity]: that is the delay of a gate that cannot
+    switch at a scanned point, which every (Vdd, Vt) scan meets, so it is
+    only counted. *)
 
 exception Non_finite of { site : string; value : float }
 (** Raised by {!check} on a NaN/infinite value. [site] names the
@@ -37,7 +40,7 @@ val check : site:string -> float -> float
 val abort_trial : unit -> unit
 (** Count an abandoned trial ([guard.trials_aborted]). *)
 
-val protect : site:string -> (unit -> 'a option) -> 'a option
-(** [protect ~site f] runs [f]; a {!Non_finite} escaping it aborts the
-    trial ([None], counted) instead of the process. Other exceptions pass
+val protect : (unit -> 'a option) -> 'a option
+(** [protect f] runs [f]; a {!Non_finite} escaping it aborts the trial
+    ([None], counted) instead of the process. Other exceptions pass
     through. *)

@@ -38,7 +38,7 @@ let vt_of_classes assignment class_vts n =
    if the whole design still meets the cycle time, so shared-path
    interactions cannot break timing. The incremental engine re-times only
    the promoted gate's cone, with the bits a full evaluation gives. *)
-let greedy ~(emit : Solution.emit) ?vt_high_candidates env solution =
+let greedy ~(emit : Solution.emit) env solution =
   let tech = Power_model.tech env in
   let base = solution.Solution.design in
   let vt_low =
@@ -46,14 +46,12 @@ let greedy ~(emit : Solution.emit) ?vt_high_candidates env solution =
     | v :: _ -> v
     | [] -> tech.Tech.vt_min
   in
+  (* five high-threshold candidates, from 50 mV above the base to vt_max *)
   let candidates =
-    match vt_high_candidates with
-    | Some c -> c
-    | None ->
-      Numeric.linspace
-        ~lo:(Numeric.clamp ~lo:tech.Tech.vt_min ~hi:tech.Tech.vt_max
-               (vt_low +. 0.05))
-        ~hi:tech.Tech.vt_max ~n:5
+    Numeric.linspace
+      ~lo:(Numeric.clamp ~lo:tech.Tech.vt_min ~hi:tech.Tech.vt_max
+             (vt_low +. 0.05))
+      ~hi:tech.Tech.vt_max ~n:5
   in
   let tc = Power_model.cycle_time env in
   let best = ref solution in
@@ -112,9 +110,8 @@ let greedy ~(emit : Solution.emit) ?vt_high_candidates env solution =
     candidates;
   !best
 
-let greedy_dual_vt ?vt_high_candidates env solution =
-  greedy ~emit:(fun ~vdd:_ ~vt:_ ~feasible:_ _ -> ()) ?vt_high_candidates env
-    solution
+let greedy_dual_vt env solution =
+  greedy ~emit:(fun ~vdd:_ ~vt:_ ~feasible:_ _ -> ()) env solution
 
 let optimize ?observer ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
   assert (n_vt >= 1);

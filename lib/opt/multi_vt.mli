@@ -12,16 +12,13 @@ val classify :
 (** Per-node class index in \[0, classes): class 0 holds the gates with the
     tightest budget-to-fast-corner ratio. Input nodes get class 0. *)
 
-val greedy_dual_vt :
-  ?vt_high_candidates:float array ->  (* default: a grid above the base vt *)
-  Power_model.env ->
-  Solution.t ->
-  Solution.t
+val greedy_dual_vt : Power_model.env -> Solution.t -> Solution.t
 (** The classic slack-driven dual-Vt assignment: starting from a sized
     single-Vt design, visit gates in decreasing timing slack and promote
     each to the high threshold when the whole circuit still meets the
-    cycle time afterwards (widths untouched). Scans several high-threshold
-    candidates and keeps the best. Never worse than its input. *)
+    cycle time afterwards (widths untouched). Scans five high-threshold
+    candidates, evenly spaced from 50 mV above the input's threshold to
+    [vt_max], and keeps the best. Never worse than its input. *)
 
 val optimize :
   ?observer:Dcopt_obs.Telemetry.observer ->

@@ -24,12 +24,7 @@ val vt_values : t -> float list
 (** Distinct gate thresholds in the design, ascending (singleton for
     single-Vt designs). *)
 
-val mean_width : t -> Power_model.env -> float
 val max_width : t -> Power_model.env -> float
-
-val active_area : t -> Power_model.env -> float
-(** Total active (gate) area proxy in square metres: sum over gates of
-    [w * (1 + beta) * F^2] — NMOS plus PMOS widths at minimum length. *)
 
 val total_energy : t -> float
 val static_energy : t -> float
@@ -58,18 +53,15 @@ val better : t option -> t -> t option
 (** Keep the lower-total-energy feasible solution; infeasible candidates
     never replace feasible ones. *)
 
-val slack_profile : Power_model.env -> t -> float * int
-(** [(worst_slack, near_critical)] of the solution's achieved delays
-    against the env's constraint set (per-endpoint required times when
-    the set is not scalar): the minimum slack over all nodes and
-    the number of nodes with slack within 5% of the cycle time. Runs the
-    levelized {!Dcopt_timing.Flat_sta} analyzer over the env's flat view
-    (so reporting a solution also exercises — and instruments, via the
-    [sta.level.*] metrics — the data-oriented timing core). *)
-
 val describe : Power_model.env -> t -> string
-(** Multi-line human-readable summary, including the {!slack_profile}
-    line. *)
+(** Multi-line human-readable summary: operating point, mean and maximum
+    width, active area, energies, and a slack line — the worst slack of
+    the solution's achieved delays against the env's constraint set, and
+    the number of nodes with slack within 5% of the cycle time. The slack
+    line runs the levelized {!Dcopt_timing.Flat_sta} analyzer over the
+    env's flat view (so reporting a solution also exercises — and
+    instruments, via the [sta.level.*] metrics — the data-oriented timing
+    core). *)
 
 val to_json : t -> Dcopt_util.Json.t
 (** Versioned JSON (schema version 1) carrying the full design and

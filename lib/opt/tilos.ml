@@ -4,11 +4,14 @@ module Tech = Dcopt_device.Tech
 module Drive = Dcopt_device.Drive
 module Numeric = Dcopt_util.Numeric
 
-let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
+(* Each upsizing multiplies one gate's width by [step]; the loop gives up
+   after 50 upsizings per gate. *)
+let step = 1.15
+
+let size_for_cycle env ~vdd ~vt =
   let tech = Power_model.tech env in
   let circuit = Power_model.circuit env in
-  let gate_count = max 1 (Circuit.gate_count circuit) in
-  let limit = Option.value max_iterations ~default:(50 * gate_count) in
+  let limit = 50 * max 1 (Circuit.gate_count circuit) in
   let design = Power_model.uniform_design env ~vdd ~vt ~w:tech.Tech.w_min in
   (* Vdd and Vt are uniform here, so one context serves every probe. *)
   let ctx = Power_model.drive env ~vdd ~vt in
@@ -84,7 +87,7 @@ let size_for_cycle ?(step = 1.15) ?max_iterations env ~vdd ~vt =
      with non-finite physics (vt >= vdd) makes Incr raise Guard.Non_finite;
      the protect turns that trial point into None — infeasible, skipped —
      instead of a crash. *)
-  Guard.protect ~site:"tilos.size_for_cycle" @@ fun () ->
+  Guard.protect @@ fun () ->
   let inc = Power_model.Incr.create env design in
   let rec loop iteration =
     if Power_model.Incr.feasible inc then Some design

@@ -4,8 +4,8 @@
     The paper decomposes the cycle time into per-gate budgets (Procedure 1)
     and then sizes each gate independently; the decomposition is what makes
     the heuristic fast, but it is conservative — a gate is forced within
-    its own budget even when the path it sits on has slack elsewhere (our
-    warm-started-annealing comparison quantifies the cost). The classic
+    its own budget even when the path it sits on has slack elsewhere (the
+    [ablation-sizing] experiment quantifies the cost). The classic
     alternative (Fishburn & Dunlop's TILOS) needs no budgets: start every
     gate at minimum width and, while the circuit misses the cycle time,
     upsize the gate on the critical path with the best delay-reduction per
@@ -14,14 +14,12 @@
     strategies can be compared like for like. *)
 
 val size_for_cycle :
-  ?step:float ->         (* multiplicative width step, default 1.15 *)
-  ?max_iterations:int -> (* default 50 * gates *)
-  Power_model.env ->
-  vdd:float -> vt:float ->
-  Power_model.design option
-(** Greedy sizing at a fixed operating point: [None] when the cycle time is
-    unreachable (every critical-path gate saturated at maximum width). The
-    returned design meets the cycle time. *)
+  Power_model.env -> vdd:float -> vt:float -> Power_model.design option
+(** Greedy sizing at a fixed operating point, upsizing one critical gate
+    by a factor of 1.15 per step: [None] when the cycle time is
+    unreachable (every critical-path gate saturated at maximum width, or
+    50 upsizings per gate spent). The returned design meets the cycle
+    time. *)
 
 val optimize :
   ?observer:Dcopt_obs.Telemetry.observer ->

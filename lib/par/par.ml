@@ -185,9 +185,9 @@ let parallel_for ?site ?jobs:requested ~n f =
       | Some _ -> () (* a task already failed: drain the rest cheaply *)
       | None -> (
         try
-          let t0 = Unix.gettimeofday () in
+          let t0 = Dcopt_util.Clock.monotonic_s () in
           f i;
-          latencies.(i) <- Unix.gettimeofday () -. t0
+          latencies.(i) <- Dcopt_util.Clock.monotonic_s () -. t0
         with e ->
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set failure None (Some (e, bt))))

@@ -25,7 +25,8 @@
     Each batch records pool metrics in {!Dcopt_obs.Metrics} from the main
     domain only: the [par.tasks]/[par.batches] counters, the
     [par.domains] gauge, and — when [site] is given — a
-    [par.latency.<site>] histogram of per-task wall-clock seconds. *)
+    [par.latency.<site>] histogram of per-task elapsed seconds, read on
+    the monotonic clock. *)
 
 val jobs : unit -> int
 (** Current global job count (>= 1). *)

@@ -60,9 +60,6 @@ type plan = { seed : int64; entries : entry list }
 val sites : string list
 (** The published injection seams; {!parse} rejects anything else. *)
 
-val action_to_string : action -> string
-(** The plan-grammar rendering, e.g. ["delay=0.5"]. *)
-
 val parse : string -> (plan, string) result
 
 val arm : plan -> unit

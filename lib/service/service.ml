@@ -219,11 +219,13 @@ let outcome_status = function
    only counters (atomic), spans (per-domain) and events (mutexed sink) —
    never gauges/histograms; wall time and allocation are measured here
    and folded into histograms after the pool barrier, on the main domain.
+   The deadline and the wall time are elapsed times, so they read the
+   monotonic clock: a wall-clock step mid-job moves neither.
    [Gc.allocated_bytes] is per-domain and a task never migrates, so the
    delta is this job's allocation (plus any event/span bookkeeping, which
    is noise at job scale). *)
 let compute r =
-  let t0 = Clock.now_ns () in
+  let t0 = Clock.monotonic_ns () in
   let alloc0 = Gc.allocated_bytes () in
   Events.info "job.start"
     ~fields:
@@ -236,10 +238,11 @@ let compute r =
     let deadline =
       match r.timeout_s with
       | None -> Int64.max_int
-      | Some s -> Int64.add (Clock.now_ns ()) (Int64.of_float (s *. 1e9))
+      | Some s -> Int64.add (Clock.monotonic_ns ()) (Int64.of_float (s *. 1e9))
     in
     let observer _it =
-      if Int64.compare (Clock.now_ns ()) deadline > 0 then raise Timed_out
+      if Int64.compare (Clock.monotonic_ns ()) deadline > 0 then
+        raise Timed_out
     in
     match
       let p = Flow.prepare ~config:r.config ?constraints:r.constraints
@@ -275,7 +278,7 @@ let compute r =
       ~args:[ ("optimizer", r.optimizer.Optimizer.name); ("digest", r.key) ]
       (fun () -> go 1)
   in
-  let wall_ns = Int64.sub (Clock.now_ns ()) t0 in
+  let wall_ns = Int64.sub (Clock.monotonic_ns ()) t0 in
   let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
   (match outcome with
   | Job.Failed { error; _ } ->

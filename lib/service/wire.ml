@@ -151,8 +151,6 @@ let write_string fd line =
     off := !off + n
   done
 
-let write_frame fd json = write_string fd (encode json ^ "\n")
-
 (* The faultable writer: what every production send goes through. The
    fault actions model a misbehaving transport at the byte level —
    whatever they do to this frame, the receiving parser sees it as

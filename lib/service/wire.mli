@@ -55,16 +55,14 @@ val from_worker_of_line : string -> (from_worker, string) result
     envelope, non-JSON payload, a missing/mistyped member, or an
     unknown ["frame"] kind. *)
 
-val write_frame : Unix.file_descr -> Dcopt_util.Json.t -> unit
-(** Write one frame (envelope + newline) whole, retrying short writes
-    and [EINTR]. Raises [Unix.Unix_error] on a dead peer ([EPIPE] when
-    [SIGPIPE] is ignored, which {!Fleet} and {!Worker} both arrange). *)
-
 val send : site:string -> Unix.file_descr -> Dcopt_util.Json.t -> unit
-(** {!write_frame} through the fault-injection seam: {!Faults.fire}d
-    wire actions ([drop]/[delay]/[truncate]/[corrupt]) are applied to
-    the frame bytes first. Every production send names its site and
-    goes through here; [site] is e.g. ["wire.send.result"]. *)
+(** Write one frame (envelope + newline) whole, retrying short writes
+    and [EINTR], through the fault-injection seam: {!Faults.fire}d wire
+    actions ([drop]/[delay]/[truncate]/[corrupt]) are applied to the
+    frame bytes first. Raises [Unix.Unix_error] on a dead peer ([EPIPE]
+    when [SIGPIPE] is ignored, which {!Fleet} and {!Worker} both
+    arrange). Every production send names its site and goes through
+    here; [site] is e.g. ["wire.send.result"]. *)
 
 (** {1 Addresses} *)
 
@@ -87,16 +85,11 @@ val sockaddr_of :
     human-readable reason (unknown host, malformed literal) for the
     caller to wrap in a located [config.addr] diagnostic. *)
 
-val connect_sockaddr : Unix.socket_domain * Unix.sockaddr -> Unix.file_descr
-(** Dial an already-resolved address. Raises [Unix.Unix_error] (e.g.
-    [ECONNREFUSED]) — the transient-failure shape reconnect loops
-    retry on. *)
-
 val connect : addr -> (Unix.file_descr, string) result
 (** Resolve then dial. [Error] for configuration problems (resolution
     failure, connecting to port 0) that no retry can fix; raises
-    [Unix.Unix_error] for transient dial failures, like
-    {!connect_sockaddr}. *)
+    [Unix.Unix_error] for transient dial failures (e.g. [ECONNREFUSED]),
+    the shape reconnect loops retry on. *)
 
 val listen : ?backlog:int -> addr -> (Unix.file_descr, string) result
 (** Bind and listen. Unlinks a stale unix socket path first and sets

@@ -43,8 +43,11 @@ let max_over_fanin_gates f col id =
   done;
   !acc
 
-let assign ?(skew_factor = 0.95) ?(slope_guard = 0.3) ?constraints circuit
-    ~cycle_time =
+(* The slope-feasibility floor: a gate's budget is at least this fraction
+   of its slowest fanin gate's budget. *)
+let slope_guard = 0.3
+
+let assign ?(skew_factor = 0.95) ?constraints circuit ~cycle_time =
   Dcopt_obs.Span.with_ "procedure1.assign"
     ~args:[ ("circuit", Circuit.name circuit) ]
   @@ fun () ->

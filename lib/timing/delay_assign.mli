@@ -30,8 +30,8 @@
     PI-to-PO path; each gets the analogous share of the most critical
     chain through it (chains may end at any gate). A slope-feasibility
     post-pass (the paper's "post processing of delay assignments") then
-    lifts budgets that are too small relative to their slowest fanin's
-    budget for eq. A3's input-rise-time term, and a final scaling
+    lifts every budget below 0.3 of its slowest fanin gate's budget to
+    that floor, for eq. A3's input-rise-time term, and a final scaling
     restores the cycle-time guarantee. The whole assignment is
     O(n log n) plus the length of the consumed paths. *)
 
@@ -47,7 +47,6 @@ type t = {
 
 val assign :
   ?skew_factor:float ->   (* the paper's b <= 1, default 0.95 *)
-  ?slope_guard:float ->   (* min budget as fraction of max fanin budget, default 0.3 *)
   ?constraints:Constraints.t ->
   Dcopt_netlist.Circuit.t ->
   cycle_time:float ->

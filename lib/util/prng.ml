@@ -29,8 +29,6 @@ let bits64 t =
 
 let split t = create (bits64 t)
 let copy t = { state = t.state }
-let state t = t.state
-let of_state s = { state = s }
 
 let int t n =
   assert (n > 0);

@@ -2,7 +2,9 @@
 
     All stochastic parts of the library (random-logic generation, simulated
     annealing, Monte-Carlo checks) draw from this splittable SplitMix64
-    generator so that every experiment is reproducible from a named seed. *)
+    generator so that every experiment is reproducible from a named seed.
+    The state is opaque: a stream is reproduced by re-seeding, never by
+    saving a generator. *)
 
 type t
 (** Mutable generator state. *)
@@ -20,15 +22,6 @@ val split : t -> t
 
 val copy : t -> t
 (** [copy t] duplicates the current state without advancing [t]. *)
-
-val state : t -> int64
-(** The current internal state, for checkpointing. [of_state (state t)]
-    continues the exact stream [t] would produce. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a checkpointed {!state}. Unlike {!create}
-    this performs no seeding transformation — it is the exact inverse of
-    {!state}. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -52,7 +52,6 @@ let create ?(rent_p = 0.60) ?(fanout_exponent = 0.70) ?(pitch_factor = 12.0)
 
 let gate_count t = t.n_gates
 let rent_p t = t.p
-let gate_pitch t = t.pitch
 let density t l = density_raw ~n:t.n_gates ~p:t.p l
 let max_length_pitches t = 2.0 *. side t.n_gates
 let mean_point_to_point_pitches t = t.mean_pp

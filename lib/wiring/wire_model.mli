@@ -30,8 +30,6 @@ val create :
 
 val gate_count : t -> int
 val rent_p : t -> float
-val gate_pitch : t -> float
-(** Pitch of the cell array in metres. *)
 
 val density : t -> float -> float
 (** Unnormalized wire-length density [i(l)], [l] in pitches; zero outside

@@ -240,6 +240,26 @@ let test_guard_trip_event () =
   check_str "joins the job scope" (Some "g1") "job_id" ev;
   Metrics.reset ()
 
+(* A +inf is a gate that cannot switch at a scanned point: counted, both
+   where it is clamped and where it raises, but no event, so a real NaN
+   trip is not lost among them. *)
+let test_guard_inf_counted_quietly () =
+  let path = temp_path "guard_inf" in
+  let non_finite = Metrics.counter "guard.non_finite" in
+  let clamped = Metrics.counter "guard.clamped" in
+  Metrics.reset ();
+  with_sink ~min_level:Events.Debug path (fun () ->
+      Alcotest.(check bool) "clamp keeps +inf" true
+        (Guard.clamp ~site:"test.site" infinity = infinity);
+      match Guard.check ~site:"test.site" infinity with
+      | _ -> Alcotest.fail "check must raise on +inf"
+      | exception Guard.Non_finite _ -> ());
+  Alcotest.(check int) "both trips counted" 2 (Metrics.value non_finite);
+  Alcotest.(check int) "the clamp counted" 1 (Metrics.value clamped);
+  Alcotest.(check int) "no guard event" 0
+    (List.length (find_all "guard.non_finite" (read_events path)));
+  Metrics.reset ()
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -256,5 +276,7 @@ let () =
           Alcotest.test_case "batch chain with retries and resume" `Quick
             test_batch_correlation_chain;
           Alcotest.test_case "guard trip" `Quick test_guard_trip_event;
+          Alcotest.test_case "+inf guard trip counted quietly" `Quick
+            test_guard_inf_counted_quietly;
         ] );
     ]

@@ -252,8 +252,8 @@ let test_annealing_feasible_not_better () =
          ~options:{ Heuristic.default_options with strategy = Heuristic.Grid_refine }
          env ~budgets)
   in
-  let options = { Annealing.default_options with Annealing.passes = 2; moves_per_pass = 1500 } in
-  match Annealing.optimize ~options env ~budgets with
+  let options = { Annealing.passes = 2; moves_per_pass = 1500 } in
+  match Annealing.optimize ~options env with
   | None -> Alcotest.fail "annealing should find something feasible"
   | Some sol ->
     Alcotest.(check bool) "feasible" true (Solution.feasible sol);
@@ -262,11 +262,10 @@ let test_annealing_feasible_not_better () =
       (Solution.total_energy sol > 0.5 *. Solution.total_energy grid)
 
 let test_annealing_deterministic () =
-  let _, env, budgets = setup ~name:"s27" () in
-  let options = { Annealing.default_options with Annealing.passes = 1; moves_per_pass = 500 } in
+  let _, env, _ = setup ~name:"s27" () in
+  let options = { Annealing.passes = 1; moves_per_pass = 500 } in
   let run () =
-    Annealing.optimize ~options env ~budgets
-    |> Option.map Solution.total_energy
+    Annealing.optimize ~options env |> Option.map Solution.total_energy
   in
   Alcotest.(check bool) "same seed, same answer" true (run () = run ())
 

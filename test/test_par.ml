@@ -15,6 +15,7 @@ module Annealing = Dcopt_opt.Annealing
 module Yield = Dcopt_opt.Yield
 module Solution = Dcopt_opt.Solution
 module Telemetry = Dcopt_obs.Telemetry
+module Metrics = Dcopt_obs.Metrics
 
 let tech = Tech.default
 let fc = 300e6
@@ -101,6 +102,20 @@ let test_set_jobs_validates () =
   Alcotest.check_raises "jobs < 1 rejected"
     (Invalid_argument "Par.set_jobs: jobs < 1") (fun () -> Par.set_jobs 0)
 
+(* Task latencies are elapsed time: a wall-clock step inside a task (a
+   forward one; Clock.now_ns clamps a backward step) does not reach the
+   per-site histogram. *)
+let test_latency_ignores_wall_clock_step () =
+  let h = Metrics.histogram "par.latency.test.clock_step" in
+  Par.parallel_for ~site:"test.clock_step" ~jobs:2 ~n:2 (fun _ ->
+      Dcopt_util.Clock.jump_wall_ns 3_600_000_000_000L);
+  let samples = Metrics.samples h in
+  Alcotest.(check int) "one sample per task" 2 (Array.length samples);
+  Array.iter
+    (fun s ->
+      Alcotest.(check bool) "under a minute" true (s >= 0.0 && s < 60.0))
+    samples
+
 (* ------------------------------------------------------------------ *)
 (* Call-site determinism: jobs=4 bit-identical to jobs=1               *)
 
@@ -167,16 +182,13 @@ let test_yield_determinism () =
   Alcotest.(check bool) "yield report identical" true (r1 = r4)
 
 let test_annealing_determinism () =
-  let env, budgets = setup () in
-  let options =
-    { Annealing.default_options with passes = 3; moves_per_pass = 150 }
-  in
+  let env, _ = setup () in
+  let options = { Annealing.passes = 3; moves_per_pass = 150 } in
   let run jobs =
     with_jobs jobs (fun () ->
         let rec_ = Telemetry.recorder () in
         let sol =
           Annealing.optimize ~observer:(Telemetry.record rec_) ~options env
-            ~budgets
         in
         (sol, rec_))
   in
@@ -200,6 +212,8 @@ let () =
           Alcotest.test_case "nested map degenerates" `Quick
             test_nested_map_degenerates;
           Alcotest.test_case "set_jobs validates" `Quick test_set_jobs_validates;
+          Alcotest.test_case "latency ignores a wall-clock step" `Quick
+            test_latency_ignores_wall_clock_step;
         ] );
       ( "determinism",
         [

@@ -8,10 +8,8 @@ module Sdc = Dcopt_timing.Sdc
 module Flow = Dcopt_core.Flow
 module Diag = Dcopt_util.Diag
 module Json = Dcopt_util.Json
-module Prng = Dcopt_util.Prng
 module Guard = Dcopt_opt.Guard
 module Power_model = Dcopt_opt.Power_model
-module Annealing = Dcopt_opt.Annealing
 module Solution = Dcopt_opt.Solution
 module Suite = Dcopt_suite.Suite
 module Service = Dcopt_service.Service
@@ -242,10 +240,10 @@ let test_evaluate_poison_safe () =
 
 let test_guard_protect () =
   Alcotest.(check (option int)) "pass-through" (Some 7)
-    (Guard.protect ~site:"test" (fun () -> Some 7));
+    (Guard.protect (fun () -> Some 7));
   let before = Metrics.value aborted_c in
   Alcotest.(check (option int)) "trip becomes None" None
-    (Guard.protect ~site:"test" (fun () ->
+    (Guard.protect (fun () ->
          ignore (Guard.check ~site:"test" nan);
          Some 7));
   Alcotest.(check bool) "guard.trials_aborted counted" true
@@ -348,65 +346,6 @@ let test_batch_checkpoint_resume_identical () =
   Alcotest.(check string) "resume is byte-identical" (rows_to_string first)
     (rows_to_string resumed)
 
-(* --- annealing per-pass checkpoints ----------------------------------- *)
-
-let test_annealing_checkpoint_resume () =
-  let p = Flow.prepare (Suite.s27 ()) in
-  let budgets = Flow.budgets p in
-  let dir = fresh_dir "robust_anneal_ckpt" in
-  let options =
-    { Annealing.default_options with
-      passes = 2;
-      moves_per_pass = 200;
-      checkpoint = Some dir;
-    }
-  in
-  let sol_to_string = function
-    | None -> "none"
-    | Some s -> Json.to_string (Solution.to_json s)
-  in
-  let plain =
-    Annealing.optimize p.Flow.env ~budgets
-      ~options:{ options with checkpoint = None }
-  in
-  let first = Annealing.optimize p.Flow.env ~budgets ~options in
-  Alcotest.(check string) "checkpointing changes nothing"
-    (sol_to_string plain) (sol_to_string first);
-  Alcotest.(check bool) "pass files written" true
-    (Sys.file_exists (Filename.concat dir "pass0.json")
-    && Sys.file_exists (Filename.concat dir "pass1.json"));
-  let resumed = Annealing.optimize p.Flow.env ~budgets ~options in
-  Alcotest.(check string) "resume reproduces the result"
-    (sol_to_string first) (sol_to_string resumed);
-  (* a corrupt pass file is ignored and the pass recomputed *)
-  write_file (Filename.concat dir "pass0.json") "{ not json";
-  let recovered = Annealing.optimize p.Flow.env ~budgets ~options in
-  Alcotest.(check string) "corrupt pass file recomputes"
-    (sol_to_string first) (sol_to_string recovered);
-  (* a stale identity (different seed) never leaks in *)
-  let other_seed =
-    Annealing.optimize p.Flow.env ~budgets
-      ~options:{ options with seed = 0xBADL }
-  in
-  let replayed = Annealing.optimize p.Flow.env ~budgets ~options in
-  ignore other_seed;
-  Alcotest.(check string) "stale checkpoints don't leak across seeds"
-    (sol_to_string first) (sol_to_string replayed)
-
-(* --- PRNG state round-trip (what the checkpoints persist) ------------- *)
-
-let test_prng_state_roundtrip () =
-  let r = Prng.create 42L in
-  for _ = 1 to 10 do
-    ignore (Prng.bits64 r)
-  done;
-  let r' = Prng.of_state (Prng.state r) in
-  for i = 1 to 10 do
-    Alcotest.(check int64)
-      (Printf.sprintf "draw %d" i)
-      (Prng.bits64 r) (Prng.bits64 r')
-  done
-
 let () =
   Alcotest.run "robust"
     [
@@ -453,9 +392,5 @@ let () =
             test_checkpoint_shape_corruption;
           Alcotest.test_case "batch checkpoint resume" `Quick
             test_batch_checkpoint_resume_identical;
-          Alcotest.test_case "annealing checkpoint resume" `Quick
-            test_annealing_checkpoint_resume;
-          Alcotest.test_case "prng state round-trip" `Quick
-            test_prng_state_roundtrip;
         ] );
     ]

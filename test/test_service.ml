@@ -341,6 +341,57 @@ let test_timeout_multi_optimizers () =
       | _ -> Alcotest.fail (r.Job.job_id ^ " should time out"))
     rows
 
+(* An optimizer that steps the wall clock an hour, reports one trial
+   (where the service checks a job's deadline), then delegates to the
+   baseline. The step is forward only: Clock.now_ns clamps a backward
+   step, so it would read 1 ns apart for the rest of the run. *)
+let register_clock_step () =
+  Optimizer.register
+    {
+      Optimizer.name = "test-clock-step";
+      doc = "steps the wall clock an hour, then delegates to the baseline";
+      run =
+        (fun ?observer s ->
+          Dcopt_util.Clock.jump_wall_ns 3_600_000_000_000L;
+          let observe = Option.value observer ~default:Telemetry.null in
+          observe
+            {
+              Telemetry.optimizer = "test-clock-step";
+              index = 0;
+              vdd = 1.0;
+              vt = 0.1;
+              static_energy = 0.0;
+              dynamic_energy = 0.0;
+              total_energy = 0.0;
+              feasible = false;
+            };
+          (Optimizer.get "baseline").Optimizer.run ?observer s);
+    }
+
+let run_clock_step ?timeout_s () =
+  register_clock_step ();
+  match
+    Service.run_batch
+      [ Job.make ~id:"step" ~optimizer:"test-clock-step" ?timeout_s "s27" ]
+  with
+  | [ { Job.outcome = Job.Solved _; _ } ] -> ()
+  | [ { Job.outcome = Job.Failed { error; attempts }; _ } ] ->
+    Alcotest.failf "failed after %d attempt(s): %s" attempts error
+  | _ -> Alcotest.fail "expected one solved row"
+
+(* A job's deadline is elapsed time: an hour's wall-clock step in the
+   middle of a job with a 60 s timeout must not time it out. *)
+let test_wall_clock_step_is_not_a_timeout () = run_clock_step ~timeout_s:60.0 ()
+
+(* Nor does the step reach the job's measured compute time. *)
+let test_job_latency_ignores_wall_clock_step () =
+  Metrics.reset ();
+  run_clock_step ();
+  Alcotest.(check bool) "service.latency under a minute" true
+    (Metrics.quantile (Metrics.histogram "service.latency") 1.0 < 60.0);
+  Alcotest.(check bool) "service.job.wall_ns under a minute" true
+    (Metrics.quantile (Metrics.histogram "service.job.wall_ns") 1.0 < 60e9)
+
 (* A row re-evaluated from its own JSON, with Power_model.evaluate on
    the env Flow.prepare builds from its job's config, reproduces the
    row's evaluation bit for bit (Solution JSON round-trips floats
@@ -912,6 +963,10 @@ let () =
           Alcotest.test_case "cooperative timeout" `Quick test_timeout;
           Alcotest.test_case "timeout reaches multi-vt and multi-vdd" `Quick
             test_timeout_multi_optimizers;
+          Alcotest.test_case "wall-clock step is not a timeout" `Quick
+            test_wall_clock_step_is_not_a_timeout;
+          Alcotest.test_case "job latency ignores a wall-clock step" `Quick
+            test_job_latency_ignores_wall_clock_step;
           Alcotest.test_case "multi-vdd corners" `Quick
             test_multivdd_corners;
           Alcotest.test_case "multi-vdd rows re-evaluate" `Quick
