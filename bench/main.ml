@@ -413,11 +413,15 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            ignore
              (Dcopt_timing.Delay_assign.assign dag2k ~cycle_time:(1.0 /. 60e6))));
-    Test.make ~name:"opt/sizing pass (s298)"
+    (* one Procedure-2 trial: the sweep that sizes and scores every gate *)
+    Test.make ~name:"opt/joint trial (s298)"
       (Staged.stage (fun () ->
            ignore
              (Dcopt_opt.Power_model.size_all env ~vdd:1.0
                 ~vt:(Array.make n 0.15) ~budgets)));
+    Test.make ~name:"opt/joint search (s298)"
+      (Staged.stage (fun () ->
+           ignore (Dcopt_opt.Heuristic.optimize env ~budgets)));
     Test.make ~name:"opt/multi-vt greedy (s1488)"
       (Staged.stage (fun () ->
            ignore (Dcopt_opt.Multi_vt.greedy_dual_vt s1488_env s1488_single)));
@@ -518,9 +522,15 @@ let measure_incremental () =
         if i land 1 = 0 then Incr.commit inc else Incr.rollback inc)
       schedule
   in
+  (* the minimum of k replays, as the kernel rows' gate takes the
+     minimum of its attempts: one descheduling is not a regression *)
   let per_move f =
-    let _, dt = wall f in
-    dt /. float_of_int moves *. 1e9
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let _, dt = wall f in
+      best := Float.min !best dt
+    done;
+    !best /. float_of_int moves *. 1e9
   in
   let dirty = Dcopt_obs.Metrics.counter "incr.dirty_gates" in
   let moves_c = Dcopt_obs.Metrics.counter "incr.moves" in

@@ -888,7 +888,7 @@ let pareto_cmd =
                      Printf.sprintf "%.0f MHz" (fc /. 1e6);
                      Printf.sprintf "%.2f" (Solution.vdd sol);
                      Printf.sprintf "%.0f"
-                       ((match Solution.vt_values sol with
+                       ((match Solution.vt_values sol p.Flow.env with
                         | v :: _ -> v
                         | [] -> nan)
                        *. 1000.0);

@@ -51,7 +51,7 @@ let () =
             Printf.sprintf "%.0f MHz" fc_mhz;
             Printf.sprintf "%.2f" (Solution.vdd sol);
             Printf.sprintf "%.0f"
-              ((match Solution.vt_values sol with v :: _ -> v | [] -> nan)
+              ((match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan)
               *. 1000.0);
             Dcopt_util.Si.format ~unit:"J" (Solution.static_energy sol);
             Dcopt_util.Si.format ~unit:"J" (Solution.dynamic_energy sol);

@@ -24,7 +24,7 @@ let () =
   | None -> print_endline "no feasible design"
   | Some sol ->
     let vt =
-      match Solution.vt_values sol with v :: _ -> v | [] -> assert false
+      match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> assert false
     in
     Printf.printf "optimizer result: Vdd = %.2f V, Vt = %.0f mV\n"
       (Solution.vdd sol) (vt *. 1000.0);

@@ -45,7 +45,7 @@ let () =
       Printf.printf
         "%-22s Vdd %.2f V, Vt %.0f mV, static %s, dynamic %s, total %s\n"
         label (Solution.vdd sol)
-        ((match Solution.vt_values sol with v :: _ -> v | [] -> nan)
+        ((match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan)
         *. 1000.0)
         (Dcopt_util.Si.format ~unit:"J" (Solution.static_energy sol))
         (Dcopt_util.Si.format ~unit:"J" (Solution.dynamic_energy sol))

@@ -41,7 +41,7 @@ let row_of_solution p name density savings sol =
     total_energy = Solution.total_energy sol;
     critical_delay = Solution.critical_delay sol;
     vdd = Solution.vdd sol;
-    vt = (match Solution.vt_values sol with v :: _ -> v | [] -> nan);
+    vt = (match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan);
     savings;
   }
 
@@ -315,7 +315,7 @@ let ablation_multi_vt ?(config = Flow.default_config) ?(circuit = "s298") () =
              value = Solution.total_energy sol;
              detail =
                Printf.sprintf "n_v = 2, thresholds {%s} mV"
-                 (Solution.vt_values sol
+                 (Solution.vt_values sol p.Flow.env
                  |> List.map (fun v -> Printf.sprintf "%.0f" (v *. 1000.0))
                  |> String.concat ", ");
            })
@@ -336,7 +336,7 @@ let ablation_short_circuit ?(config = Flow.default_config)
                Printf.sprintf
                  "Vdd %.2f V, Vt %.0f mV, crowbar %s"
                  (Solution.vdd sol)
-                 ((match Solution.vt_values sol with v :: _ -> v | [] -> nan)
+                 ((match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan)
                  *. 1000.0)
                  (Si.format ~unit:"J"
                     sol.Solution.evaluation
@@ -462,7 +462,7 @@ let scaling_study ?(config = Flow.default_config) ?(circuit = "s298")
                     tech.Dcopt_device.Tech.feature_size *. 1e9;
                   opt_vdd = Solution.vdd sol;
                   opt_vt =
-                    (match Solution.vt_values sol with
+                    (match Solution.vt_values sol p.Flow.env with
                     | v :: _ -> v
                     | [] -> nan);
                   opt_energy = Solution.total_energy sol;
@@ -676,7 +676,7 @@ let ablation_sizing ?(config = Flow.default_config) ?(circuit = "s298") () =
             detail = Printf.sprintf
                 "budget-free sensitivity sizing (Vdd %.2f V, Vt %.0f mV), %.1f s"
                 (Solution.vdd sol)
-                ((match Solution.vt_values sol with v :: _ -> v | [] -> nan)
+                ((match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan)
                 *. 1000.0)
                 tt })
         tilos;
@@ -723,7 +723,7 @@ let temperature_study ?(config = Flow.default_config) ?(circuit = "s298")
                     Printf.sprintf
                       "Vdd %.2f V, Vt %.0f mV, static share %.0f%%"
                       (Solution.vdd sol)
-                      ((match Solution.vt_values sol with
+                      ((match Solution.vt_values sol p.Flow.env with
                        | v :: _ -> v
                        | [] -> nan)
                       *. 1000.0)

@@ -47,7 +47,7 @@ let run_joint ?observer ?(strategy = Heuristic.Paper_binary) p =
     Log.info (fun m ->
         m "joint optimum: Vdd %.2f V, Vt %s mV, %s per cycle"
           (Solution.vdd sol)
-          (Solution.vt_values sol
+          (Solution.vt_values sol p.Flow.env
           |> List.map (fun v -> Printf.sprintf "%.0f" (v *. 1000.0))
           |> String.concat "/")
           (Dcopt_util.Si.format ~unit:"J" (Solution.total_energy sol)))

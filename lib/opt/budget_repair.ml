@@ -47,7 +47,7 @@ let repair env ~budgets ~vdd ~vt =
     if iteration > max_iterations then
       infeasible_at (critical_path ())
     else
-      let design, ok = Power_model.size_all env ~vdd ~vt:vt_array ~budgets in
+      let design, ok = Power_model.size_widths env ~vdd ~vt:vt_array ~budgets in
       if ok then Repaired { budgets; lifted = !lifted; iterations = iteration }
       else begin
         (* Lift every missing gate to its achieved max-width delay. *)

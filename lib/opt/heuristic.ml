@@ -1,5 +1,10 @@
 module Tech = Dcopt_device.Tech
 module Telemetry = Dcopt_obs.Telemetry
+module Metrics = Dcopt_obs.Metrics
+
+let log_src = Logs.Src.create "dcopt.heuristic" ~doc:"Procedure-2 search"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type strategy = Paper_binary | Grid_refine
 
@@ -11,33 +16,102 @@ type options = {
 
 let default_options = { m_steps = 16; strategy = Paper_binary; vt_fixed = None }
 
+let m_evaluations =
+  Metrics.counter ~help:"full evaluations paid by Procedure-2 searches"
+    "search.evaluations"
+
+let evaluate env design =
+  Metrics.incr m_evaluations;
+  Power_model.evaluate env design
+
 let sizing_solution env ~budgets ~vdd ~vt =
   let n = Dcopt_netlist.Circuit.size (Power_model.circuit env) in
   let vt_array = Array.make n vt in
-  let design, ok = Power_model.size_all env ~vdd ~vt:vt_array ~budgets in
+  let design, ok = Power_model.size_widths env ~vdd ~vt:vt_array ~budgets in
   Solution.make ~label:"sizing" ~meets_budgets:ok env design
 
-(* One trial: size at (vdd, vt), report (feasible-with-budgets, energy,
-   solution) and feed the convergence-telemetry stream. The pure sizing
-   part is split out so grid scans can run trials on the Par pool and
-   emit sequentially afterwards. *)
-let joint_trial env ~budgets ~vdd ~vt =
-  let sol =
-    { (sizing_solution env ~budgets ~vdd ~vt) with Solution.label = "joint" }
+type trial = {
+  design : Power_model.design;
+  meets_budgets : bool;
+  score : Solution.score;
+  ok : bool;
+  evaluation : Power_model.evaluation Lazy.t;
+}
+
+(* One trial at (vdd, vt). With [one_pass] (the search's certificate
+   holds) the sweep scores the design, its verdict and energies are the
+   evaluation's, and the evaluation waits until someone asks for it;
+   otherwise the design is sized only and evaluated now. Pure, so grid
+   scans run trials on the Par pool and emit sequentially afterwards. *)
+let trial ~one_pass env ~budgets ~vdd ~vt =
+  if one_pass then
+    let s = Power_model.size_all env ~vdd ~vt ~budgets in
+    let design = s.Power_model.design in
+    let meets_budgets = s.Power_model.meets_budgets in
+    {
+      design;
+      meets_budgets;
+      score =
+        {
+          Solution.static_energy = s.Power_model.static_sum;
+          dynamic_energy = s.Power_model.dynamic_sum;
+          (* [evaluate] adds a short-circuit sum, 0.0 here *)
+          total_energy =
+            s.Power_model.static_sum +. s.Power_model.dynamic_sum +. 0.0;
+        };
+      ok = meets_budgets && s.Power_model.unclamped;
+      evaluation = lazy (evaluate env design);
+    }
+  else
+    let design, meets_budgets = Power_model.size_widths env ~vdd ~vt ~budgets in
+    let e = evaluate env design in
+    {
+      design;
+      meets_budgets;
+      score =
+        {
+          Solution.static_energy = e.Power_model.static_energy;
+          dynamic_energy = e.Power_model.dynamic_energy;
+          total_energy = e.Power_model.total_energy;
+        };
+      ok = meets_budgets && e.Power_model.feasible;
+      evaluation = Lazy.from_val e;
+    }
+
+let trials env ~budgets =
+  let one_pass =
+    match Power_model.certify_sweep env ~budgets with
+    | Ok () -> true
+    | Error reason ->
+      Log.info (fun f -> f "evaluating every trial: %s" reason);
+      false
   in
-  let ok = sol.Solution.meets_budgets && Solution.feasible sol in
-  (ok, sol)
+  trial ~one_pass env ~budgets
 
-let trial ~emit env ~budgets ~vdd ~vt =
-  let ok, sol = joint_trial env ~budgets ~vdd ~vt in
-  emit ~vdd ~vt ~ok sol;
-  (ok, sol)
+let solution ~label t =
+  Solution.of_evaluation ~label ~meets_budgets:t.meets_budgets t.design
+    (Lazy.force t.evaluation)
 
-let vt_search ~emit env ~budgets ~vdd ~m ~vt_fixed =
+(* [evaluate]'s verdict: [ok] settles it for a trial that met its budgets
+   (see [Power_model.certify_sweep]); only a budget-missing trial asks for
+   the evaluation. *)
+let feasible t =
+  t.ok
+  || ((not t.meets_budgets) && (Lazy.force t.evaluation).Power_model.feasible)
+
+(* [Solution.better] on trials, asking for the verdict last. *)
+let better best t =
+  match best with
+  | None -> if feasible t then Some t else None
+  | Some current ->
+    if t.score.Solution.total_energy < current.score.Solution.total_energy
+       && feasible t
+    then Some t
+    else best
+
+let vt_search ~run env ~vdd ~m ~vt_fixed =
   match vt_fixed with
-  | Some vt ->
-    let _, sol = trial ~emit env ~budgets ~vdd ~vt in
-    Some sol
+  | Some vt -> Some (run ~vdd ~vt)
   | None ->
     let tech = Power_model.tech env in
     let best = ref None in
@@ -45,12 +119,12 @@ let vt_search ~emit env ~budgets ~vdd ~m ~vt_fixed =
     let prev_energy = ref infinity in
     for _ = 1 to m do
       let vt = 0.5 *. (!lo +. !hi) in
-      let ok, sol = trial ~emit env ~budgets ~vdd ~vt in
-      let energy = Solution.total_energy sol in
-      if ok then best := Solution.better !best sol;
+      let t = run ~vdd ~vt in
+      let energy = t.score.Solution.total_energy in
+      if t.ok then best := better !best t;
       (* Procedure 2: feasible and improving -> raise the threshold to cut
          leakage further; otherwise retreat to faster, lower thresholds. *)
-      if ok && energy < !prev_energy then begin
+      if t.ok && energy < !prev_energy then begin
         prev_energy := energy;
         lo := vt
       end
@@ -58,20 +132,19 @@ let vt_search ~emit env ~budgets ~vdd ~m ~vt_fixed =
     done;
     !best
 
-let paper_binary ~emit env ~budgets ~m ~vt_fixed =
+let paper_binary ~run env ~m ~vt_fixed =
   let tech = Power_model.tech env in
   let best = ref None in
   let lo = ref tech.Tech.vdd_min and hi = ref tech.Tech.vdd_max in
   let prev_energy = ref infinity in
   for _ = 1 to m do
     let vdd = 0.5 *. (!lo +. !hi) in
-    let inner = vt_search ~emit env ~budgets ~vdd ~m ~vt_fixed in
+    let inner = vt_search ~run env ~vdd ~m ~vt_fixed in
     let ok, energy =
       match inner with
-      | Some sol ->
-        best := Solution.better !best sol;
-        ( sol.Solution.meets_budgets && Solution.feasible sol,
-          Solution.total_energy sol )
+      | Some t ->
+        best := better !best t;
+        (t.ok, t.score.Solution.total_energy)
       | None -> (false, infinity)
     in
     if ok && energy < !prev_energy then begin
@@ -82,7 +155,7 @@ let paper_binary ~emit env ~budgets ~m ~vt_fixed =
   done;
   !best
 
-let grid_refine ~emit env ~budgets ~m ~vt_fixed =
+let grid_refine ~emit ~make env ~m ~vt_fixed =
   let tech = Power_model.tech env in
   let best = ref None in
   let vt_points lo hi n =
@@ -103,14 +176,14 @@ let grid_refine ~emit env ~budgets ~m ~vt_fixed =
     in
     let results =
       Dcopt_par.Par.map ~site:"heuristic.grid"
-        (fun (vdd, vt) -> joint_trial env ~budgets ~vdd ~vt)
+        (fun (vdd, vt) -> make ~vdd ~vt)
         points
     in
     Array.iteri
-      (fun i (ok, sol) ->
+      (fun i t ->
         let vdd, vt = points.(i) in
-        emit ~vdd ~vt ~ok sol;
-        if ok then best := Solution.better !best sol)
+        emit ~vdd ~vt t;
+        if t.ok then best := better !best t)
       results
   in
   (* Capped at m so the two coarse^2 scans keep the whole optimizer within
@@ -122,13 +195,14 @@ let grid_refine ~emit env ~budgets ~m ~vt_fixed =
     coarse;
   (match !best with
   | None -> ()
-  | Some sol ->
+  | Some t ->
     (* refine around the incumbent with a window one coarse step wide *)
-    let vdd0 = Solution.vdd sol in
+    let vdd0 = t.design.Power_model.vdd in
     let vt0 =
-      match Solution.vt_values sol with
-      | v :: _ -> v
-      | [] -> tech.Tech.vt_min
+      (* every gate of a trial carries the point's threshold *)
+      match Power_model.unsafe_gate_ids env with
+      | [||] -> tech.Tech.vt_min
+      | gates -> t.design.Power_model.vt.(gates.(0))
     in
     let span_vdd = (tech.Tech.vdd_max -. tech.Tech.vdd_min) /. float_of_int coarse in
     let span_vt = (tech.Tech.vt_max -. tech.Tech.vt_min) /. float_of_int coarse in
@@ -143,8 +217,11 @@ let grid_refine ~emit env ~budgets ~m ~vt_fixed =
 
 let optimize ?observer ?(options = default_options) env ~budgets =
   let m = max 4 options.m_steps in
+  let trial = trials env ~budgets in
+  let n = Dcopt_netlist.Circuit.size (Power_model.circuit env) in
+  let make ~vdd ~vt = trial ~vdd ~vt:(Array.make n vt) in
   let trials = ref 0 in
-  let emit ~vdd ~vt ~ok sol =
+  let emit ~vdd ~vt t =
     let index = !trials in
     incr trials;
     match observer with
@@ -156,23 +233,28 @@ let optimize ?observer ?(options = default_options) env ~budgets =
           index;
           vdd;
           vt;
-          static_energy = Solution.static_energy sol;
-          dynamic_energy = Solution.dynamic_energy sol;
-          total_energy = Solution.total_energy sol;
-          feasible = ok;
+          static_energy = t.score.Solution.static_energy;
+          dynamic_energy = t.score.Solution.dynamic_energy;
+          total_energy = t.score.Solution.total_energy;
+          feasible = t.ok;
         }
   in
+  let run ~vdd ~vt =
+    let t = make ~vdd ~vt in
+    emit ~vdd ~vt t;
+    t
+  in
+  let vt_fixed = options.vt_fixed in
   let result =
     match options.strategy with
-    | Paper_binary -> paper_binary ~emit env ~budgets ~m ~vt_fixed:options.vt_fixed
-    | Grid_refine -> grid_refine ~emit env ~budgets ~m ~vt_fixed:options.vt_fixed
+    | Paper_binary -> paper_binary ~run env ~m ~vt_fixed
+    | Grid_refine -> grid_refine ~emit ~make env ~m ~vt_fixed
   in
   (* The binary search can start in an infeasible half-space and converge
      to nothing; fall back on the exhaustive scan before giving up. *)
   let result =
     match (result, options.strategy) with
-    | None, Paper_binary ->
-      grid_refine ~emit env ~budgets ~m ~vt_fixed:options.vt_fixed
+    | None, Paper_binary -> grid_refine ~emit ~make env ~m ~vt_fixed
     | r, _ -> r
   in
   (* Procedure 2's complexity claim: M vdd steps x M vt steps around an
@@ -180,4 +262,4 @@ let optimize ?observer ?(options = default_options) env ~budgets =
      (vdd, vt) trials for the binary strategy and 3 M^2 with the capped
      grid fallback on top — never more than M^3 trials total. *)
   assert (!trials <= m * m * m);
-  result
+  Option.map (solution ~label:"joint") result

@@ -6,7 +6,16 @@
     n_v > 1), sizing every gate to the minimum width that meets its budget
     at each trial point. Power and delay being monotone in each variable
     separately, nested binary searches converge in O(M^3) circuit
-    sizings. *)
+    sizings.
+
+    A trial is one {!Power_model.size_all} sweep, which sizes and scores
+    every gate. When {!Power_model.certify_sweep} holds for the run's
+    budgets (checked once per run), the sweep's verdict and energies are
+    {!Power_model.evaluate}'s, bit for bit, and the search pays one full
+    evaluation: the design it returns. Otherwise it logs the reason at
+    info level, sizes each trial with {!Power_model.size_widths} and
+    evaluates it. The [search.evaluations] counter reads the full
+    evaluations paid. *)
 
 type strategy =
   | Paper_binary
@@ -45,3 +54,30 @@ val sizing_solution :
   Solution.t
 (** One sizing pass at a fixed operating point (exposed for sweeps and
     tests). *)
+
+(** {2 Trials}
+
+    The search's unit of work, for searches built on this one
+    ({!Multi_vt}'s class descent). *)
+
+type trial = private {
+  design : Power_model.design;
+  meets_budgets : bool;
+  score : Solution.score;  (** the energies {!Power_model.evaluate} gives *)
+  ok : bool;  (** [meets_budgets] and the evaluation is feasible *)
+  evaluation : Power_model.evaluation Lazy.t;
+    (** forced at most once, by {!solution} or a verdict only the
+        evaluation can give *)
+}
+
+val trials :
+  Power_model.env -> budgets:float array -> vdd:float -> vt:float array ->
+  trial
+(** [trials env ~budgets] checks {!Power_model.certify_sweep} once and
+    returns the search's trial: it sizes every gate at ([vdd], [vt]) and
+    scores the design in one sweep. When the certificate declines, the
+    reason is logged at info level and each trial is sized without
+    scoring and evaluated at once. *)
+
+val solution : label:string -> trial -> Solution.t
+(** The trial's design with its full evaluation. *)

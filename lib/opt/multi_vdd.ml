@@ -129,7 +129,7 @@ let optimize ?observer ?(m_steps = 12) ?vt_fixed env ~budgets =
   | Some incumbent ->
     let vdd0 = Solution.vdd incumbent in
     let vt0 =
-      match Solution.vt_values incumbent with
+      match Solution.vt_values incumbent env with
       | v :: _ -> v
       | [] -> tech.Tech.vt_min
     in
@@ -157,7 +157,7 @@ let optimize ?observer ?(m_steps = 12) ?vt_fixed env ~budgets =
                   with
                   | Some r ->
                     emit ~vdd:vdd_high ~vt ~feasible:(Solution.feasible r)
-                      (Some r);
+                      (Some (Solution.score r));
                     consider r
                   | None -> emit ~vdd:vdd_high ~vt ~feasible:false None)
                 (match vt_fixed with

@@ -42,7 +42,7 @@ let greedy ~(emit : Solution.emit) env solution =
   let tech = Power_model.tech env in
   let base = solution.Solution.design in
   let vt_low =
-    match Solution.vt_values solution with
+    match Solution.vt_values solution env with
     | v :: _ -> v
     | [] -> tech.Tech.vt_min
   in
@@ -101,7 +101,7 @@ let greedy ~(emit : Solution.emit) env solution =
               ~meets_budgets:solution.Solution.meets_budgets env design
           in
           emit ~vdd:design.Power_model.vdd ~vt:vt_low
-            ~feasible:(Solution.feasible sol) (Some sol);
+            ~feasible:(Solution.feasible sol) (Some (Solution.score sol));
           match Solution.better (Some !best) sol with
           | Some b -> best := b
           | None -> ()
@@ -132,21 +132,28 @@ let optimize ?observer ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
     let assignment = classify env ~budgets ~classes:n_vt in
     let vdd0 = Solution.vdd incumbent in
     let vt0 =
-      match Solution.vt_values incumbent with
+      match Solution.vt_values incumbent env with
       | v :: _ -> v
       | [] -> tech.Tech.vt_min
     in
     let class_vts = Array.make n_vt vt0 in
-    let best = ref (Some { incumbent with Solution.label = "multi-vt" }) in
+    let trial = Heuristic.trials env ~budgets in
+    (* a trial incumbent is evaluated only if it is returned *)
+    let best = ref (Either.Left { incumbent with Solution.label = "multi-vt" }) in
+    let best_energy () =
+      match !best with
+      | Either.Left sol -> Solution.total_energy sol
+      | Either.Right t -> t.Heuristic.score.Solution.total_energy
+    in
     let try_design vdd =
       let vt = vt_of_classes assignment class_vts n in
-      let design, ok = Power_model.size_all env ~vdd ~vt ~budgets in
-      let sol = Solution.make ~label:"multi-vt" ~meets_budgets:ok env design in
+      let t = trial ~vdd ~vt in
       emit ~vdd
         ~vt:(Array.fold_left Float.min infinity class_vts)
-        ~feasible:(ok && Solution.feasible sol) (Some sol);
-      if ok then best := Solution.better !best sol;
-      sol
+        ~feasible:t.Heuristic.ok (Some t.Heuristic.score);
+      if t.Heuristic.ok && t.Heuristic.score.Solution.total_energy < best_energy ()
+      then best := Either.Right t;
+      t
     in
     (* Coordinate descent on the class thresholds at the incumbent supply:
        critical classes explore downward from vt0, slack classes upward. *)
@@ -161,9 +168,9 @@ let optimize ?observer ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
         Array.iter
           (fun vt ->
             class_vts.(c) <- vt;
-            let sol = try_design vdd0 in
-            let e = Solution.total_energy sol in
-            if sol.Solution.meets_budgets && e < snd !best_for_class then
+            let t = try_design vdd0 in
+            let e = t.Heuristic.score.Solution.total_energy in
+            if t.Heuristic.meets_budgets && e < snd !best_for_class then
               best_for_class := (vt, e))
           candidates;
         class_vts.(c) <- fst !best_for_class
@@ -182,7 +189,8 @@ let optimize ?observer ?(m_steps = 12) ?(n_vt = 2) env ~budgets =
        it from the single-Vt incumbent and keep whichever wins. *)
     (if n_vt = 2 then
        let greedy = greedy ~emit env incumbent in
-       match Solution.better !best { greedy with Solution.label = "multi-vt" } with
-       | Some b -> best := Some b
-       | None -> ());
-    !best
+       if Solution.feasible greedy && Solution.total_energy greedy < best_energy ()
+       then best := Either.Left { greedy with Solution.label = "multi-vt" });
+    match !best with
+    | Either.Left sol -> Some sol
+    | Either.Right t -> Some (Heuristic.solution ~label:"multi-vt" t)

@@ -499,28 +499,118 @@ let size_gate_with sizer ctx env design ~budgets id =
   let w = min_width sizer ctx env design ~budgets id in
   if Float.is_nan w then None else Some w
 
-let size_all env ~vdd ~vt ~budgets =
+type sized = {
+  design : design;
+  meets_budgets : bool;
+  static_sum : float;
+  dynamic_sum : float;
+  unclamped : bool;
+}
+
+(* [score] is off for callers that read no energy, which would pay for
+   the terms and their folds without reading them. *)
+let sweep ~score env ~vdd ~vt ~budgets =
   let n = Circuit.size env.env_circuit in
-  let design =
-    { vdd; vt; widths = Array.make n env.env_tech.Tech.w_min; rail = None }
-  in
+  let tech = env.env_tech in
+  let design = { vdd; vt; widths = Array.make n tech.Tech.w_min; rail = None } in
   let cache = drive_cache env ~vdd in
-  let sizer = Drive.sizer env.env_tech in
+  let sizer = Drive.sizer tech in
+  let gates = env.gates_topo in
+  let count = Array.length gates in
+  (* energy terms by topological position, folded forward below *)
+  let st_terms = Array.make (if score then count else 0) 0.0 in
+  let dy_terms = Array.make (if score then count else 0) 0.0 in
   let all_met = ref true in
+  let unclamped = ref true in
   (* Reverse topological order: every gate's fanout widths (its load) are
-     final before the gate itself is sized. *)
-  for i = Array.length env.gates_topo - 1 downto 0 do
-    let id = env.gates_topo.(i) in
+     final before the gate itself is sized, so the load that sizes it is
+     the one [evaluate] builds for its energy terms. *)
+  for i = count - 1 downto 0 do
+    let id = gates.(i) in
     let ctx = drive_ctx cache ~vt:vt.(id) in
-    let w = min_width sizer ctx env design ~budgets id in
-    if Float.is_nan w then begin
-      design.widths.(id) <- env.env_tech.Tech.w_max;
-      all_met := false
+    let max_fanin_delay = budget_fanin_delay env ~budgets id in
+    let load = gate_load env design ~max_fanin_delay id in
+    let w = Drive.min_width sizer ctx ~target:budgets.(id) load in
+    let w =
+      if Float.is_nan w then begin
+        all_met := false;
+        tech.Tech.w_max
+      end
+      else w
+    in
+    design.widths.(id) <- w;
+    if score then begin
+      (* [evaluate]'s terms and guard, on the same context, width and load *)
+      let st = Drive.static_energy ctx ~fc:env.fc ~w in
+      let dy = Drive.dynamic_energy tech ctx ~w ~activity:env.acts.(id) ~load in
+      if Float.is_finite st && Float.is_finite dy then begin
+        st_terms.(i) <- st;
+        dy_terms.(i) <- dy
+      end
+      else begin
+        unclamped := false;
+        st_terms.(i) <- Guard.clamp ~site:"size_all.static" st;
+        dy_terms.(i) <- Guard.clamp ~site:"size_all.dynamic" dy
+      end
     end
-    else design.widths.(id) <- w
   done;
   record_sizing sizer;
-  (design, !all_met)
+  (* [evaluate]'s folds, in the same topological order *)
+  let static_sum = ref 0.0 and dynamic_sum = ref 0.0 in
+  for i = 0 to Array.length st_terms - 1 do
+    static_sum := !static_sum +. st_terms.(i);
+    dynamic_sum := !dynamic_sum +. dy_terms.(i)
+  done;
+  {
+    design;
+    meets_budgets = !all_met;
+    static_sum = !static_sum;
+    dynamic_sum = !dynamic_sum;
+    unclamped = !unclamped;
+  }
+
+let size_all env ~vdd ~vt ~budgets = sweep ~score:true env ~vdd ~vt ~budgets
+
+let size_widths env ~vdd ~vt ~budgets =
+  let s = sweep ~score:false env ~vdd ~vt ~budgets in
+  (s.design, s.meets_budgets)
+
+(* Once per search; the interface states the proof it rests on. *)
+let certify_sweep env ~budgets =
+  let gates = env.gates_topo in
+  if env.short_circuit then
+    Error "the short-circuit term reads actual input transitions"
+  else
+    match Array.find_opt (fun id -> not (Float.is_finite budgets.(id))) gates with
+    | Some id ->
+      Error
+        (Printf.sprintf "gate %s has a non-finite budget"
+           (Circuit.node env.env_circuit id).Circuit.name)
+    | None ->
+      let f = env.env_flat in
+      let off = f.Flat.fanin_off in
+      let edges = f.Flat.fanin_edges in
+      (* seeded and folded as [eval_range] does, with budgets for delays *)
+      let arrival =
+        match env.arr_seed with
+        | None -> Array.make (Circuit.size env.env_circuit) 0.0
+        | Some seed -> Array.copy seed
+      in
+      Array.iter
+        (fun id ->
+          let worst = ref 0.0 in
+          for p = off.(id) to off.(id + 1) - 1 do
+            worst := Float.max !worst arrival.(edges.(p))
+          done;
+          arrival.(id) <- !worst +. budgets.(id))
+        gates;
+      let critical_delay =
+        Array.fold_left
+          (fun acc id -> Float.max acc arrival.(id))
+          0.0 (Circuit.outputs env.env_circuit)
+      in
+      if arrivals_feasible env ~critical_delay arrival then Ok ()
+      else Error "the budgets' own arrival times miss the timing constraints"
 
 (* ------------------------------------------------------------------ *)
 (* Incremental evaluation                                              *)

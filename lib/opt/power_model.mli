@@ -188,13 +188,55 @@ val record_sizing : Dcopt_device.Drive.sizer -> unit
 (** Add a session's tallies to the [sizing.gates] and
     [sizing.bisections] counters — once per pass, not per gate. *)
 
+type sized = {
+  design : design;
+  meets_budgets : bool;
+    (** every gate met its budget; gates that could not are at [w_max] *)
+  static_sum : float;   (** {!evaluate}'s [static_energy], bit for bit *)
+  dynamic_sum : float;  (** {!evaluate}'s [dynamic_energy], bit for bit *)
+  unclamped : bool;     (** no static or dynamic term was clamped *)
+}
+(** One Procedure-2 trial's sweep: the sized design, its budget verdict
+    and its energies. The short-circuit term, which reads achieved
+    input transitions, is not scored. *)
+
 val size_all :
+  env -> vdd:float -> vt:float array -> budgets:float array -> sized
+(** Sizes every gate to its minimal feasible width in reverse topological
+    order, in one sizing session recorded at the end. As it sizes a gate
+    it also scores it: the gate's static and dynamic terms come from the
+    same {!Dcopt_device.Drive} calls {!evaluate} makes, on the load that
+    sized it (final, since its fanouts are already sized), with
+    {!evaluate}'s {!Guard.clamp}. The terms are then folded in
+    topological order as {!evaluate} folds them. The sweep computes no
+    delays, so it needs no second pass; see {!certify_sweep} for when its
+    verdict is {!evaluate}'s. *)
+
+val size_widths :
   env -> vdd:float -> vt:float array -> budgets:float array ->
   design * bool
-(** Sizes every gate to its minimal feasible width (reverse topological
-    order), in one sizing session recorded at the end. The boolean is
-    true when every gate met its budget; gates that could not are left at
-    [w_max]. *)
+(** {!size_all}'s design and budget verdict, bit for bit, without the
+    scoring: for callers that read no energy from the sweep (budget
+    repair, corner trials, a search that evaluates every design), which
+    would pay for the terms without reading them. *)
+
+val certify_sweep : env -> budgets:float array -> (unit, string) result
+(** [Ok ()] when, for every design {!size_all} makes from [budgets],
+    [meets_budgets && unclamped] equals [(evaluate env design).feasible]
+    and the two sums are {!evaluate}'s energies. It checks that the env
+    has no short-circuit term, that every gate budget is finite, and that
+    the budgets' own arrival times (a forward max-plus pass over
+    [budgets], seeded as {!evaluate} seeds arrivals) pass
+    {!arrivals_feasible}.
+
+    Why that suffices: a gate that meets its budget was certified by
+    {!Dcopt_device.Drive.min_width} at its fanins' budgets. Its evaluated
+    delay differs only in [slope *. max_fanin_delay], where
+    {!Dcopt_device.Delay.slope_coefficient} clamps [slope] to \[0, 0.9\]
+    and every fanin is inside its own budget. Float rounding is
+    monotone, so each evaluated delay is at most its budget (hence
+    finite) and each arrival at most the budgets' arrival. [Error]
+    names the reason otherwise. *)
 
 (** Incremental evaluation engine for single-gate moves.
 

@@ -41,7 +41,9 @@ let sweep ?(m_steps = 12) ?baseline_vt ~tech ~fc circuit profile ~factors =
             env ~budgets)
     in
     match (baseline, joint) with
-    | Some b, Some j -> Some (Solution.total_energy b, j)
+    | Some b, Some j ->
+      let vt = match Solution.vt_values j env with v :: _ -> v | [] -> nan in
+      Some (Solution.total_energy b, j, vt)
     | _ -> None
   in
   (* evaluate the nominal point first so the reference is available *)
@@ -61,7 +63,7 @@ let sweep ?(m_steps = 12) ?baseline_vt ~tech ~fc circuit profile ~factors =
   |> List.filter_map (fun (factor, result) ->
          match result with
          | None -> None
-         | Some (be, j) ->
+         | Some (be, j, vt) ->
            let je = Solution.total_energy j in
            if factor = 1.0 || !nominal_baseline = None then
              nominal_baseline := Some be;
@@ -74,7 +76,6 @@ let sweep ?(m_steps = 12) ?baseline_vt ~tech ~fc circuit profile ~factors =
                savings = reference /. je;
                savings_same_slack = be /. je;
                joint_vdd = Solution.vdd j;
-               joint_vt =
-                 (match Solution.vt_values j with v :: _ -> v | [] -> nan);
+               joint_vt = vt;
              })
   |> Array.of_list

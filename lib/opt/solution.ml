@@ -13,11 +13,11 @@ let of_evaluation ~label ~meets_budgets design evaluation =
 
 let vdd t = t.design.Power_model.vdd
 
-let vt_values t =
+let vt_values t env =
   let seen = Hashtbl.create 4 in
   Array.iter
-    (fun v -> Hashtbl.replace seen v ())
-    t.design.Power_model.vt;
+    (fun id -> Hashtbl.replace seen t.design.Power_model.vt.(id) ())
+    (Power_model.unsafe_gate_ids env);
   Hashtbl.fold (fun v () acc -> v :: acc) seen []
   |> List.sort_uniq Float.compare
 
@@ -42,7 +42,20 @@ let dynamic_energy t = t.evaluation.Power_model.dynamic_energy
 let critical_delay t = t.evaluation.Power_model.critical_delay
 let feasible t = t.evaluation.Power_model.feasible
 
-type emit = vdd:float -> vt:float -> feasible:bool -> t option -> unit
+type score = {
+  static_energy : float;
+  dynamic_energy : float;
+  total_energy : float;
+}
+
+let score t =
+  {
+    static_energy = static_energy t;
+    dynamic_energy = dynamic_energy t;
+    total_energy = total_energy t;
+  }
+
+type emit = vdd:float -> vt:float -> feasible:bool -> score option -> unit
 
 let trials ?observer optimizer =
   match observer with
@@ -53,10 +66,10 @@ let trials ?observer optimizer =
       incr sent;
       obs { it with optimizer }
     in
-    let emit ~vdd ~vt ~feasible sol =
+    let emit ~vdd ~vt ~feasible score =
       let static_energy, dynamic_energy, total_energy =
-        match sol with
-        | Some s -> (static_energy s, dynamic_energy s, total_energy s)
+        match score with
+        | Some s -> (s.static_energy, s.dynamic_energy, s.total_energy)
         | None -> (infinity, infinity, infinity)
       in
       send
@@ -239,7 +252,7 @@ let slack_profile env t =
 
 let describe env t =
   let vts =
-    vt_values t
+    vt_values t env
     |> List.map (fun v -> Printf.sprintf "%.0f mV" (v *. 1000.0))
     |> String.concat ", "
   in

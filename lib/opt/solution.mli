@@ -20,9 +20,9 @@ val of_evaluation :
 
 val vdd : t -> float
 
-val vt_values : t -> float list
+val vt_values : t -> Power_model.env -> float list
 (** Distinct gate thresholds in the design, ascending (singleton for
-    single-Vt designs). *)
+    single-Vt designs). Primary-input entries are not read. *)
 
 val max_width : t -> Power_model.env -> float
 
@@ -32,9 +32,18 @@ val dynamic_energy : t -> float
 val critical_delay : t -> float
 val feasible : t -> bool
 
-type emit = vdd:float -> vt:float -> feasible:bool -> t option -> unit
+type score = {
+  static_energy : float;
+  dynamic_energy : float;
+  total_energy : float;
+}
+(** The energies a trial reports, J per cycle. *)
+
+val score : t -> score
+
+type emit = vdd:float -> vt:float -> feasible:bool -> score option -> unit
 (** Reports one trial of an optimizer: its operating point, whether it
-    met the optimizer's constraints, and its solution ([None]: no design,
+    met the optimizer's constraints, and its energies ([None]: no design,
     reported with infinite energies). *)
 
 val trials :

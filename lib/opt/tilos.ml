@@ -127,7 +127,7 @@ let optimize ?observer ?(m_steps = 8) env =
     | None -> emit ~vdd ~vt ~feasible:false None
     | Some design ->
       let sol = Solution.make ~label:"tilos" ~meets_budgets:false env design in
-      emit ~vdd ~vt ~feasible:(Solution.feasible sol) (Some sol);
+      emit ~vdd ~vt ~feasible:(Solution.feasible sol) (Some (Solution.score sol));
       if Solution.feasible sol then best := Solution.better !best sol
   in
   let scan vdd_lo vdd_hi vt_lo vt_hi n =
@@ -143,7 +143,7 @@ let optimize ?observer ?(m_steps = 8) env =
   | Some sol ->
     let vdd0 = Solution.vdd sol in
     let vt0 =
-      match Solution.vt_values sol with v :: _ -> v | [] -> tech.Tech.vt_min
+      match Solution.vt_values sol env with v :: _ -> v | [] -> tech.Tech.vt_min
     in
     let span_vdd = (tech.Tech.vdd_max -. tech.Tech.vdd_min) /. float_of_int coarse in
     let span_vt = (tech.Tech.vt_max -. tech.Tech.vt_min) /. float_of_int coarse in

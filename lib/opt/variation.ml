@@ -14,7 +14,7 @@ let corner_trial env ~budgets ~tolerance ~vdd ~vt =
   let n = Dcopt_netlist.Circuit.size circuit in
   let vt_slow = Array.make n (vt *. (1.0 +. tolerance)) in
   let vt_leaky = Array.make n (vt *. (1.0 -. tolerance)) in
-  let design_slow, ok = Power_model.size_all env ~vdd ~vt:vt_slow ~budgets in
+  let design_slow, ok = Power_model.size_widths env ~vdd ~vt:vt_slow ~budgets in
   let design_leaky = { design_slow with Power_model.vt = vt_leaky } in
   let sol =
     Solution.make ~label:"corner" ~meets_budgets:ok env design_leaky
@@ -47,7 +47,7 @@ let corner_optimize ?(m_steps = 12) env ~budgets ~tolerance =
     let vdd0 = Solution.vdd sol in
     let vt0 =
       (* recover the nominal vt: the stored design carries the leaky corner *)
-      match Solution.vt_values sol with
+      match Solution.vt_values sol env with
       | v :: _ -> v /. (1.0 -. tolerance)
       | [] -> tech.Tech.vt_min
     in

@@ -350,8 +350,10 @@ let test_multivdd_helps_fixed_vt () =
 
 let test_yield_perfect_at_zero_sigma () =
   let env, budgets = setup "s27" in
-  let design, ok = Power_model.size_all env ~vdd:3.3
-      ~vt:(Array.make (Circuit.size (Power_model.circuit env)) 0.2) ~budgets in
+  let { Power_model.design; meets_budgets = ok; _ } =
+    Power_model.size_all env ~vdd:3.3
+      ~vt:(Array.make (Circuit.size (Power_model.circuit env)) 0.2) ~budgets
+  in
   Alcotest.(check bool) "sized" true ok;
   let r = Yield.monte_carlo env design ~sigma_fraction:0.0 ~samples:50 in
   Alcotest.(check (float 0.0)) "yield 1" 1.0 r.Yield.timing_yield
@@ -376,8 +378,10 @@ let test_yield_monotone_in_sigma () =
 
 let test_yield_deterministic () =
   let env, budgets = setup "s27" in
-  let design, _ = Power_model.size_all env ~vdd:1.0
-      ~vt:(Array.make (Circuit.size (Power_model.circuit env)) 0.15) ~budgets in
+  let { Power_model.design; _ } =
+    Power_model.size_all env ~vdd:1.0
+      ~vt:(Array.make (Circuit.size (Power_model.circuit env)) 0.15) ~budgets
+  in
   let run () = Yield.monte_carlo env design ~sigma_fraction:0.1 ~samples:100 in
   Alcotest.(check bool) "same seed same report" true (run () = run ())
 

@@ -15,7 +15,9 @@
    [gate_delay <= budget] — as the oracle and require every width to be
    bitwise equal, on the suite and on generated DAGs, under raw and
    repaired budgets, over a (vdd, vt) grid and a two-threshold design,
-   and on a width range where the kernel must bisect every gate.
+   and on a width range where the kernel must bisect every gate. The
+   energies size_all scores as it sizes must be evaluate's to the bit,
+   with the short-circuit term on and off.
 
    Two-rail designs are scored against the sweep Multi_vdd kept before
    the design record carried its rail (Mvdd_ref). *)
@@ -130,16 +132,37 @@ let reference_size_all env ~vdd ~vt ~budgets =
 
 let counter name = Metrics.value (Metrics.counter name)
 
+(* The sums size_all scores are evaluate's totals, bit for bit, and a
+   clamped term makes the evaluation infeasible. *)
+let check_sums ~what env (s : Power_model.sized) =
+  let e = Power_model.evaluate env s.Power_model.design in
+  check_bits (what ^ " static sum") e.Power_model.static_energy
+    s.Power_model.static_sum;
+  check_bits (what ^ " dynamic sum") e.Power_model.dynamic_energy
+    s.Power_model.dynamic_sum;
+  if not s.Power_model.unclamped then
+    Alcotest.(check bool) (what ^ " clamped is infeasible") false
+      e.Power_model.feasible
+
+(* size_all and its unscored twin size_widths both match the closure
+   bisection *)
 let check_size_all_equiv ~what env ~vdd ~vt ~budgets =
-  let fast, fast_met = Power_model.size_all env ~vdd ~vt ~budgets in
+  let sized = Power_model.size_all env ~vdd ~vt ~budgets in
+  let unscored, unscored_met = Power_model.size_widths env ~vdd ~vt ~budgets in
+  let fast = sized.Power_model.design in
   let refd, ref_met = reference_size_all env ~vdd ~vt ~budgets in
-  Alcotest.(check bool) (what ^ " all_met") ref_met fast_met;
+  Alcotest.(check bool) (what ^ " all_met") ref_met sized.Power_model.meets_budgets;
+  Alcotest.(check bool) (what ^ " size_widths all_met") ref_met unscored_met;
   Array.iteri
     (fun id w ->
       check_bits
         (Printf.sprintf "%s width[%d]" what id)
-        w fast.Power_model.widths.(id))
-    refd.Power_model.widths
+        w fast.Power_model.widths.(id);
+      check_bits
+        (Printf.sprintf "%s size_widths width[%d]" what id)
+        w unscored.Power_model.widths.(id))
+    refd.Power_model.widths;
+  check_sums ~what env sized
 
 let adder () =
   Circuit.combinational_core
@@ -217,17 +240,21 @@ let test_evaluate_bitwise () =
                   check_evaluate_equiv ~what:(what ("uniform " ^ at))
                     ~short_circuit env
                     (Power_model.uniform_design env ~vdd ~vt ~w:4.0);
+                  let sized =
+                    Power_model.size_all env ~vdd ~vt:(Array.make n vt)
+                      ~budgets
+                  in
                   check_evaluate_equiv ~what:(what ("sized " ^ at))
-                    ~short_circuit env
-                    (fst
-                       (Power_model.size_all env ~vdd ~vt:(Array.make n vt)
-                          ~budgets)))
+                    ~short_circuit env sized.Power_model.design;
+                  check_sums ~what:(what ("sized " ^ at)) env sized)
                 operating_points;
               let two_vt =
                 Array.init n (fun id -> if id mod 2 = 0 then 0.15 else 0.35)
               in
+              let sized = Power_model.size_all env ~vdd:1.0 ~vt:two_vt ~budgets in
               check_evaluate_equiv ~what:(what "two-vt") ~short_circuit env
-                (fst (Power_model.size_all env ~vdd:1.0 ~vt:two_vt ~budgets)))
+                sized.Power_model.design;
+              check_sums ~what:(what "two-vt") env sized)
             [ nominal; Power_model.with_vt_stress nominal 1.1 ])
         [ false; true ])
     (sizing_inputs ())
@@ -406,10 +433,9 @@ let test_two_rail_bitwise () =
                       vdd_low vt label
                   in
                   let widths =
-                    (fst
-                       (Power_model.size_all env ~vdd:vdd_high
-                          ~vt:(Array.make n vt) ~budgets))
-                      .Power_model.widths
+                    (Power_model.size_all env ~vdd:vdd_high
+                       ~vt:(Array.make n vt) ~budgets)
+                      .Power_model.design.Power_model.widths
                   in
                   let design low =
                     { Power_model.vdd = vdd_high; vt = Array.make n vt;
