@@ -554,16 +554,13 @@ let measure_incremental () =
 (* Large-circuit STA scale kernels: full timing analysis (forward +
    backward sweep) on generated 100k/1M-gate random DAGs with the flat
    levelized kernel, measured as min-of-k — the minimum is a far tighter
-   estimator of the true cost than any single reading. The jobs-identity
-   column re-checks the determinism contract (arrival/required/slack
-   arrays byte-identical between --jobs 1 and --jobs 4) on every run. *)
+   estimator of the true cost than any single reading. *)
 
 type scale_result = {
   sc_name : string;
   sc_gates : int;
   sc_nodes : int;
-  sc_ns_per_gate : float; (* flat levelized kernel, sequential *)
-  sc_jobs_identical : bool;
+  sc_ns_per_gate : float; (* flat levelized kernel *)
 }
 
 let measure_scale () =
@@ -596,40 +593,14 @@ let measure_scale () =
     in
     let best_flat = ref infinity in
     for _ = 1 to reps do
-      let _, dt =
-        wall (fun () -> Flat_sta.analyze ?required_times f ~jobs:1 ~delays)
-      in
+      let _, dt = wall (fun () -> Flat_sta.analyze ?required_times f ~delays) in
       if dt < !best_flat then best_flat := dt
     done;
-    let r1 = Flat_sta.analyze ?required_times f ~jobs:1 ~delays in
-    let r4 = Flat_sta.analyze ?required_times f ~jobs:4 ~delays in
-    (* Bitwise, like test_flat.ml: (=) conflates 0. with -0. and never
-       matches NaN, which is weaker than the byte-identical contract. *)
-    let bits_equal a b =
-      Array.length a = Array.length b
-      && begin
-           let ok = ref true in
-           for i = 0 to Array.length a - 1 do
-             if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then
-               ok := false
-           done;
-           !ok
-         end
-    in
-    let jobs_identical =
-      bits_equal r1.Flat_sta.arrival r4.Flat_sta.arrival
-      && bits_equal r1.Flat_sta.required r4.Flat_sta.required
-      && bits_equal r1.Flat_sta.slack r4.Flat_sta.slack
-      && Int64.bits_of_float r1.Flat_sta.critical_delay
-         = Int64.bits_of_float r4.Flat_sta.critical_delay
-    in
-    let g = float_of_int gates in
     {
       sc_name = name;
       sc_gates = gates;
       sc_nodes = n;
-      sc_ns_per_gate = !best_flat *. 1e9 /. g;
-      sc_jobs_identical = jobs_identical;
+      sc_ns_per_gate = !best_flat *. 1e9 /. float_of_int gates;
     }
   in
   let sizes =
@@ -830,9 +801,8 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
     (fun i r ->
       Printf.bprintf b
         "    {\"name\": \"%s\", \"gates\": %d, \"nodes\": %d, \
-         \"ns_per_gate\": %.3f, \"jobs_identical\": %b}%s\n"
+         \"ns_per_gate\": %.3f}%s\n"
         (esc r.sc_name) r.sc_gates r.sc_nodes r.sc_ns_per_gate
-        r.sc_jobs_identical
         (if i < List.length scale_results - 1 then "," else ""))
     scale_results;
   Buffer.add_string b "  ],\n  \"fleet\": [\n";
@@ -1061,13 +1031,7 @@ let run_timing () =
       print_newline ();
       let st =
         Dcopt_util.Text_table.create
-          ~headers:
-            [
-              "Scale kernel (full STA)";
-              "gates";
-              "flat ns/gate";
-              "jobs 4 == jobs 1";
-            ]
+          ~headers:[ "Scale kernel (full STA)"; "gates"; "flat ns/gate" ]
       in
       let results = measure_scale () in
       List.iter
@@ -1077,21 +1041,9 @@ let run_timing () =
               r.sc_name;
               string_of_int r.sc_gates;
               Printf.sprintf "%.2f" r.sc_ns_per_gate;
-              (if r.sc_jobs_identical then "yes" else "NO");
             ])
         results;
       Dcopt_util.Text_table.print st;
-      (* the determinism contract is part of the bench, not just the test
-         suite: a non-identical parallel result is a hard failure *)
-      List.iter
-        (fun r ->
-          if not r.sc_jobs_identical then begin
-            Printf.eprintf
-              "scale kernel %s: --jobs 4 result differs from --jobs 1\n"
-              r.sc_name;
-            exit 1
-          end)
-        results;
       results
     end
     else []

@@ -14,8 +14,9 @@
     sorted by id within the level. [gate_level_*] is the same partition
     restricted to logic gates. Since every fanin of a gate sits at a
     strictly lower level, the gates inside one level slice never depend on
-    each other — a level slice can be computed in parallel in any order
-    and still produce exactly the values a sequential sweep produces.
+    each other — a level-by-level sweep visits every gate after its
+    fanins and produces exactly the values any topological sweep
+    produces.
 
     The record is exposed for direct indexing in kernels; treat every
     array as read-only. *)

@@ -6,7 +6,6 @@ module Delay = Dcopt_device.Delay
 module Drive = Dcopt_device.Drive
 module Wire = Dcopt_wiring.Wire_model
 module Activity = Dcopt_activity.Activity
-module Par = Dcopt_par.Par
 
 type rail = { vdd_low : float; low : bool array }
 
@@ -61,18 +60,18 @@ type evaluation = {
   feasible : bool;
 }
 
-let make_env ?wiring ?(po_pin_width = 4.0) ?(include_short_circuit = false)
-    ?constraints ?(vt_stress = 1.0) ~tech ~fc circuit profile =
+(* The load of a primary-output pin, in w-units. *)
+let po_pin_width = 4.0
+
+let make_env ?(include_short_circuit = false) ?constraints ?(vt_stress = 1.0)
+    ~tech ~fc circuit profile =
   if not (Circuit.is_combinational circuit) then
     invalid_arg "Power_model.make_env: circuit is sequential";
   if fc <= 0.0 then invalid_arg "Power_model.make_env: fc <= 0";
   if not (vt_stress > 0.0) then
     invalid_arg "Power_model.make_env: vt_stress <= 0";
   let wiring =
-    match wiring with
-    | Some w -> w
-    | None ->
-      Wire.create ~tech ~gate_count:(max 1 (Circuit.gate_count circuit)) ()
+    Wire.create ~tech ~gate_count:(max 1 (Circuit.gate_count circuit)) ()
   in
   let flat = Flat.of_circuit circuit in
   let n = Circuit.size circuit in
@@ -301,38 +300,64 @@ let sc_energy env ctx design ~max_fanin_delay id =
   Drive.short_circuit_energy ctx ~w:design.widths.(id) ~activity:env.acts.(id)
     ~input_transition_time:(Drive.transition_time_of_delay max_fanin_delay)
 
-(* One slice of the level-sorted gate permutation: per-gate delay, arrival
-   and the three energy terms, written into per-node columns. The per-gate
-   arithmetic is the historical topological sweep's verbatim — the same
-   folds over the fanins in pin order, one shared load per gate — and each
-   index writes only its own cells, so slices of one level can run on the
-   pool and still produce the sequential bits.
+(* Constraint-aware feasibility: every endpoint on time against its own
+   required seed ([infinity] = released). [None] runs the verbatim legacy
+   scalar comparison. *)
+let arrivals_feasible env ~critical_delay arrival =
+  match env.req_times with
+  | None -> critical_delay <= env.tc *. (1.0 +. 1e-6)
+  | Some req ->
+    Array.for_all
+      (fun id -> arrival.(id) <= req.(id) *. (1.0 +. 1e-6))
+      (Circuit.outputs env.env_circuit)
 
-   Poison safety: sums are taken from the term columns afterwards, so a
-   non-finite term is clamped to +infinity in place — the result is an
-   infinite (never NaN) objective that loses every comparison, and the
-   evaluation is marked infeasible. The guard is the identity on finite
-   values, so well-conditioned designs are evaluated bit-identically.
+(* One sweep over the level-sorted gate permutation: per-gate delay,
+   arrival and the energy terms, written into per-node columns. Each
+   gate folds its fanins in pin order and shares one load between its
+   delay and its dynamic term. The level order visits every gate after
+   its fanins, and walks the columns in ascending id within a level,
+   which keeps a large circuit's sweep cache-friendly; the totals are
+   then folded in topological gate order.
+
+   Poison safety: a non-finite term is clamped to +infinity in place, so
+   the result is an infinite (never NaN) objective that loses every
+   comparison, and the evaluation is marked infeasible. The guard is the
+   identity on finite values, so well-conditioned designs are evaluated
+   bit-identically.
 
    A low-rail gate takes its context from the low rail's cache; at a
    primary output it also drives a level converter, whose delay joins
    the gate's and whose energy gets a column of its own, [cv_terms]. *)
-let eval_range env design (cache, low_cache) delays arrival st_terms dy_terms
-    sc_terms cv_terms tripped lo hi =
+let evaluate env design =
+  let n = Circuit.size env.env_circuit in
+  let delays = Array.make n 0.0 in
+  let arrival =
+    match env.arr_seed with
+    | None -> Array.make n 0.0
+    | Some seed -> Array.copy seed (* gate slots overwritten by the sweep *)
+  in
+  let st_terms = Array.make n 0.0 in
+  let dy_terms = Array.make n 0.0 in
+  (* read and written only when the short-circuit term is on *)
+  let sc_terms = if env.short_circuit then Array.make n 0.0 else [||] in
+  let two_rail = Option.is_some design.rail in
+  let cv_terms = if two_rail then Array.make n 0.0 else [||] in
   let f = env.env_flat in
   let order = f.Flat.gate_level_order in
   let fanin_off = f.Flat.fanin_off in
   let fanin_edges = f.Flat.fanin_edges in
   let is_gate = env.is_gate in
   let tech = env.env_tech in
+  let cache, low_cache = rail_caches env design in
+  let tripped = ref false in
   let guarded site v =
     if Float.is_finite v then v
     else begin
-      Atomic.set tripped true;
+      tripped := true;
       Guard.clamp ~site v
     end
   in
-  for k = lo to hi - 1 do
+  for k = 0 to Array.length order - 1 do
     let id = Array.unsafe_get order k in
     let s = Array.unsafe_get fanin_off id in
     let e = Array.unsafe_get fanin_off (id + 1) in
@@ -372,67 +397,7 @@ let eval_range env design (cache, low_cache) delays arrival st_terms dy_terms
       Array.unsafe_set sc_terms id
         (guarded "evaluate.short_circuit"
            (sc_energy env ctx design ~max_fanin_delay id))
-  done
-
-let default_min_par_width = 512
-
-(* Gate count from which the default [evaluate] dispatches level slices to
-   the domain pool (when the global job count allows). *)
-let par_gate_threshold = 20_000
-
-(* Constraint-aware feasibility: every endpoint on time against its own
-   required seed ([infinity] = released). [None] runs the verbatim legacy
-   scalar comparison. *)
-let arrivals_feasible env ~critical_delay arrival =
-  match env.req_times with
-  | None -> critical_delay <= env.tc *. (1.0 +. 1e-6)
-  | Some req ->
-    Array.for_all
-      (fun id -> arrival.(id) <= req.(id) *. (1.0 +. 1e-6))
-      (Circuit.outputs env.env_circuit)
-
-let evaluate_with ~jobs ~min_par_width env design =
-  let n = Circuit.size env.env_circuit in
-  let delays = Array.make n 0.0 in
-  let arrival =
-    match env.arr_seed with
-    | None -> Array.make n 0.0
-    | Some seed -> Array.copy seed (* gate slots overwritten by the sweep *)
-  in
-  let st_terms = Array.make n 0.0 in
-  let dy_terms = Array.make n 0.0 in
-  (* read and written only when the short-circuit term is on *)
-  let sc_terms = if env.short_circuit then Array.make n 0.0 else [||] in
-  let two_rail = Option.is_some design.rail in
-  let cv_terms = if two_rail then Array.make n 0.0 else [||] in
-  let tripped = Atomic.make false in
-  let caches = rail_caches env design in
-  let f = env.env_flat in
-  let off = f.Flat.gate_level_off in
-  for l = 0 to f.Flat.depth do
-    let lo = off.(l) and hi = off.(l + 1) in
-    let width = hi - lo in
-    if width > 0 then
-      if jobs > 1 && width >= min_par_width then begin
-        let chunk = (width + jobs - 1) / jobs in
-        (* Per-chunk drive caches: Drive.make is a pure function of
-           (tech, vdd, vt), so every worker derives exactly the contexts
-           the shared cache holds — chunking cannot change any value. *)
-        Par.parallel_for ~site:"power.level" ~jobs ~n:jobs (fun c ->
-            let clo = lo + (c * chunk) in
-            let chi = min hi (clo + chunk) in
-            if clo < chi then
-              eval_range env design (rail_caches env design) delays arrival
-                st_terms dy_terms sc_terms cv_terms tripped clo chi)
-      end
-      else
-        eval_range env design caches delays arrival st_terms dy_terms sc_terms
-          cv_terms tripped lo hi
   done;
-  (* Deterministic sequential folds in topological gate order: each
-     accumulator sees exactly the same additions, in the same order, as
-     the historical single-sweep evaluation, independent of how (or
-     whether) the level slices were chunked above. *)
   let static_e = ref 0.0 and dynamic_e = ref 0.0 and short_e = ref 0.0 in
   Array.iter
     (fun id ->
@@ -448,7 +413,6 @@ let evaluate_with ~jobs ~min_par_width env design =
       (fun acc id -> Float.max acc arrival.(id))
       0.0 (Circuit.outputs env.env_circuit)
   in
-  let tripped = Atomic.get tripped in
   {
     static_energy = !static_e;
     dynamic_energy = !dynamic_e;
@@ -458,20 +422,8 @@ let evaluate_with ~jobs ~min_par_width env design =
     dynamic_power = (!dynamic_e +. !short_e) *. env.fc;
     delays;
     critical_delay;
-    feasible = (not tripped) && arrivals_feasible env ~critical_delay arrival;
+    feasible = (not !tripped) && arrivals_feasible env ~critical_delay arrival;
   }
-
-let evaluate_seq env design =
-  evaluate_with ~jobs:1 ~min_par_width:max_int env design
-
-let evaluate_par ?jobs ?(min_par_width = default_min_par_width) env design =
-  let jobs = match jobs with Some j -> j | None -> Par.jobs () in
-  evaluate_with ~jobs ~min_par_width env design
-
-let evaluate env design =
-  if Array.length env.gates_topo >= par_gate_threshold && Par.jobs () > 1 then
-    evaluate_par env design
-  else evaluate_seq env design
 
 let m_sized =
   Dcopt_obs.Metrics.counter ~help:"gates sized by the minimal-width kernel"
@@ -587,27 +539,11 @@ let certify_sweep env ~budgets =
         (Printf.sprintf "gate %s has a non-finite budget"
            (Circuit.node env.env_circuit id).Circuit.name)
     | None ->
-      let f = env.env_flat in
-      let off = f.Flat.fanin_off in
-      let edges = f.Flat.fanin_edges in
-      (* seeded and folded as [eval_range] does, with budgets for delays *)
-      let arrival =
-        match env.arr_seed with
-        | None -> Array.make (Circuit.size env.env_circuit) 0.0
-        | Some seed -> Array.copy seed
-      in
-      Array.iter
-        (fun id ->
-          let worst = ref 0.0 in
-          for p = off.(id) to off.(id + 1) - 1 do
-            worst := Float.max !worst arrival.(edges.(p))
-          done;
-          arrival.(id) <- !worst +. budgets.(id))
-        gates;
-      let critical_delay =
-        Array.fold_left
-          (fun acc id -> Float.max acc arrival.(id))
-          0.0 (Circuit.outputs env.env_circuit)
+      (* [evaluate]'s seeds, with budgets for delays: the same max-plus
+         fold, since the budgets are finite and the seeds never NaN *)
+      let { Dcopt_timing.Flat_sta.arrival; critical_delay; _ } =
+        Dcopt_timing.Flat_sta.analyze ?arrival_offsets:env.arr_seed
+          env.env_flat ~delays:budgets
       in
       if arrivals_feasible env ~critical_delay arrival then Ok ()
       else Error "the budgets' own arrival times miss the timing constraints"

@@ -46,8 +46,6 @@ type evaluation = {
 }
 
 val make_env :
-  ?wiring:Dcopt_wiring.Wire_model.t ->
-  ?po_pin_width:float ->   (* load of an output pin in w-units, default 4. *)
   ?include_short_circuit:bool ->
                            (* add the Veendrick crowbar term, default false
                               (the paper's Appendix A.1 setting) *)
@@ -58,9 +56,11 @@ val make_env :
   Dcopt_netlist.Circuit.t ->
   Dcopt_activity.Activity.profile ->
   env
-(** Prepares a combinational circuit. The wiring model defaults to
-    {!Dcopt_wiring.Wire_model.create} over the circuit's gate count.
-    Raises [Invalid_argument] on sequential circuits or [fc <= 0].
+(** Prepares a combinational circuit. The wiring model is
+    {!Dcopt_wiring.Wire_model.create} over the circuit's gate count, and
+    each primary-output pin loads its net with 4 w-units of gate
+    capacitance. Raises [Invalid_argument] on sequential circuits or
+    [fc <= 0].
 
     [constraints] (default: the scalar compatibility set for [1/fc])
     makes every feasibility verdict per-endpoint: an evaluation is
@@ -148,30 +148,14 @@ val evaluate : env -> design -> evaluation
 (** Full evaluation: achieved delays by topological propagation, energy
     totals over all gates, feasibility per endpoint
     ({!arrivals_feasible}). Each gate is scored in the context of its
-    rail, level converters included (see {!rail}).
+    rail, level converters included (see {!rail}). One sequential sweep
+    in topological gate order, on the calling domain.
 
     Poison-safe: a non-finite delay or energy term (vt at or above vdd,
     overflow) is clamped to [+infinity] via {!Guard.clamp} — the result
     is an infinite, comparison-safe objective, [feasible] is forced
     false, and the trip is counted under [guard.*]. Never returns NaN in
-    the energy/power/critical-delay fields.
-
-    Large circuits (>= 20k gates) dispatch each level slice of the sweep
-    to the {!Dcopt_par.Par} pool when the global job count exceeds 1; the
-    energy totals are still folded sequentially in topological gate
-    order, so the result is byte-identical to {!evaluate_seq} at any job
-    count. *)
-
-val evaluate_seq : env -> design -> evaluation
-(** {!evaluate} forced onto the single-threaded path — the reference the
-    differential tests compare against. *)
-
-val evaluate_par : ?jobs:int -> ?min_par_width:int -> env -> design -> evaluation
-(** {!evaluate} with explicit level-parallel dispatch: level slices of at
-    least [min_par_width] gates (default 512) are chunked over [jobs]
-    domains (default {!Dcopt_par.Par.jobs}). Per-gate values and the
-    sequentially folded totals are bit-identical to {!evaluate_seq}
-    regardless of [jobs]. *)
+    the energy/power/critical-delay fields. *)
 
 val size_gate_with :
   Dcopt_device.Drive.sizer -> Dcopt_device.Drive.ctx -> env -> design ->
@@ -225,9 +209,9 @@ val certify_sweep : env -> budgets:float array -> (unit, string) result
     [meets_budgets && unclamped] equals [(evaluate env design).feasible]
     and the two sums are {!evaluate}'s energies. It checks that the env
     has no short-circuit term, that every gate budget is finite, and that
-    the budgets' own arrival times (a forward max-plus pass over
-    [budgets], seeded as {!evaluate} seeds arrivals) pass
-    {!arrivals_feasible}.
+    the budgets' own arrival times ({!Dcopt_timing.Flat_sta.analyze} over
+    [budgets], seeded with {!arrival_offsets} as {!evaluate} seeds
+    arrivals) pass {!arrivals_feasible}.
 
     Why that suffices: a gate that meets its budget was certified by
     {!Dcopt_device.Drive.min_width} at its fanins' budgets. Its evaluated

@@ -10,7 +10,7 @@ type point = {
   joint_vt : float;
 }
 
-let sweep ?(m_steps = 12) ?baseline_vt ~tech ~fc circuit profile ~factors =
+let sweep ?(m_steps = 12) ~tech ~fc circuit profile ~factors =
   (* Solve every slack point on the Par pool, then resolve the nominal
      reference sequentially in sorted order — the rule a sequential sweep
      applies ("factor 1 or else the first point that solved"). *)
@@ -29,7 +29,7 @@ let sweep ?(m_steps = 12) ?baseline_vt ~tech ~fc circuit profile ~factors =
       | Budget_repair.Infeasible _ -> None
     in
     let baseline =
-      let vt = Option.value baseline_vt ~default:Baseline.default_vt in
+      let vt = Baseline.default_vt in
       Option.bind (repaired vt) (fun budgets ->
           Baseline.optimize ~vt ~m_steps env ~budgets)
     in

@@ -19,7 +19,6 @@ type point = {
 
 val sweep :
   ?m_steps:int ->
-  ?baseline_vt:float ->
   tech:Dcopt_device.Tech.t ->
   fc:float ->
   Dcopt_netlist.Circuit.t ->
@@ -27,5 +26,5 @@ val sweep :
   factors:float array ->
   point array
 (** One {!point} per slack factor (requires each factor >= 1); factors
-    where either optimizer fails are skipped. The circuit must be
-    combinational. *)
+    where either optimizer fails are skipped. The fixed-Vt baseline runs
+    at {!Baseline.default_vt}. The circuit must be combinational. *)

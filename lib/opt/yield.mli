@@ -18,8 +18,6 @@ type report = {
 }
 
 val monte_carlo :
-  ?seed:int64 ->           (* default 0xD1E5L *)
-  ?global_fraction:float -> (* correlated share of the sigma, default 0.7 *)
   Power_model.env ->
   Power_model.design ->
   sigma_fraction:float ->  (* total Vt sigma as a fraction of nominal *)
@@ -29,8 +27,8 @@ val monte_carlo :
     split into a die-to-die component (one draw per sample, shared by all
     gates — the part that cannot average out along a path) and an
     independent within-die remainder, with
-    [sigma_global = global_fraction * sigma_fraction]. Deterministic for a
-    given seed. *)
+    [sigma_global = 0.7 * sigma_fraction]. Deterministic: the samples
+    come from one fixed-seed stream. *)
 
 type curve_point = {
   sigma_pct : float;

@@ -169,8 +169,10 @@ let run_batch ~workers ~count run =
   Mutex.unlock pool.p_mutex
 
 (* ------------------------------------------------------------------ *)
-(* Public entry points                                                 *)
+(* Entry points                                                        *)
 
+(* Runs [f 0 .. f (n-1)] over [min jobs n] domains; [f] writes only its
+   own index's state. *)
 let parallel_for ?site ?jobs:requested ~n f =
   if n > 0 then begin
     let nested = Domain.DLS.get in_batch_key in

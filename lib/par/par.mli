@@ -1,6 +1,11 @@
 (** Fixed-size domain pool for the embarrassingly parallel optimizer
     sites, built on stdlib [Domain]/[Mutex]/[Condition] only.
 
+    {!map} and {!map_list} are the one parallel entry point, and a task
+    is one independent unit of work: a grid trial, a corner, a yield
+    sample, an annealing pass, a batch job. A single timing or power
+    sweep runs on the domain that calls it.
+
     Design constraints, in priority order:
 
     - {b Determinism}: results come back in index order, and every call
@@ -36,16 +41,12 @@ val set_jobs : int -> unit
     [Invalid_argument] when below 1. The pool is resized lazily at the
     next parallel call. *)
 
-val parallel_for : ?site:string -> ?jobs:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for ~n f] runs [f 0 .. f (n-1)], spreading indices over
-    [min jobs n] domains (the caller participates). [f] must only write
-    to disjoint per-index state; the call returns after every index
-    completed (or the first captured exception is re-raised). *)
-
 val map : ?site:string -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map f a] is [Array.map f a] with the applications spread over the
-    pool; results are positioned by index, so the output order never
-    depends on scheduling. *)
+(** [map f a] is [Array.map f a] with the applications spread over
+    [min jobs (length a)] domains (the caller participates); results are
+    positioned by index, so the output order never depends on
+    scheduling. The call returns after every application completed, or
+    re-raises the first captured exception. *)
 
 val map_list : ?site:string -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over a list, preserving order. *)

@@ -65,6 +65,7 @@ let sites =
     "wire.send.result";
     "wire.send.job";
     "wire.send.shutdown";
+    "wire.send.refused";
     "worker.job";
     "worker.result";
     "store.put";

@@ -486,16 +486,25 @@ let execute t ?checkpoint ~batch_id tasks =
         let rest =
           String.sub contents (nl + 1) (String.length contents - nl - 1)
         in
-        let refuse why =
+        (* [final]: the refusal holds whenever this worker dials again,
+           so it is told why before the close and stops retrying. A
+           duplicate id is refused silently: its old session may still
+           be draining, and the id may be free on the next dial. *)
+        let refuse ?(final = false) why =
           Events.warn "fleet.connection_refused"
             ~fields:[ ("why", Json.String why) ];
+          (if final then
+             try
+               Wire.send ~site:"wire.send.refused" p.p_fd
+                 (Wire.to_worker_to_json (Wire.Refused { why }))
+             with Unix.Unix_error _ -> ());
           try Unix.close p.p_fd with Unix.Unix_error _ -> ()
         in
         match Wire.from_worker_of_line line with
         | Ok (Wire.Hello { worker_id; pid; version })
           when version = Wire.protocol_version ->
           if Policy.quarantined t.losses worker_id then
-            refuse ("worker " ^ worker_id ^ " is quarantined")
+            refuse ~final:true ("worker " ^ worker_id ^ " is quarantined")
           else if
             List.exists
               (fun w -> w.w_id = worker_id && w.w_state <> Lost && w.w_fd <> None)
@@ -503,8 +512,9 @@ let execute t ?checkpoint ~batch_id tasks =
           then refuse ("worker id " ^ worker_id ^ " is already connected")
           else accept_worker p ~worker_id ~pid ~rest
         | Ok (Wire.Hello { version; _ }) ->
-          refuse (Printf.sprintf "protocol version %d, want %d" version
-                    Wire.protocol_version)
+          refuse ~final:true
+            (Printf.sprintf "protocol version %d, want %d" version
+               Wire.protocol_version)
         | Ok _ -> refuse "first frame was not hello"
         | Error msg -> refuse ("bad hello: " ^ msg))
     in

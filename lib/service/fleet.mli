@@ -45,7 +45,10 @@
     losses accumulate across incarnations; after 2 losses the id is
     quarantined: never respawned again and refused at hello, so a
     crash-looping worker (bad host, poisoned environment) cannot grind
-    a batch forever. External identities share the same budget.
+    a batch forever. External identities share the same budget. A
+    quarantined id, or a hello of another protocol version, is sent a
+    [refused] frame naming the reason before the close, so an external
+    worker stops instead of spending its reconnect budget.
 
     Workers are spawned lazily on the first batch that actually has
     something to compute (a fully warm batch spawns nothing) and are
@@ -57,7 +60,8 @@
     / [requeued] / [fallback] / [quarantined] counters, and [fleet.*]
     events carrying the [run_id → batch_id → worker_id → job_id]
     correlation chain. The coordinator's fault seams are
-    [wire.send.job], [wire.send.shutdown] (outbound frames) and
+    [wire.send.job], [wire.send.shutdown], [wire.send.refused] (outbound
+    frames) and
     [clock.tick] ([jump] displaces the wall clock the event log reads;
     scheduling must not notice). *)
 

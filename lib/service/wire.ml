@@ -3,12 +3,16 @@ module Json = Dcopt_util.Json
 (* Bumped whenever a frame changes shape; a worker whose hello carries a
    different version is refused, so a mixed-version fleet fails loudly at
    connect time instead of corrupting a batch.
-   v2: every frame carries an FNV-1a 64 checksum envelope. *)
+   v2: every frame carries an FNV-1a 64 checksum envelope. The [refused]
+   frame needs no bump: it is the last frame of a connection the
+   coordinator closes anyway, so a peer that cannot parse it loses
+   nothing it had. *)
 let protocol_version = 2
 
 type to_worker =
   | Assign of { seq : int; batch_id : int; job : Job.t }
   | Shutdown
+  | Refused of { why : string }
 
 type from_worker =
   | Hello of { worker_id : string; pid : int; version : int }
@@ -25,6 +29,8 @@ let to_worker_to_json = function
         ("job", Job.to_json job);
       ]
   | Shutdown -> Json.Obj [ ("frame", Json.String "shutdown") ]
+  | Refused { why } ->
+    Json.Obj [ ("frame", Json.String "refused"); ("why", Json.String why) ]
 
 let from_worker_to_json = function
   | Hello { worker_id; pid; version } ->
@@ -118,6 +124,9 @@ let to_worker_of_line line =
     let* job = Job.of_json spec in
     Ok (Assign { seq; batch_id; job })
   | "shutdown" -> Ok Shutdown
+  | "refused" ->
+    let* why = string_field "why" json in
+    Ok (Refused { why })
   | other -> Error (Printf.sprintf "unknown coordinator frame %S" other)
 
 let from_worker_of_line line =
@@ -269,7 +278,11 @@ let connect addr =
          (string_of_addr addr))
   | _ -> Result.map connect_sockaddr (sockaddr_of addr)
 
-let listen ?(backlog = 16) addr =
+(* Pending connections the kernel queues before the coordinator accepts:
+   a fleet's workers dial once each at spawn. *)
+let backlog = 16
+
+let listen addr =
   (match addr with
   | Unix_path path -> if Sys.file_exists path then Sys.remove path
   | Tcp _ -> ());

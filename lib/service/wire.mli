@@ -7,6 +7,10 @@
       spec; [seq] is the coordinator's dispatch sequence number, echoed
       back with the result so requeued jobs can never be double-counted.
     - [{"frame":"shutdown"}] — finish nothing further and exit cleanly.
+    - [{"frame":"refused","why":…}] — the hello was refused for good (the
+      worker id is quarantined, or its protocol version differs); the
+      coordinator closes the connection after it, and the worker should
+      not dial again.
 
     Worker → coordinator:
 
@@ -32,6 +36,7 @@ val protocol_version : int
 type to_worker =
   | Assign of { seq : int; batch_id : int; job : Job.t }
   | Shutdown
+  | Refused of { why : string }
 
 type from_worker =
   | Hello of { worker_id : string; pid : int; version : int }
@@ -91,8 +96,8 @@ val connect : addr -> (Unix.file_descr, string) result
     [Unix.Unix_error] for transient dial failures (e.g. [ECONNREFUSED]),
     the shape reconnect loops retry on. *)
 
-val listen : ?backlog:int -> addr -> (Unix.file_descr, string) result
-(** Bind and listen. Unlinks a stale unix socket path first and sets
+val listen : addr -> (Unix.file_descr, string) result
+(** Bind and listen, with a backlog of 16 pending connections. Unlinks a stale unix socket path first and sets
     [SO_REUSEADDR] for TCP; a TCP port of 0 binds an ephemeral port —
     read it back with {!bound_addr}. [Error] on resolution failure;
     raises [Unix.Unix_error] on bind/listen failure. *)

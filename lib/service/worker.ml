@@ -25,8 +25,8 @@ let apply_worker_faults site =
     (Faults.fire site)
 
 (* One connected session: hello, then the read-execute-reply loop until
-   a shutdown frame (`Clean), a dead/desynchronised coordinator
-   (`Lost), or an injected death. *)
+   a shutdown frame (`Clean), a refused hello (`Refused), a
+   dead/desynchronised coordinator (`Lost), or an injected death. *)
 let session ~heartbeat_interval_s ~worker_id fd =
   let ic = Unix.in_channel_of_descr fd in
   (* results and heartbeats interleave from two threads; frames must hit
@@ -61,7 +61,7 @@ let session ~heartbeat_interval_s ~worker_id fd =
   let outcome =
     try
       let running = ref true in
-      let clean = ref false in
+      let ending = ref `Lost in
       while !running && not (Atomic.get stop) do
         match input_line ic with
         | exception End_of_file -> running := false
@@ -76,7 +76,13 @@ let session ~heartbeat_interval_s ~worker_id fd =
               ~fields:[ ("error", Json.String msg) ];
             running := false
           | Ok Wire.Shutdown ->
-            clean := true;
+            ending := `Clean;
+            running := false
+          | Ok (Wire.Refused { why }) ->
+            Events.error "worker.refused" ~fields:[ ("why", Json.String why) ];
+            Logs.err (fun m ->
+                m "worker %s: refused by the coordinator: %s" worker_id why);
+            ending := `Refused;
             running := false
           | Ok (Wire.Assign { seq; batch_id; job }) ->
             Metrics.incr jobs_c;
@@ -93,7 +99,7 @@ let session ~heartbeat_interval_s ~worker_id fd =
             apply_worker_faults "worker.result";
             send ~site:"wire.send.result" (Wire.Result { seq; row }))
       done;
-      if !clean then `Clean else `Lost
+      !ending
     with Unix.Unix_error _ | Sys_error _ ->
       (* coordinator went away mid-send/mid-read: nothing left to serve *)
       `Lost
@@ -145,6 +151,8 @@ let run ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect ~worker_id
     | Some fd -> (
       match session ~heartbeat_interval_s ~worker_id fd with
       | `Clean -> true
+      (* the coordinator will refuse this id again: no dial can help *)
+      | `Refused -> false
       | `Lost ->
         if !attempts < reconnect then begin
           backoff "connection lost";

@@ -15,8 +15,11 @@
     refused dial) is retried under {!Policy.backoff_delay_s}: capped
     exponential backoff whose jitter comes from a PRNG seeded with the
     worker id, so the whole retry schedule is deterministic per worker.
-    A clean [shutdown] frame never triggers a reconnect. Spawned fleet
-    workers run with the default budget of 0 — their coordinator
+    A clean [shutdown] frame never triggers a reconnect, and neither does
+    a [refused] frame: the coordinator refuses a quarantined id or
+    another protocol version for good, so the worker logs a
+    [worker.refused] error event naming the reason and stops. Spawned
+    fleet workers run with the default budget of 0 — their coordinator
     respawns them — while externally-launched workers
     ([minpower worker --connect host:port --reconnect N]) ride out
     coordinator restarts and network blips themselves.
@@ -37,9 +40,10 @@ val run :
   worker_id:string ->
   unit ->
   bool
-(** Run the worker loop until a clean [shutdown] frame ([true]) or until
-    the coordinator stays unreachable / desynchronises with the
-    reconnect budget spent ([false]). [reconnect] (default 0) caps
+(** Run the worker loop until a clean [shutdown] frame ([true]), a
+    [refused] frame ([false], with no reconnect) or until the
+    coordinator stays unreachable / desynchronises with the reconnect
+    budget spent ([false]). [reconnect] (default 0) caps
     reconnection attempts across the whole run; heartbeats default to
     every 0.5 s. Sets the process event-log worker id and ignores
     [SIGPIPE]. Raises [Failure] on an unusable address (resolution

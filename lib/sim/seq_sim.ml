@@ -10,8 +10,11 @@ type result = {
   state_bits : int;
 }
 
-let simulate ?(warmup = 64) ?(seed = 0xFACEL) ~cycles ~input_probability
-    ~input_density circuit =
+(* Settle cycles run and discarded before the measured ones. *)
+let warmup = 64
+
+let simulate ?(seed = 0xFACEL) ~cycles ~input_probability ~input_density
+    circuit =
   if cycles < 1 then invalid_arg "Seq_sim.simulate: cycles < 1";
   if not (input_probability >= 0.0 && input_probability <= 1.0) then
     invalid_arg "Seq_sim.simulate: input_probability out of range";

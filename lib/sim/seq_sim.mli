@@ -20,16 +20,16 @@ type result = {
 }
 
 val simulate :
-  ?warmup:int ->        (* settle cycles discarded, default 64 *)
   ?seed:int64 ->        (* default 0xFACEL *)
   cycles:int ->
   input_probability:float ->
   input_density:float ->
   Dcopt_netlist.Circuit.t ->
   result
-(** Simulates [cycles] clock cycles (plus [warmup]) of the given circuit
-    (sequential or combinational). True primary inputs follow the Markov
-    process with the requested stationary probability and toggle rate;
+(** Simulates [cycles] clock cycles (after 64 discarded settle cycles)
+    of the given circuit (sequential or combinational). True primary
+    inputs follow the Markov process with the requested stationary
+    probability and toggle rate;
     flip-flops start at 0 and follow the logic. Node statistics use
     per-cycle zero-delay semantics (matching the energy model's activity
     convention). *)

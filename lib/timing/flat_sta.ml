@@ -1,7 +1,6 @@
 module Circuit = Dcopt_netlist.Circuit
 module Flat = Dcopt_netlist.Flat
 module Metrics = Dcopt_obs.Metrics
-module Par = Dcopt_par.Par
 
 type result = {
   arrival : float array;
@@ -12,10 +11,6 @@ type result = {
 
 let m_passes = Metrics.counter "sta.level.passes"
     ~help:"Levelized STA sweeps (one forward or backward pass each)"
-let m_par_levels = Metrics.counter "sta.level.par_levels"
-    ~help:"Level slices wide enough to run on the domain pool"
-let m_seq_levels = Metrics.counter "sta.level.seq_levels"
-    ~help:"Level slices below the parallel width threshold"
 let g_depth = Metrics.gauge "sta.level.depth"
     ~help:"Logic depth of the last circuit analyzed by the flat STA"
 let g_max_width = Metrics.gauge "sta.level.max_width"
@@ -23,7 +18,7 @@ let g_max_width = Metrics.gauge "sta.level.max_width"
 let g_alloc = Metrics.gauge "flat.alloc_bytes"
     ~help:"Working-set bytes of the last flat circuit view analyzed"
 
-(* Gauges are main-domain-only instruments; the counters are atomic and
+(* Gauges are main-domain-only instruments; the counter is atomic and
    safe from pool workers (an optimizer running under Par.map may reach
    this module off the main domain). *)
 let set_gauges f =
@@ -32,8 +27,6 @@ let set_gauges f =
     Metrics.set g_max_width (float_of_int (Flat.max_level_width f));
     Metrics.set g_alloc (float_of_int (Flat.alloc_bytes f))
   end
-
-let default_min_par_width = 2048
 
 let validate name f ~delays =
   if not (Circuit.is_combinational (Flat.circuit f)) then
@@ -46,8 +39,8 @@ let validate name f ~delays =
    faster than their best OCaml renditions (see the stub file for the
    bit-identity argument — they reproduce the reference record-walking
    analyzer's IEEE operations exactly, for every NaN-free delay array).
-   Both are [@@noalloc] and runtime-free, so pool domains may run
-   disjoint slices concurrently. *)
+   Both are [@@noalloc] and runtime-free; each call sweeps one level
+   slice. *)
 
 external forward_range :
   float array (* arrival *) ->
@@ -77,37 +70,15 @@ external backward_req_range :
     "dcopt_flat_sta_backward_req_range_native"
 [@@noalloc]
 
-(* Run [kernel lo hi] over one level slice, chunked over the pool when the
-   slice is wide enough. Chunk boundaries only partition the index space;
-   each index writes its own cell, so the chunking (and hence the job
-   count) cannot change any produced value. *)
-let run_level ~jobs ~min_par_width kernel lo hi =
-  let width = hi - lo in
-  if width <= 0 then ()
-  else if jobs > 1 && width >= min_par_width then begin
-    Metrics.incr m_par_levels;
-    let chunks = jobs in
-    let chunk = (width + chunks - 1) / chunks in
-    Par.parallel_for ~site:"sta.level" ~jobs ~n:chunks (fun c ->
-        let clo = lo + (c * chunk) in
-        let chi = min hi (clo + chunk) in
-        if clo < chi then kernel clo chi)
-  end
-  else begin
-    Metrics.incr m_seq_levels;
-    kernel lo hi
-  end
-
-let forward_sweep ~jobs ~min_par_width f ~delays ~arrival =
+let forward_sweep f ~delays ~arrival =
   Metrics.incr m_passes;
   let off = f.Flat.gate_level_off in
   let order = f.Flat.gate_level_order in
   let fanin_off = f.Flat.fanin_off in
   let fanin_edges = f.Flat.fanin_edges in
   for l = 0 to f.Flat.depth do
-    run_level ~jobs ~min_par_width
-      (forward_range arrival delays order fanin_off fanin_edges)
-      off.(l) off.(l + 1)
+    forward_range arrival delays order fanin_off fanin_edges off.(l)
+      off.(l + 1)
   done;
   Array.fold_left
     (fun acc id -> Float.max acc arrival.(id))
@@ -126,18 +97,15 @@ let fresh_arrival f =
   done;
   arrival
 
-let forward ?jobs ?(min_par_width = default_min_par_width) f ~delays =
+let forward f ~delays =
   validate "Flat_sta.forward" f ~delays;
   set_gauges f;
-  let jobs = Option.value jobs ~default:(Par.jobs ()) in
   let arrival = fresh_arrival f in
-  (arrival, forward_sweep ~jobs ~min_par_width f ~delays ~arrival)
+  (arrival, forward_sweep f ~delays ~arrival)
 
-let analyze ?required_time ?required_times ?arrival_offsets ?jobs
-    ?(min_par_width = default_min_par_width) f ~delays =
+let analyze ?required_time ?required_times ?arrival_offsets f ~delays =
   validate "Flat_sta.analyze" f ~delays;
   set_gauges f;
-  let jobs = Option.value jobs ~default:(Par.jobs ()) in
   let n = Flat.size f in
   let check_seeds what = function
     | Some seeds when Array.length seeds <> n ->
@@ -151,7 +119,7 @@ let analyze ?required_time ?required_times ?arrival_offsets ?jobs
     | None -> fresh_arrival f
     | Some seeds -> Array.copy seeds (* gate slots overwritten by the sweep *)
   in
-  let critical_delay = forward_sweep ~jobs ~min_par_width f ~delays ~arrival in
+  let critical_delay = forward_sweep f ~delays ~arrival in
   (* The backward sweep writes every node's slack exactly once (every
      node appears in the level order), so that column starts
      uninitialized. The scalar target becomes a seed column — [target]
@@ -172,10 +140,8 @@ let analyze ?required_time ?required_times ?arrival_offsets ?jobs
   let off = f.Flat.level_off in
   let order = f.Flat.level_order in
   for l = f.Flat.depth downto 0 do
-    run_level ~jobs ~min_par_width
-      (backward_req_range required slack arrival delays order
-         f.Flat.fanout_off f.Flat.fanout_edges seeds)
-      off.(l) off.(l + 1)
+    backward_req_range required slack arrival delays order f.Flat.fanout_off
+      f.Flat.fanout_edges seeds off.(l) off.(l + 1)
   done;
   { arrival; critical_delay; required; slack }
 

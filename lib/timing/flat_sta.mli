@@ -7,21 +7,14 @@
     [arrival_offsets] seed), a gate's arrival is its delay plus the max
     fanin arrival, and a node's required time is the min over its
     consumers of their required time minus their delay. The sweeps walk
-    the level-sorted permutation with CSR adjacency, and each level slice
-    wider than [min_par_width] is chunked over the {!Dcopt_par.Par}
-    domain pool. The results match a record-walking topological
-    reference (kept as the test oracle) bit for bit.
+    the level-sorted permutation with CSR adjacency, one C kernel call
+    per level slice, on the calling domain. The results match a
+    record-walking topological reference (kept as the test oracle) bit
+    for bit.
 
-    Determinism: all nodes inside one level are mutually independent
-    (every fanin is at a strictly lower level, every consumer at a higher
-    one), and each parallel index writes exactly its own cell of the
-    arrival/required column, so the produced floats are independent of
-    the chunking — [--jobs N] output is byte-identical to [--jobs 1].
-
-    Metrics: bumps [sta.level.passes] / [sta.level.par_levels] /
-    [sta.level.seq_levels] counters (any domain) and, from the main
-    domain only, sets the [sta.level.depth] / [sta.level.max_width] /
-    [flat.alloc_bytes] gauges. *)
+    Metrics: bumps the [sta.level.passes] counter (any domain) and, from
+    the main domain only, sets the [sta.level.depth] /
+    [sta.level.max_width] / [flat.alloc_bytes] gauges. *)
 
 type result = {
   arrival : float array;   (** output arrival time per node id *)
@@ -30,15 +23,10 @@ type result = {
   slack : float array;     (** required - arrival *)
 }
 
-val default_min_par_width : int
-(** Narrowest level slice worth dispatching to the pool (2048). *)
-
 val analyze :
   ?required_time:float ->
   ?required_times:float array ->
   ?arrival_offsets:float array ->
-  ?jobs:int ->
-  ?min_par_width:int ->
   Dcopt_netlist.Flat.t ->
   delays:float array ->
   result
@@ -53,12 +41,9 @@ val analyze :
     bit-identical to [~required_time:t] (both run the same seeded
     kernel). [arrival_offsets] seeds the forward pass with per-node input
     delays (from {!Constraints.arrival_offsets}); [None] is the zero
-    seed. [jobs] defaults to the global {!Dcopt_par.Par.jobs}. Requires a
-    combinational circuit. *)
+    seed. Requires a combinational circuit. *)
 
 val forward :
-  ?jobs:int ->
-  ?min_par_width:int ->
   Dcopt_netlist.Flat.t ->
   delays:float array ->
   float array * float

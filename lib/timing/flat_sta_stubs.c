@@ -1,8 +1,7 @@
 /* Level-slice kernels for the struct-of-arrays STA (Flat_sta).
  *
  * Each call processes one contiguous slice [lo, hi) of a level
- * permutation; the OCaml side owns level iteration, pool dispatch and
- * instrumentation. Kept in C because the per-edge work is three loads, a
+ * permutation; the OCaml side owns level iteration and instrumentation. Kept in C because the per-edge work is three loads, a
  * compare and a branch — the OCaml-native versions of these loops run
  * ~2x slower (boxed Float.max call or mispredicted float-select), and
  * this pair is the whole hot path of the 100k-1M gate benchmarks.
@@ -17,9 +16,9 @@
  * -ffp-contract=off so no compiler-fused multiply-adds can perturb
  * results (the kernels contain no multiplies, this is belt and braces).
  *
- * The stubs are [@@noalloc] and touch no OCaml runtime state, so pool
- * domains may execute them concurrently; disjoint slices write disjoint
- * cells. OCaml int arrays are tagged-value arrays, decoded per element
+ * The stubs are [@@noalloc] and touch no OCaml runtime state, so
+ * optimizers running on pool domains may execute them concurrently on
+ * their own columns. OCaml int arrays are tagged-value arrays, decoded per element
  * with Long_val (a shift). Float arrays are flat double payloads.
  */
 #include <caml/mlvalues.h>

@@ -4,10 +4,14 @@ type t = {
   tech : Tech.t;
   n_gates : int;
   p : float;
-  fanout_exp : float;
   pitch : float;
   mean_pp : float; (* pitches, memoized at creation *)
 }
+
+(* Net-length growth with fanout (Steiner-tree law) and the gate pitch
+   in feature sizes. *)
+let fanout_exponent = 0.70
+let pitch_factor = 12.0
 
 let side n = Float.max 2.0 (sqrt (float_of_int n))
 
@@ -35,17 +39,13 @@ let compute_mean_pp ~n ~p =
   in
   if total <= 0.0 then 1.0 else weighted /. total
 
-let create ?(rent_p = 0.60) ?(fanout_exponent = 0.70) ?(pitch_factor = 12.0)
-    ~tech ~gate_count () =
+let create ?(rent_p = 0.60) ~tech ~gate_count () =
   assert (gate_count >= 1);
   assert (rent_p > 0.0 && rent_p < 1.0);
-  assert (fanout_exponent >= 0.0 && fanout_exponent <= 1.0);
-  assert (pitch_factor > 0.0);
   {
     tech;
     n_gates = gate_count;
     p = rent_p;
-    fanout_exp = fanout_exponent;
     pitch = pitch_factor *. tech.Tech.feature_size;
     mean_pp = compute_mean_pp ~n:gate_count ~p:rent_p;
   }
@@ -58,7 +58,7 @@ let mean_point_to_point_pitches t = t.mean_pp
 
 let net_length t ~fanout =
   assert (fanout >= 1);
-  t.mean_pp *. t.pitch *. (float_of_int fanout ** t.fanout_exp)
+  t.mean_pp *. t.pitch *. (float_of_int fanout ** fanout_exponent)
 
 let net_capacitance t ~fanout =
   net_length t ~fanout *. t.tech.Tech.wire_cap_per_m

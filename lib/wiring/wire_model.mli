@@ -14,14 +14,13 @@
     with [p] the Rent exponent. Lengths are in gate pitches; electrical
     quantities convert through the technology's per-metre wire constants.
     Multi-terminal nets are costed as the point-to-point expectation scaled
-    by [fanout^fanout_exponent] (a Steiner-tree growth law). *)
+    by [fanout^0.70] (a Steiner-tree growth law), on a gate pitch of 12
+    feature sizes. *)
 
 type t
 
 val create :
   ?rent_p:float ->         (* Rent exponent, default 0.60 (random logic) *)
-  ?fanout_exponent:float -> (* net-length growth with fanout, default 0.70 *)
-  ?pitch_factor:float ->   (* gate pitch in feature sizes, default 12.0 *)
   tech:Dcopt_device.Tech.t ->
   gate_count:int ->
   unit ->

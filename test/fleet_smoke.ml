@@ -187,13 +187,19 @@ let replace_all ~sub ~by s =
    it sends names another digest: the coordinator counts it lost (twice,
    then quarantines it), requeues its jobs, and the rows — and what the
    store then serves — are the in-process ones. The spawned worker's
-   results are slowed so the external one gets jobs to answer. *)
+   results are slowed so the external one gets jobs to answer. Once
+   quarantined, the worker's next hello is refused with the reason, and
+   it stops there: it exits 1 without spending another reconnect. *)
 let external_worker_drill () =
   let jobs = "fleet_smoke_ext_jobs.jsonl" in
   let ext_dir = "fleet_smoke_ext" in
   let store = "fleet_smoke_ext_store" in
   let events = "fleet_smoke_ext.events.jsonl" in
+  (* relative to ext_dir, where the worker runs *)
+  let ext_events = "ext.events.jsonl" in
   if not (Sys.file_exists ext_dir) then Sys.mkdir ext_dir 0o755;
+  let ext_events_path = Filename.concat ext_dir ext_events in
+  if Sys.file_exists ext_events_path then Sys.remove ext_events_path;
   generate ~seed:1 "c.bench";
   generate ~seed:2 (Filename.concat ext_dir "c.bench");
   let oc = open_out jobs in
@@ -233,12 +239,30 @@ let external_worker_drill () =
   let ext =
     Unix.create_process minpower
       [| minpower; "worker"; "--connect"; sock; "--worker-id"; "ext";
-         "--reconnect"; "3" |]
+         "--reconnect"; "3"; "--events"; ext_events |]
       Unix.stdin Unix.stderr Unix.stderr
   in
   Sys.chdir Filename.parent_dir_name;
   let rows = batch_rows ~tag:"ext_fleet" coordinator in
-  ignore (Unix.waitpid [] ext);
+  (match Unix.waitpid [] ext with
+  | _, Unix.WEXITED 1 -> ()
+  | _, Unix.WEXITED n -> fail "ext exited %d after its refusal, want 1" n
+  | _ -> fail "ext was killed by a signal");
+  (* the refusal names the quarantine, and ext dials no more after it *)
+  let rec after_refusal = function
+    | [] -> fail "ext logged no worker.refused event naming the quarantine"
+    | line :: rest ->
+      if
+        contains ~needle:"\"event\":\"worker.refused\"" line
+        && contains ~needle:"quarantined" line
+      then rest
+      else after_refusal rest
+  in
+  List.iter
+    (fun line ->
+      if contains ~needle:"\"event\":\"worker.reconnect\"" line then
+        fail "ext reconnected after it was refused: %s" line)
+    (after_refusal (read_lines ext_events_path));
   check_identical ~tag:"in-process vs fleet with a foreign worker" reference
     rows;
   let digests =

@@ -2,16 +2,14 @@
 
    The flat levelized analyzer (Flat_sta, C sweep kernels over the
    struct-of-arrays view) promises results bit-identical to the
-   record-walking reference (Sta_ref) and independent of the parallel
-   chunking (--jobs N byte-identical to --jobs 1). These tests hold it
-   to that promise — full analysis under the scalar target, a deadline
-   and input-delay seeds, the forward pass alone, and the critical-path
-   walk — across the whole ISCAS suite and seeded random DAGs at 1k and
-   10k gates, do the same for the flat power sweeps
-   (Power_model.evaluate_par vs evaluate_seq), drive the incremental
-   engine through a 200-move transaction/rollback sequence on a
-   generated DAG, and check that an analysis leaves the sta.level.* /
-   flat.alloc_bytes metrics populated. *)
+   record-walking reference (Sta_ref). These tests hold it to that
+   promise — full analysis under the scalar target, a deadline and
+   input-delay seeds, the forward pass alone, and the critical-path walk
+   — across the whole ISCAS suite and seeded random DAGs at 1k and 10k
+   gates, drive the incremental engine through a 200-move
+   transaction/rollback sequence on a generated DAG, and check that an
+   analysis leaves the sta.level.* / flat.alloc_bytes metrics
+   populated. *)
 
 module Circuit = Dcopt_netlist.Circuit
 module Flat = Dcopt_netlist.Flat
@@ -72,37 +70,27 @@ let random_offsets seed c =
   Array.init (Circuit.size c) (fun _ -> Prng.float rng 0.5e-9)
 
 (* One circuit, one delay assignment: the flat analyzer must reproduce
-   the reference bit for bit, and must produce the same bytes whatever
-   the job count / dispatch width. min_par_width:1 forces even narrow
-   levels through the parallel dispatch path. *)
+   the reference bit for bit. *)
 let check_circuit what c =
   let delays = random_delays 7L (Circuit.size c) in
   let f = Flat.of_circuit c in
-  let both label reference run =
-    let flat = run ~jobs:1 ~min_par_width:Flat_sta.default_min_par_width in
-    check_result_bits (what ^ label ^ " flat vs reference") reference flat;
-    check_result_bits (what ^ label ^ " jobs 4 vs jobs 1") flat
-      (run ~jobs:4 ~min_par_width:1)
+  let check label reference flat =
+    check_result_bits (what ^ label ^ " flat vs reference") reference flat
   in
-  both "" (Sta_ref.analyze c ~delays) (fun ~jobs ~min_par_width ->
-      Flat_sta.analyze f ~jobs ~min_par_width ~delays);
-  (* an explicit deadline changes required/slack but not the identity *)
-  both " deadline"
+  check "" (Sta_ref.analyze c ~delays) (Flat_sta.analyze f ~delays);
+  (* an explicit deadline changes required/slack *)
+  check " deadline"
     (Sta_ref.analyze ~required_time:0.5e-9 c ~delays)
-    (fun ~jobs ~min_par_width ->
-      Flat_sta.analyze ~required_time:0.5e-9 f ~jobs ~min_par_width ~delays);
+    (Flat_sta.analyze ~required_time:0.5e-9 f ~delays);
   (* input-delay seeds move every arrival downstream of the inputs *)
   let arrival_offsets = random_offsets 8L c in
-  both " offsets"
+  check " offsets"
     (Sta_ref.analyze ~arrival_offsets c ~delays)
-    (fun ~jobs ~min_par_width ->
-      Flat_sta.analyze ~arrival_offsets f ~jobs ~min_par_width ~delays);
+    (Flat_sta.analyze ~arrival_offsets f ~delays);
   (* the forward pass alone, and the critical-path walk over it *)
   let ((arrival, _) as reference) = Sta_ref.forward c ~delays in
-  let flat = Flat_sta.forward f ~jobs:1 ~delays in
+  let flat = Flat_sta.forward f ~delays in
   check_forward_bits (what ^ " forward flat vs reference") reference flat;
-  check_forward_bits (what ^ " forward jobs 4 vs jobs 1") flat
-    (Flat_sta.forward f ~jobs:4 ~min_par_width:1 ~delays);
   check_path (what ^ " critical path flat vs reference")
     (Sta_ref.critical_path_of_arrival c ~arrival ~delays)
     (Flat_sta.critical_path_of_arrival f ~arrival:(fst flat) ~delays);
@@ -117,7 +105,7 @@ let check_circuit what c =
      tie at the maximum and the first-hit-in-pin-order and first-output
      rules decide the path *)
   let delays = Array.make (Circuit.size c) 1.0 in
-  let arrival, _ = Flat_sta.forward f ~jobs:1 ~delays in
+  let arrival, _ = Flat_sta.forward f ~delays in
   check_path (what ^ " unit-delay critical path flat vs reference")
     (Sta_ref.critical_path_of_arrival c ~arrival ~delays)
     (Flat_sta.critical_path_of_arrival f ~arrival ~delays)
@@ -145,63 +133,6 @@ let make_env core =
   let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
   let profile = Activity.local_profile core specs in
   Power_model.make_env ~tech ~fc core profile
-
-let check_evaluation_bits what (a : Power_model.evaluation)
-    (b : Power_model.evaluation) =
-  check_bits (what ^ " static") a.Power_model.static_energy
-    b.Power_model.static_energy;
-  check_bits (what ^ " dynamic") a.Power_model.dynamic_energy
-    b.Power_model.dynamic_energy;
-  check_bits (what ^ " short-circuit") a.Power_model.short_circuit_energy
-    b.Power_model.short_circuit_energy;
-  check_bits (what ^ " total") a.Power_model.total_energy
-    b.Power_model.total_energy;
-  check_bits (what ^ " critical") a.Power_model.critical_delay
-    b.Power_model.critical_delay;
-  Alcotest.(check bool) (what ^ " feasible") a.Power_model.feasible
-    b.Power_model.feasible;
-  check_array_bits (what ^ " delays") a.Power_model.delays
-    b.Power_model.delays
-
-(* The parallel power sweep carries the same determinism contract as the
-   timing sweeps: chunking only partitions the gate index space, and the
-   totals are folded sequentially afterwards. The two-rail design puts
-   every third node on a low rail, so each chunk builds both rails'
-   contexts and some outputs drive converters. *)
-let test_evaluate_par_differential () =
-  List.iter
-    (fun (what, gates) ->
-      let env = make_env (generated 21L gates) in
-      let vdd = 0.8 *. tech.Tech.vdd_max in
-      let one_rail =
-        Power_model.uniform_design env ~vdd
-          ~vt:(0.5 *. (tech.Tech.vt_min +. tech.Tech.vt_max))
-          ~w:4.0
-      in
-      let two_rail =
-        {
-          one_rail with
-          Power_model.rail =
-            Some
-              {
-                Power_model.vdd_low = 0.6 *. vdd;
-                low = Array.init (Array.length one_rail.Power_model.vt)
-                        (fun id -> id mod 3 = 0);
-              };
-        }
-      in
-      List.iter
-        (fun (rails, design) ->
-          let what = what ^ rails in
-          let seq = Power_model.evaluate_seq env design in
-          let p1 = Power_model.evaluate_par ~jobs:1 env design in
-          let p4 =
-            Power_model.evaluate_par ~jobs:4 ~min_par_width:1 env design
-          in
-          check_evaluation_bits (what ^ " par jobs:1 vs seq") seq p1;
-          check_evaluation_bits (what ^ " par jobs:4 vs seq") seq p4)
-        [ ("", one_rail); (" two-rail", two_rail) ])
-    [ ("pm-1k", 1_000); ("pm-10k", 10_000) ]
 
 let check_rel what reference fast =
   let err =
@@ -262,7 +193,7 @@ let test_metrics_presence () =
   let delays = random_delays 42L (Circuit.size c) in
   let passes = Metrics.counter "sta.level.passes" in
   let before = Metrics.value passes in
-  ignore (Flat_sta.analyze f ~jobs:1 ~delays);
+  ignore (Flat_sta.analyze f ~delays);
   let advanced = Metrics.value passes - before in
   if advanced < 1 then
     Alcotest.failf "sta.level.passes advanced by %d, expected >= 1" advanced;
@@ -289,13 +220,13 @@ let test_wrappers_validate_lengths () =
     | exception Invalid_argument _ -> ()
   in
   expect_invalid "forward, short delays" (fun () ->
-      ignore (Flat_sta.forward f ~jobs:1 ~delays:short));
+      ignore (Flat_sta.forward f ~delays:short));
   expect_invalid "analyze, short delays" (fun () ->
-      ignore (Flat_sta.analyze f ~jobs:1 ~delays:short));
+      ignore (Flat_sta.analyze f ~delays:short));
   expect_invalid "analyze, short required seeds" (fun () ->
-      ignore (Flat_sta.analyze ~required_times:short f ~jobs:1 ~delays));
+      ignore (Flat_sta.analyze ~required_times:short f ~delays));
   expect_invalid "analyze, short arrival seeds" (fun () ->
-      ignore (Flat_sta.analyze ~arrival_offsets:short f ~jobs:1 ~delays))
+      ignore (Flat_sta.analyze ~arrival_offsets:short f ~delays))
 
 let () =
   Alcotest.run "flat"
@@ -306,8 +237,6 @@ let () =
             test_suite_differential;
           Alcotest.test_case "random DAGs 1k/10k: flat == pointer" `Quick
             test_random_dag_differential;
-          Alcotest.test_case "evaluate_par == evaluate_seq" `Quick
-            test_evaluate_par_differential;
           Alcotest.test_case "incremental engine on generated DAG" `Quick
             test_incr_on_generated_dag;
           Alcotest.test_case "kernel wrappers validate array lengths" `Quick

@@ -743,6 +743,61 @@ let test_infinite_budget_voids_certificate () =
   Alcotest.(check bool) "the certificate declines" true
     (Result.is_error (Power_model.certify_sweep env ~budgets))
 
+(* The certificate's arrivals start from the SDC input delays, as
+   evaluate's do: on one budget set, an input delay that fits in the
+   budgets' slack certifies, one that does not declines, and each verdict
+   is the one a hand-folded max-plus pass over the budgets gives. *)
+let test_certificate_reads_input_delays () =
+  let fc = 60e6 in
+  let tc = 1.0 /. fc in
+  let core = dag ~seed:2L ~gates:300 in
+  let budgets =
+    Array.map (fun b -> 0.8 *. b) (budgets_of (env_at core ~fc) core ~fc)
+  in
+  let verdict delay =
+    let io id =
+      { Constraints.port = (Circuit.node core id).Circuit.name;
+        io_clock = None; io_delay = delay }
+    in
+    let constraints =
+      {
+        (Constraints.of_cycle_time tc) with
+        Constraints.input_delays =
+          Array.to_list (Array.map io (Circuit.inputs core));
+      }
+    in
+    let env = env_at ~constraints core ~fc in
+    let arrival =
+      match Power_model.arrival_offsets env with
+      | Some seeds -> Array.copy seeds
+      | None -> Alcotest.fail "input delays give no arrival seeds"
+    in
+    Array.iter
+      (fun id ->
+        let worst =
+          Array.fold_left
+            (fun acc fi -> Float.max acc arrival.(fi))
+            0.0 (Circuit.node core id).Circuit.fanins
+        in
+        arrival.(id) <- worst +. budgets.(id))
+      (Power_model.gate_ids env);
+    let critical_delay =
+      Array.fold_left
+        (fun acc id -> Float.max acc arrival.(id))
+        0.0 (Circuit.outputs core)
+    in
+    let certified = Result.is_ok (Power_model.certify_sweep env ~budgets) in
+    Alcotest.(check bool)
+      (Printf.sprintf "input delay %g s: the hand-folded verdict" delay)
+      (Power_model.arrivals_feasible env ~critical_delay arrival)
+      certified;
+    certified
+  in
+  Alcotest.(check bool) "an input delay inside the slack certifies" true
+    (verdict (0.05 *. tc));
+  Alcotest.(check bool) "an input delay past the slack declines" false
+    (verdict (0.3 *. tc))
+
 let records run =
   let got = ref [] in
   let result = run (fun (it : Telemetry.iteration) -> got := it :: !got) in
@@ -1039,6 +1094,8 @@ let () =
             test_certified_sweep_dags;
           Alcotest.test_case "infinite budget voids certificate" `Quick
             test_infinite_budget_voids_certificate;
+          Alcotest.test_case "certificate reads input delays" `Quick
+            test_certificate_reads_input_delays;
           Alcotest.test_case "replay oracle" `Quick test_replay_oracle;
           Alcotest.test_case "fallback replays" `Quick test_fallback_replays;
           Alcotest.test_case "fixed threshold replays" `Quick

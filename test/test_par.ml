@@ -57,10 +57,11 @@ let test_map_list_order () =
   let got = Par.map_list ~jobs:4 string_of_int input in
   Alcotest.(check (list string)) "list order preserved" expected got
 
-let test_parallel_for_covers_all () =
+let test_map_covers_all () =
   let n = 64 in
   let hits = Array.make n 0 in
-  Par.parallel_for ~jobs:4 ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  ignore
+    (Par.map ~jobs:4 (fun i -> hits.(i) <- hits.(i) + 1) (Array.init n Fun.id));
   Array.iteri
     (fun i h -> Alcotest.(check int) (Printf.sprintf "index %d once" i) 1 h)
     hits
@@ -70,7 +71,9 @@ exception Boom of int
 let test_exception_propagates () =
   let raised =
     try
-      Par.parallel_for ~jobs:4 ~n:32 (fun i -> if i = 17 then raise (Boom i));
+      ignore
+        (Par.map ~jobs:4 (fun i -> if i = 17 then raise (Boom i))
+           (Array.init 32 Fun.id));
       None
     with Boom i -> Some i
   in
@@ -107,8 +110,10 @@ let test_set_jobs_validates () =
    per-site histogram. *)
 let test_latency_ignores_wall_clock_step () =
   let h = Metrics.histogram "par.latency.test.clock_step" in
-  Par.parallel_for ~site:"test.clock_step" ~jobs:2 ~n:2 (fun _ ->
-      Dcopt_util.Clock.jump_wall_ns 3_600_000_000_000L);
+  ignore
+    (Par.map ~site:"test.clock_step" ~jobs:2
+       (fun _ -> Dcopt_util.Clock.jump_wall_ns 3_600_000_000_000L)
+       [| 0; 1 |]);
   let samples = Metrics.samples h in
   Alcotest.(check int) "one sample per task" 2 (Array.length samples);
   Array.iter
@@ -205,8 +210,8 @@ let () =
           Alcotest.test_case "map preserves index order" `Quick test_map_order;
           Alcotest.test_case "map_list preserves order" `Quick
             test_map_list_order;
-          Alcotest.test_case "parallel_for covers every index" `Quick
-            test_parallel_for_covers_all;
+          Alcotest.test_case "map covers every index once" `Quick
+            test_map_covers_all;
           Alcotest.test_case "task exception propagates" `Quick
             test_exception_propagates;
           Alcotest.test_case "nested map degenerates" `Quick

@@ -640,7 +640,11 @@ let test_wire_roundtrip () =
         Alcotest.(check bool) "coordinator frame round-trips" true
           (frame = frame')
       | Error e -> Alcotest.fail e)
-    [ Wire.Assign { seq = 7; batch_id = 3; job }; Wire.Shutdown ];
+    [
+      Wire.Assign { seq = 7; batch_id = 3; job };
+      Wire.Shutdown;
+      Wire.Refused { why = "worker w0 is quarantined" };
+    ];
   let row =
     {
       Job.job_id = "t1";
@@ -682,6 +686,8 @@ let test_wire_rejects_malformed () =
        (framed "{\"frame\":\"job\",\"seq\":1,\"batch_id\":1,\"job\":{\"x\":1}}"));
   expect_error "missing row"
     (Wire.from_worker_of_line (framed "{\"frame\":\"result\",\"seq\":1}"));
+  expect_error "refused without a reason"
+    (Wire.to_worker_of_line (framed "{\"frame\":\"refused\"}"));
   expect_error "non-json worker frame" (Wire.from_worker_of_line (framed "\x00\x01"));
   (* envelope-level rejection: bare payloads (the protocol-1 shape) and
      forged or damaged checksums never reach the JSON layer *)
