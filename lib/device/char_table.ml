@@ -55,20 +55,15 @@ let default_loads =
 let default_slews =
   Dcopt_util.Numeric.log_interp_points ~lo:1e-12 ~hi:2e-9 ~n:6
 
+(* The cell driving [load] of wire capacitance behind an input ramp of
+   [slew], with no fanout gates and no wire resistance. *)
+let cell_gate tech ctx ~kind ~fanin ~load ~slew =
+  Drive.gate tech ctx ~fanin ~stack:(Gate.series_stack_depth kind fanin)
+    ~cap_fanout:0.0 ~cap_wire:load ~res_wire:0.0 ~flight:0.0
+    ~max_fanin_delay:slew
+
 let sample_delay tech ctx ~kind ~fanin ~width ~load ~slew =
-  let stack = Gate.series_stack_depth kind fanin in
-  let delay_load =
-    {
-      Delay.fanin_count = fanin;
-      stack_depth = stack;
-      cap_fanout_gates = 0.0;
-      cap_wire = load;
-      res_wire_terms = 0.0;
-      flight_time = 0.0;
-      max_fanin_delay = slew;
-    }
-  in
-  Drive.gate_delay tech ctx ~w:width delay_load
+  Drive.gate_delay (cell_gate tech ctx ~kind ~fanin ~load ~slew) ~w:width
 
 let characterize ?(loads = default_loads) ?(slews = default_slews) tech ~kind
     ~fanin ~width ~vdd ~vt =
@@ -91,8 +86,9 @@ let characterize ?(loads = default_loads) ?(slews = default_slews) tech ~kind
       loads
   in
   let self_cap =
-    Delay.output_capacitance tech ~w:width
-      { Delay.no_load with Delay.fanin_count = fanin }
+    Drive.output_capacitance
+      (cell_gate tech ctx ~kind ~fanin ~load:0.0 ~slew:0.0)
+      ~w:width
   in
   {
     kind;

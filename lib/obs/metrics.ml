@@ -238,60 +238,6 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let json_float v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
-let to_json_lines () =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (name, m) ->
-      let help =
-        match Hashtbl.find_opt help_texts name with
-        | Some h -> Printf.sprintf ",\"help\":\"%s\"" (json_escape h)
-        | None -> ""
-      in
-      (match m with
-      | Counter c ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"type\":\"counter\",\"value\":%d%s}"
-             (json_escape name) (Atomic.get c.count) help)
-      | Gauge g ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"type\":\"gauge\",\"value\":%s%s}"
-             (json_escape name) (json_float g.value) help)
-      | Histogram h ->
-        let xs = samples h in
-        let stats =
-          if h.len = 0 then "\"count\":0"
-          else
-            Printf.sprintf
-              "\"count\":%d,\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"min\":%s,\"max\":%s"
-              h.total
-              (json_float (mean h))
-              (json_float (Stats.quantile xs 0.5))
-              (json_float (Stats.quantile xs 0.9))
-              (json_float (Stats.quantile xs 0.99))
-              (json_float (fst (Stats.min_max xs)))
-              (json_float (snd (Stats.min_max xs)))
-        in
-        let bucket_json =
-          buckets h |> Array.to_list
-          |> List.map (fun (lo, hi, c) ->
-                 Printf.sprintf "{\"lo\":%s,\"hi\":%s,\"count\":%d}"
-                   (json_float lo) (json_float hi) c)
-          |> String.concat ","
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"type\":\"histogram\",%s,\"buckets\":[%s]%s}"
-             (json_escape name) stats bucket_json help));
-      Buffer.add_char b '\n')
-    (sorted_metrics ());
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                              *)
 

@@ -93,11 +93,6 @@ val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal (used by the
     JSON emitters here and in {!Span}). *)
 
-val to_json_lines : unit -> string
-(** One JSON object per line per metric, machine-readable:
-    [{"name":..., "type":"counter"|"gauge"|"histogram", ...}]. Histogram
-    lines carry count, mean, quantiles and log-scale buckets. *)
-
 val render_openmetrics : unit -> string
 (** The full registry in OpenMetrics text exposition format, terminated
     by [# EOF]. Dotted metric names are sanitized to

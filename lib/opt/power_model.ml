@@ -2,7 +2,6 @@ module Circuit = Dcopt_netlist.Circuit
 module Flat = Dcopt_netlist.Flat
 module Gate = Dcopt_netlist.Gate
 module Tech = Dcopt_device.Tech
-module Delay = Dcopt_device.Delay
 module Drive = Dcopt_device.Drive
 module Wire = Dcopt_wiring.Wire_model
 module Activity = Dcopt_activity.Activity
@@ -218,27 +217,23 @@ let fanout_gate_cap env design id =
   done;
   !acc
 
-let gate_load env design ~max_fanin_delay id =
-  let cap_fanout_gates = fanout_gate_cap env design id in
-  let wire_cap = env.wire_caps.(id) in
-  {
-    Delay.fanin_count = env.fanin_counts.(id);
-    stack_depth = env.stacks.(id);
-    cap_fanout_gates;
-    cap_wire = wire_cap;
-    res_wire_terms = env.wire_ress.(id) *. (cap_fanout_gates +. (wire_cap /. 2.0));
-    flight_time = env.flights.(id);
-    max_fanin_delay;
-  }
-
 (* The one place the corner multiplier meets the device model: every
    context in this library comes from here, directly or through a
    [drive_cache]. *)
 let drive env ~vdd ~vt = Drive.make env.env_tech ~vdd ~vt:(vt *. env.vt_stress)
 
+let gate env ctx design ~max_fanin_delay id =
+  let cap_fanout = fanout_gate_cap env design id in
+  let cap_wire = env.wire_caps.(id) in
+  Drive.gate env.env_tech ctx ~fanin:env.fanin_counts.(id)
+    ~stack:env.stacks.(id) ~cap_fanout ~cap_wire
+    ~res_wire:(env.wire_ress.(id) *. (cap_fanout +. (cap_wire /. 2.0)))
+    ~flight:env.flights.(id) ~max_fanin_delay
+
 let gate_delay env ctx design ~max_fanin_delay id =
-  let load = gate_load env design ~max_fanin_delay id in
-  Drive.gate_delay env.env_tech ctx ~w:design.widths.(id) load
+  Drive.gate_delay
+    (gate env ctx design ~max_fanin_delay id)
+    ~w:design.widths.(id)
 
 let budget_fanin_delay env ~budgets id =
   let f = env.env_flat in
@@ -289,9 +284,12 @@ let rail_caches env design =
    a 6-w-unit gate load at the high supply. *)
 let converter_delay env ctx_low =
   let tech = env.env_tech in
-  2.0
-  *. Drive.gate_delay tech ctx_low ~w:2.0
-       { Delay.no_load with Delay.cap_wire = 4.0 *. tech.Tech.c_gate }
+  let stage =
+    Drive.gate tech ctx_low ~fanin:1 ~stack:1 ~cap_fanout:0.0
+      ~cap_wire:(4.0 *. tech.Tech.c_gate) ~res_wire:0.0 ~flight:0.0
+      ~max_fanin_delay:0.0
+  in
+  2.0 *. Drive.gate_delay stage ~w:2.0
 
 let converter_energy tech ~vdd ~activity =
   0.5 *. activity *. vdd *. vdd *. (6.0 *. tech.Tech.c_gate)
@@ -313,11 +311,11 @@ let arrivals_feasible env ~critical_delay arrival =
 
 (* One sweep over the level-sorted gate permutation: per-gate delay,
    arrival and the energy terms, written into per-node columns. Each
-   gate folds its fanins in pin order and shares one load between its
-   delay and its dynamic term. The level order visits every gate after
-   its fanins, and walks the columns in ascending id within a level,
-   which keeps a large circuit's sweep cache-friendly; the totals are
-   then folded in topological gate order.
+   gate folds its fanins in pin order and shares one [Drive.gate]
+   between its delay and its dynamic term. The level order visits every
+   gate after its fanins, and walks the columns in ascending id within a
+   level, which keeps a large circuit's sweep cache-friendly; the totals
+   are then folded in topological gate order.
 
    Poison safety: a non-finite term is clamped to +infinity in place, so
    the result is an infinite (never NaN) objective that loses every
@@ -375,9 +373,8 @@ let evaluate env design =
     let ctx = drive_ctx (if low then low_cache else cache) ~vt:design.vt.(id) in
     let converts = low && Circuit.is_output env.env_circuit id in
     let w = design.widths.(id) in
-    (* one load per gate: the delay and the dynamic-energy term share it *)
-    let load = gate_load env design ~max_fanin_delay id in
-    let d = Drive.gate_delay tech ctx ~w load in
+    let g = gate env ctx design ~max_fanin_delay id in
+    let d = Drive.gate_delay g ~w in
     let d =
       guarded "evaluate.delay"
         (if converts then d +. converter_delay env ctx else d)
@@ -388,7 +385,7 @@ let evaluate env design =
       (guarded "evaluate.static" (Drive.static_energy ctx ~fc:env.fc ~w));
     Array.unsafe_set dy_terms id
       (guarded "evaluate.dynamic"
-         (Drive.dynamic_energy tech ctx ~w ~activity:env.acts.(id) ~load));
+         (Drive.dynamic_energy g ~w ~activity:env.acts.(id)));
     if converts then
       cv_terms.(id) <-
         guarded "evaluate.dynamic"
@@ -444,8 +441,9 @@ let record_sizing sizer =
    fanouts before their drivers). [nan]: even w_max misses the budget. *)
 let min_width sizer ctx env design ~budgets id =
   let max_fanin_delay = budget_fanin_delay env ~budgets id in
-  let load = gate_load env design ~max_fanin_delay id in
-  Drive.min_width sizer ctx ~target:budgets.(id) load
+  Drive.min_width sizer
+    (gate env ctx design ~max_fanin_delay id)
+    ~target:budgets.(id)
 
 let size_gate_with sizer ctx env design ~budgets id =
   let w = min_width sizer ctx env design ~budgets id in
@@ -475,14 +473,14 @@ let sweep ~score env ~vdd ~vt ~budgets =
   let all_met = ref true in
   let unclamped = ref true in
   (* Reverse topological order: every gate's fanout widths (its load) are
-     final before the gate itself is sized, so the load that sizes it is
-     the one [evaluate] builds for its energy terms. *)
+     final before the gate itself is sized, so the output capacitance
+     that sizes it is the one [evaluate] prices its dynamic term on. *)
   for i = count - 1 downto 0 do
     let id = gates.(i) in
     let ctx = drive_ctx cache ~vt:vt.(id) in
     let max_fanin_delay = budget_fanin_delay env ~budgets id in
-    let load = gate_load env design ~max_fanin_delay id in
-    let w = Drive.min_width sizer ctx ~target:budgets.(id) load in
+    let g = gate env ctx design ~max_fanin_delay id in
+    let w = Drive.min_width sizer g ~target:budgets.(id) in
     let w =
       if Float.is_nan w then begin
         all_met := false;
@@ -494,7 +492,7 @@ let sweep ~score env ~vdd ~vt ~budgets =
     if score then begin
       (* [evaluate]'s terms and guard, on the same context, width and load *)
       let st = Drive.static_energy ctx ~fc:env.fc ~w in
-      let dy = Drive.dynamic_energy tech ctx ~w ~activity:env.acts.(id) ~load in
+      let dy = Drive.dynamic_energy g ~w ~activity:env.acts.(id) in
       if Float.is_finite st && Float.is_finite dy then begin
         st_terms.(i) <- st;
         dy_terms.(i) <- dy
@@ -600,7 +598,7 @@ module Incr = struct
   let delays t = Incr_sta.delays t.ist
   let arrivals t = Incr_sta.arrivals t.ist
 
-  (* One gate's full re-evaluation: the same context, load sharing and
+  (* One gate's full re-evaluation: the same context, gate record and
      formulas as [evaluate]'s topological sweep, so an unchanged gate
      reproduces its delay bit for bit. Energy terms are swapped into the
      running totals (subtract the stored term, add the new one). *)
@@ -609,18 +607,17 @@ module Incr = struct
     let design = t.idesign in
     let ctx = drive_ctx t.icache ~vt:design.vt.(id) in
     let w = design.widths.(id) in
-    let load = gate_load env design ~max_fanin_delay id in
+    let g = gate env ctx design ~max_fanin_delay id in
     (* Running totals are updated by subtract-then-add, so clamping a
        non-finite term here would poison them for every later move
        (inf -. inf = nan). Instead every value is checked *before* any
        total mutates: Guard.Non_finite aborts the move and the caller's
        rollback restores the journaled state verbatim. *)
-    let d = Guard.check ~site:"incr.delay" (Drive.gate_delay env.env_tech ctx ~w load) in
+    let d = Guard.check ~site:"incr.delay" (Drive.gate_delay g ~w) in
     let st = Guard.check ~site:"incr.static" (Drive.static_energy ctx ~fc:env.fc ~w) in
     let dy =
       Guard.check ~site:"incr.dynamic"
-        (Drive.dynamic_energy env.env_tech ctx ~w ~activity:env.acts.(id)
-           ~load)
+        (Drive.dynamic_energy g ~w ~activity:env.acts.(id))
     in
     let sc =
       if env.short_circuit then

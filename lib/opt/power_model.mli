@@ -114,20 +114,25 @@ val unsafe_gate_ids : env -> int array
 val uniform_design : env -> vdd:float -> vt:float -> w:float -> design
 (** A design with one global threshold and width. *)
 
-val gate_load : env -> design -> max_fanin_delay:float -> int -> Dcopt_device.Delay.load
-(** The eq. A3 load record of a gate under the given fanout widths. *)
-
 val drive : env -> vdd:float -> vt:float -> Dcopt_device.Drive.ctx
 (** The drive context of the operating point ([vdd], [vt]) at this env's
     corner: the device model sees [vt *. vt_stress]. Every per-gate delay
     and energy of a design at that point comes from this one context. *)
 
+val gate :
+  env -> Dcopt_device.Drive.ctx -> design -> max_fanin_delay:float -> int ->
+  Dcopt_device.Drive.gate
+(** A gate's eq. A3 operands in a context from {!drive} at the gate's
+    (vdd, vt): its structure, wire terms and the fanout capacitance
+    under the design's widths, with the driver delay supplied explicitly
+    (budget-based during sizing, achieved during evaluation). Every
+    per-gate delay, dynamic energy and width of this module comes from
+    one of these. *)
+
 val gate_delay :
   env -> Dcopt_device.Drive.ctx -> design -> max_fanin_delay:float -> int ->
   float
-(** Single-gate delay under the design, in a context from {!drive} at the
-    gate's (vdd, vt), with the driver delay supplied explicitly
-    (budget-based during sizing, achieved during evaluation). *)
+(** {!Dcopt_device.Drive.gate_delay} of {!gate} at the design's width. *)
 
 val budget_fanin_delay : env -> budgets:float array -> int -> float
 (** Max of the drivers' delay budgets — the conservative driver delay used
@@ -165,7 +170,8 @@ val size_gate_with :
     gates in reverse topological order so this holds), under a context
     from {!drive} at the gate's (vdd, vt). [None] when even [w_max] misses
     the budget. The width is the 40-step bisection's answer, bit for bit,
-    found by {!Dcopt_device.Drive.min_width} in the caller's sizing
+    found by {!Dcopt_device.Drive.min_width} on the {!gate} at its
+    fanins' budgets ({!budget_fanin_delay}), in the caller's sizing
     session; tallies stay in the session until {!record_sizing}. *)
 
 val record_sizing : Dcopt_device.Drive.sizer -> unit
@@ -216,7 +222,7 @@ val certify_sweep : env -> budgets:float array -> (unit, string) result
     Why that suffices: a gate that meets its budget was certified by
     {!Dcopt_device.Drive.min_width} at its fanins' budgets. Its evaluated
     delay differs only in [slope *. max_fanin_delay], where
-    {!Dcopt_device.Delay.slope_coefficient} clamps [slope] to \[0, 0.9\]
+    {!Dcopt_device.Drive.slope_coefficient} clamps [slope] to \[0, 0.9\]
     and every fanin is inside its own budget. Float rounding is
     monotone, so each evaluated delay is at most its budget (hence
     finite) and each arrival at most the budgets' arrival. [Error]

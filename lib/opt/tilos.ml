@@ -29,14 +29,13 @@ let size_for_cycle env ~vdd ~vt =
     !acc
   in
   (* The gate's delay and its energy (leakage plus own switching, the
-     sensitivity denominator) from one load. *)
+     sensitivity denominator) from one gate record. *)
   let delay_energy ~max_fanin_delay id =
-    let load = Power_model.gate_load env design ~max_fanin_delay id in
+    let g = Power_model.gate env ctx design ~max_fanin_delay id in
     let w = design.Power_model.widths.(id) in
-    ( Drive.gate_delay tech ctx ~w load,
+    ( Drive.gate_delay g ~w,
       Drive.static_energy ctx ~fc ~w
-      +. Drive.dynamic_energy tech ctx ~w
-           ~activity:(Power_model.activity env id) ~load )
+      +. Drive.dynamic_energy g ~w ~activity:(Power_model.activity env id) )
   in
   (* The on-path driver: the slowest gate fanin, the first in pin order
      on a tie. *)

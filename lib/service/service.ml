@@ -669,10 +669,11 @@ let serve ?store ?run ic oc =
   flush oc
 
 let serve_unix_socket ?store ?run path =
-  if Sys.file_exists path then Sys.remove path;
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 8;
+  let sock =
+    match Wire.listen (Wire.Unix_path path) with
+    | Ok fd -> fd
+    | Error msg -> failwith msg
+  in
   Logs.app (fun m -> m "serving on unix socket %s" path);
   while true do
     let fd, _ = Unix.accept sock in

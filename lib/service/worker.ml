@@ -24,10 +24,13 @@ let apply_worker_faults site =
       | _ -> ())
     (Faults.fire site)
 
+(* While a job computes, one heartbeat frame per interval. *)
+let heartbeat_interval_s = 0.5
+
 (* One connected session: hello, then the read-execute-reply loop until
    a shutdown frame (`Clean), a refused hello (`Refused), a
    dead/desynchronised coordinator (`Lost), or an injected death. *)
-let session ~heartbeat_interval_s ~worker_id fd =
+let session ~worker_id fd =
   let ic = Unix.in_channel_of_descr fd in
   (* results and heartbeats interleave from two threads; frames must hit
      the socket whole *)
@@ -47,11 +50,16 @@ let session ~heartbeat_interval_s ~worker_id fd =
      is alive without touching the compute path. *)
   let computing = Atomic.make false in
   let stop = Atomic.make false in
+  (* The heartbeat thread waits on this pipe, not in a plain sleep: the
+     session writes to it as it ends, so the join below returns at once
+     instead of after the rest of an interval. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let heartbeat =
     Thread.create
       (fun () ->
         while not (Atomic.get stop) do
-          Thread.delay heartbeat_interval_s;
+          (try ignore (Unix.select [ wake_r ] [] [] heartbeat_interval_s)
+           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
           if Atomic.get computing && not (Atomic.get stop) then
             try send ~site:"wire.send.heartbeat" Wire.Heartbeat
             with Unix.Unix_error _ | Sys_error _ -> Atomic.set stop true
@@ -105,12 +113,16 @@ let session ~heartbeat_interval_s ~worker_id fd =
       `Lost
   in
   Atomic.set stop true;
+  (try ignore (Unix.write_substring wake_w "x" 0 1)
+   with Unix.Unix_error _ -> ());
+  (* joined before the close, so the thread's last write precedes it *)
   Thread.join heartbeat;
+  Unix.close wake_r;
+  Unix.close wake_w;
   (try Unix.close fd with Unix.Unix_error _ -> ());
   outcome
 
-let run ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect ~worker_id
-    () =
+let run ?(reconnect = 0) ~connect ~worker_id () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Events.set_worker_id worker_id;
   Faults.arm_from_env ();
@@ -149,7 +161,7 @@ let run ?(heartbeat_interval_s = 0.5) ?(reconnect = 0) ~connect ~worker_id
     match dial () with
     | None -> false
     | Some fd -> (
-      match session ~heartbeat_interval_s ~worker_id fd with
+      match session ~worker_id fd with
       | `Clean -> true
       (* the coordinator will refuse this id again: no dial can help *)
       | `Refused -> false

@@ -34,7 +34,6 @@
     and sends every frame through {!Wire.send} sites. *)
 
 val run :
-  ?heartbeat_interval_s:float ->
   ?reconnect:int ->
   connect:Wire.addr ->
   worker_id:string ->
@@ -44,8 +43,9 @@ val run :
     [refused] frame ([false], with no reconnect) or until the
     coordinator stays unreachable / desynchronises with the reconnect
     budget spent ([false]). [reconnect] (default 0) caps
-    reconnection attempts across the whole run; heartbeats default to
-    every 0.5 s. Sets the process event-log worker id and ignores
+    reconnection attempts across the whole run; heartbeats go every
+    0.5 s, and a session that ends returns without waiting out the
+    interval. Sets the process event-log worker id and ignores
     [SIGPIPE]. Raises [Failure] on an unusable address (resolution
     failure, port 0) and [Unix.Unix_error] on a dial failure with no
     reconnect budget. *)

@@ -1,6 +1,6 @@
 module Tech = Dcopt_device.Tech
 module Mosfet = Dcopt_device.Mosfet
-module Delay = Dcopt_device.Delay
+module Drive = Dcopt_device.Drive
 
 type waveform = { times : float array; voltages : float array }
 
@@ -85,22 +85,14 @@ let discharge_delay ?steps_per_estimate tech ~vdd ~vt ~w ~stack ~fanin ~c_load =
 type comparison = { analytic : float; simulated : float; ratio : float }
 
 let compare_switching tech ~vdd ~vt ~w ~stack ~fanin ~c_load =
-  (* Express the external load through the Delay.load record so both sides
-     charge exactly the same total capacitance. *)
-  let load =
-    {
-      Delay.no_load with
-      Delay.fanin_count = fanin;
-      stack_depth = stack;
-      cap_wire = c_load;
-    }
+  (* Express the external load as the gate's wire capacitance so both
+     sides charge exactly the same total capacitance. *)
+  let g =
+    Drive.gate tech (Drive.make tech ~vdd ~vt) ~fanin ~stack ~cap_fanout:0.0
+      ~cap_wire:c_load ~res_wire:0.0 ~flight:0.0 ~max_fanin_delay:0.0
   in
-  let analytic =
-    Dcopt_device.Drive.switching_delay tech
-      (Dcopt_device.Drive.make tech ~vdd ~vt)
-      ~w load
-  in
-  let total_cap = Delay.output_capacitance tech ~w load in
+  let analytic = Drive.switching_delay g ~w in
+  let total_cap = Drive.output_capacitance g ~w in
   let simulated =
     discharge_delay tech ~vdd ~vt ~w ~stack ~fanin ~c_load:total_cap
   in

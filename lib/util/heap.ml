@@ -3,8 +3,6 @@ type 'a entry = { priority : float; value : 'a }
 type 'a t = { mutable data : 'a entry array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
-let length h = h.len
-let is_empty h = h.len = 0
 
 let grow h =
   let capacity = max 16 (2 * Array.length h.data) in

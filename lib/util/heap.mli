@@ -1,11 +1,9 @@
-(** Mutable binary max-heap keyed by float priority, used by the
-    K-most-critical-path enumerator. *)
+(** Mutable binary max-heap keyed by float priority: the event queue of
+    {!Dcopt_sim.Event_sim}. *)
 
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> priority:float -> 'a -> unit
 

@@ -2,38 +2,6 @@ let clamp ~lo ~hi x =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
 
-let approx_equal ?(rel = 1e-6) ?(abs = 1e-9) a b =
-  let diff = Float.abs (a -. b) in
-  diff <= abs || diff <= rel *. Float.max (Float.abs a) (Float.abs b)
-
-let interp_linear points x =
-  let n = Array.length points in
-  assert (n > 0);
-  let x0, y0 = points.(0) and xn, yn = points.(n - 1) in
-  if x <= x0 then y0
-  else if x >= xn then yn
-  else
-    let rec find i =
-      let xi, yi = points.(i) and xj, yj = points.(i + 1) in
-      if x <= xj then yi +. ((x -. xi) /. (xj -. xi) *. (yj -. yi))
-      else find (i + 1)
-    in
-    find 0
-
-let bisect ~f ~lo ~hi ?(iters = 60) () =
-  let flo = f lo and fhi = f hi in
-  assert (flo *. fhi <= 0.0);
-  let rec loop lo hi flo i =
-    if i = 0 then 0.5 *. (lo +. hi)
-    else
-      let mid = 0.5 *. (lo +. hi) in
-      let fmid = f mid in
-      if fmid = 0.0 then mid
-      else if flo *. fmid < 0.0 then loop lo mid flo (i - 1)
-      else loop mid hi fmid (i - 1)
-  in
-  loop lo hi flo iters
-
 let binary_search_min ~feasible ~lo ~hi ?(iters = 50) () =
   if not (feasible hi) then None
   else if feasible lo then Some lo
@@ -46,36 +14,6 @@ let binary_search_min ~feasible ~lo ~hi ?(iters = 50) () =
         if feasible mid then loop lo mid (i - 1) else loop mid hi (i - 1)
     in
     loop lo hi iters
-
-let binary_search_max ~feasible ~lo ~hi ?(iters = 50) () =
-  if not (feasible lo) then None
-  else if feasible hi then Some hi
-  else
-    let rec loop lo hi i =
-      if i = 0 then Some lo
-      else
-        let mid = 0.5 *. (lo +. hi) in
-        if feasible mid then loop mid hi (i - 1) else loop lo mid (i - 1)
-    in
-    loop lo hi iters
-
-let golden_section_min ~f ~lo ~hi ?(iters = 80) () =
-  let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
-  let rec loop a b c d fc fd i =
-    if i = 0 then 0.5 *. (a +. b)
-    else if fc < fd then
-      let b = d in
-      let d = c in
-      let c = b -. (phi *. (b -. a)) in
-      loop a b c d (f c) fc (i - 1)
-    else
-      let a = c in
-      let c = d in
-      let d = a +. (phi *. (b -. a)) in
-      loop a b c d fd (f d) (i - 1)
-  in
-  let c = hi -. (phi *. (hi -. lo)) and d = lo +. (phi *. (hi -. lo)) in
-  loop lo hi c d (f c) (f d) iters
 
 let integrate_trapezoid ~f ~lo ~hi ~n =
   assert (n >= 1);

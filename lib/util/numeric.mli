@@ -3,34 +3,11 @@
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] bounds [x] into \[lo, hi\]. Requires [lo <= hi]. *)
 
-val approx_equal : ?rel:float -> ?abs:float -> float -> float -> bool
-(** Tolerant float comparison: true when the values differ by at most [abs]
-    or relatively by at most [rel] (defaults 1e-9 / 1e-6). *)
-
-val interp_linear : (float * float) array -> float -> float
-(** [interp_linear points x] linearly interpolates a table of [(x, y)] points
-    sorted by increasing [x]; clamps outside the range. Requires a non-empty
-    table. *)
-
-val bisect :
-  f:(float -> float) -> lo:float -> hi:float -> ?iters:int -> unit -> float
-(** Root of a continuous [f] on \[lo, hi\] by bisection ([iters] halvings,
-    default 60). Requires [f lo] and [f hi] of opposite sign (or zero). *)
-
 val binary_search_min :
   feasible:(float -> bool) -> lo:float -> hi:float -> ?iters:int -> unit ->
   float option
 (** Smallest [x] in \[lo, hi\] with [feasible x], assuming [feasible] is
     monotone (false then true as [x] grows). [None] when even [hi] fails. *)
-
-val binary_search_max :
-  feasible:(float -> bool) -> lo:float -> hi:float -> ?iters:int -> unit ->
-  float option
-(** Largest feasible [x], assuming feasibility is true then false. *)
-
-val golden_section_min :
-  f:(float -> float) -> lo:float -> hi:float -> ?iters:int -> unit -> float
-(** Minimizer of a unimodal [f] on \[lo, hi\] by golden-section search. *)
 
 val integrate_trapezoid : f:(float -> float) -> lo:float -> hi:float -> n:int -> float
 (** Composite trapezoid rule with [n >= 1] panels. *)

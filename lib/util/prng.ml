@@ -28,7 +28,6 @@ let bits64 t =
   mix64 t.state
 
 let split t = create (bits64 t)
-let copy t = { state = t.state }
 
 let int t n =
   assert (n > 0);
@@ -51,14 +50,6 @@ let gaussian t ~mean ~sigma =
   in
   let u1 = nonzero () and u2 = float t 1.0 in
   mean +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let exponential t ~rate =
-  assert (rate > 0.0);
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
 
 let choose t arr =
   assert (Array.length arr > 0);

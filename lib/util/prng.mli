@@ -20,9 +20,6 @@ val of_string : string -> t
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -39,9 +36,6 @@ val uniform : t -> float -> float -> float
 
 val gaussian : t -> mean:float -> sigma:float -> float
 (** Box-Muller normal variate. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential variate with the given rate; requires [rate > 0]. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)

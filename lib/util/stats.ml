@@ -2,13 +2,6 @@ let mean xs =
   assert (Array.length xs > 0);
   Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
-let variance xs =
-  let m = mean xs in
-  let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-  acc /. float_of_int (Array.length xs)
-
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   assert (Array.length xs > 0);
   Array.fold_left
@@ -31,8 +24,6 @@ let percentile xs p =
     let frac = rank -. float_of_int i in
     if i >= n - 1 then s.(n - 1) else s.(i) +. (frac *. (s.(i + 1) -. s.(i)))
 
-let median xs = percentile xs 50.0
-
 let quantile xs q =
   assert (q >= 0.0 && q <= 1.0);
   percentile xs (q *. 100.0)
@@ -47,20 +38,3 @@ let geometric_mean xs =
       0.0 xs
   in
   exp (acc /. float_of_int (Array.length xs))
-
-let histogram ~bins xs =
-  assert (bins >= 1 && Array.length xs > 0);
-  let lo, hi = min_max xs in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let i = int_of_float ((x -. lo) /. width) in
-      let i = if i >= bins then bins - 1 else if i < 0 then 0 else i in
-      counts.(i) <- counts.(i) + 1)
-    xs;
-  Array.mapi
-    (fun i c ->
-      let b_lo = lo +. (float_of_int i *. width) in
-      (b_lo, b_lo +. width, c))
-    counts

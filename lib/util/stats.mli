@@ -3,16 +3,8 @@
 val mean : float array -> float
 (** Arithmetic mean; requires a non-empty array. *)
 
-val variance : float array -> float
-(** Population variance; requires a non-empty array. *)
-
-val stddev : float array -> float
-
 val min_max : float array -> float * float
 (** Smallest and largest element; requires a non-empty array. *)
-
-val median : float array -> float
-(** Median (does not mutate its argument); requires a non-empty array. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in \[0, 100\], linear interpolation between
@@ -25,7 +17,3 @@ val quantile : float array -> float -> float
 
 val geometric_mean : float array -> float
 (** Geometric mean; requires every element positive. *)
-
-val histogram : bins:int -> float array -> (float * float * int) array
-(** [histogram ~bins xs] returns [(lo, hi, count)] triples covering
-    \[min, max\]; requires [bins >= 1] and a non-empty array. *)

@@ -16,6 +16,10 @@
    a directory where the job's netlist is another circuit is refused,
    and neither the rows nor the store see its answers.
 
+   And a worker process ends with its session: its worker.exit event
+   follows the end of its batch, or its refusal, within a quarter of a
+   second, not after the rest of a heartbeat interval.
+
    argv.(1) is the minpower binary (the dune rule passes
    %{exe:../bin/minpower.exe}). *)
 
@@ -46,6 +50,42 @@ let read_lines path =
   let lines = go [] in
   close_in ic;
   lines
+
+(* the ts_ns field of an event line *)
+let ts_ns line =
+  let key = "\"ts_ns\":" in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length line then fail "no ts_ns in %s" line
+    else if String.sub line i n = key then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < String.length line && line.[!stop] >= '0' && line.[!stop] <= '9'
+  do incr stop done;
+  int_of_string (String.sub line start (!stop - start))
+
+let is_event name = contains ~needle:(Printf.sprintf "\"event\":%S" name)
+
+(* Every worker.exit in [lines] comes within 0.25 s of the first [since]
+   event, and there is at least one. *)
+let check_exit_follows ~what ~since lines =
+  let start =
+    match List.find_opt (is_event since) lines with
+    | Some line -> ts_ns line
+    | None -> fail "%s logged no %s event" what since
+  in
+  match List.filter (is_event "worker.exit") lines with
+  | [] -> fail "%s logged no worker.exit event" what
+  | exits ->
+    List.iter
+      (fun line ->
+        let gap_s = float_of_int (ts_ns line - start) *. 1e-9 in
+        if gap_s > 0.25 then
+          fail "%s: worker.exit came %.3f s after %s: %s" what gap_s since
+            line)
+      exits
 
 let clean_dir dir =
   if Sys.file_exists dir then
@@ -139,13 +179,11 @@ let compute_only_drill ~baseline =
   in
   check_identical ~tag:"in-process vs compute-only fleet" baseline rows;
   let ev = read_lines events in
-  let count name =
-    List.length
-      (List.filter (contains ~needle:(Printf.sprintf "\"event\":%S" name)) ev)
-  in
+  let count name = List.length (List.filter (is_event name) ev) in
   if count "batch.start" <> 1 || count "batch.done" <> 1 then
     fail "a 2-worker batch logged %d batch.start and %d batch.done events"
       (count "batch.start") (count "batch.done");
+  check_exit_follows ~what:"the 2-worker batch" ~since:"batch.done" ev;
   List.iter
     (fun line ->
       if contains ~needle:"\"event\":\"fault.fired\"" line
@@ -258,11 +296,13 @@ let external_worker_drill () =
       then rest
       else after_refusal rest
   in
+  let ext_lines = read_lines ext_events_path in
   List.iter
     (fun line ->
       if contains ~needle:"\"event\":\"worker.reconnect\"" line then
         fail "ext reconnected after it was refused: %s" line)
-    (after_refusal (read_lines ext_events_path));
+    (after_refusal ext_lines);
+  check_exit_follows ~what:"ext" ~since:"worker.refused" ext_lines;
   check_identical ~tag:"in-process vs fleet with a foreign worker" reference
     rows;
   let digests =
@@ -337,4 +377,4 @@ let () =
     "fleet smoke: 64-job rows byte-identical across in-process, 1-worker, \
      4-worker and SIGKILL-crashed 3-worker runs; loss and requeue \
      counters fired; workers log no batch and touch no store; a foreign \
-     worker's results were refused"
+     worker's results were refused; workers exit with their session"

@@ -13,15 +13,16 @@
 module Circuit = Dcopt_netlist.Circuit
 module Flat = Dcopt_netlist.Flat
 module Tech = Dcopt_device.Tech
-module Delay = Dcopt_device.Delay
 module Drive = Dcopt_device.Drive
 module Power_model = Dcopt_opt.Power_model
 
-let converter_load tech =
-  { Delay.no_load with Delay.cap_wire = 4.0 *. tech.Tech.c_gate }
-
 let converter_delay tech ctx_low =
-  2.0 *. Drive.gate_delay tech ctx_low ~w:2.0 (converter_load tech)
+  let stage =
+    Drive.gate tech ctx_low ~fanin:1 ~stack:1 ~cap_fanout:0.0
+      ~cap_wire:(4.0 *. tech.Tech.c_gate) ~res_wire:0.0 ~flight:0.0
+      ~max_fanin_delay:0.0
+  in
+  2.0 *. Drive.gate_delay stage ~w:2.0
 
 let converter_energy tech ~vdd_high ~activity =
   0.5 *. activity *. vdd_high *. vdd_high *. (6.0 *. tech.Tech.c_gate)
@@ -64,18 +65,18 @@ let evaluate env ~vdd_high ~vdd_low ~vt ~uses_low ~widths =
         worst := Float.max !worst arrival.(f)
       done;
       let ctx = ctx_of id and w = widths.(id) in
-      let load =
-        Power_model.gate_load env (design_of id)
+      let g =
+        Power_model.gate env ctx (design_of id)
           ~max_fanin_delay:!max_fanin_delay id
       in
-      let d = Drive.gate_delay tech ctx ~w load in
+      let d = Drive.gate_delay g ~w in
       let d = if converts id then d +. t_conv else d in
       delays.(id) <- d;
       arrival.(id) <- !worst +. d;
       let activity = Power_model.activity env id in
       static_e := !static_e +. Drive.static_energy ctx ~fc ~w;
       dynamic_e :=
-        !dynamic_e +. Drive.dynamic_energy tech ctx ~w ~activity ~load;
+        !dynamic_e +. Drive.dynamic_energy g ~w ~activity;
       if converts id then
         dynamic_e := !dynamic_e +. converter_energy tech ~vdd_high ~activity)
     gates;

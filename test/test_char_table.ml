@@ -1,5 +1,5 @@
 module Char_table = Dcopt_device.Char_table
-module Delay = Dcopt_device.Delay
+module Drive = Dcopt_device.Drive
 module Tech = Dcopt_device.Tech
 module Gate = Dcopt_netlist.Gate
 
@@ -12,7 +12,7 @@ let nand2 =
 let analytic_delay ~load ~slew =
   let delay_load =
     {
-      Delay.fanin_count = 2;
+      Device_ref.fanin_count = 2;
       stack_depth = 2;
       cap_fanout_gates = 0.0;
       cap_wire = load;
@@ -114,7 +114,7 @@ let test_slew_sensitivity_matches_slope_term () =
      slope coefficient *)
   let d1 = Char_table.cell_delay nand2 ~load:1e-14 ~slew:1e-12 in
   let d2 = Char_table.cell_delay nand2 ~load:1e-14 ~slew:2e-9 in
-  let coeff = Delay.slope_coefficient tech ~vdd:1.0 ~vt:0.15 in
+  let coeff = Drive.slope_coefficient tech ~vdd:1.0 ~vt:0.15 in
   let expected = coeff *. (2e-9 -. 1e-12) in
   Alcotest.(check bool) "slew sensitivity" true
     (Float.abs (d2 -. d1 -. expected) /. expected < 0.05)

@@ -50,11 +50,14 @@ let test_sc_order_of_magnitude_below_switching () =
   (* the paper's justification for neglecting it: at typical slopes the
      crowbar term is an order of magnitude below switching energy *)
   let vdd = 3.3 and vt = 0.7 and w = 4.0 and a = 0.5 in
-  let load = { Dcopt_device.Delay.no_load with Dcopt_device.Delay.cap_wire = 5e-15 } in
   let ctx = Drive.make tech ~vdd ~vt in
-  let tau = Drive.transition_time_of_delay (Drive.gate_delay tech ctx ~w load) in
+  let g =
+    Drive.gate tech ctx ~fanin:1 ~stack:1 ~cap_fanout:0.0 ~cap_wire:5e-15
+      ~res_wire:0.0 ~flight:0.0 ~max_fanin_delay:0.0
+  in
+  let tau = Drive.transition_time_of_delay (Drive.gate_delay g ~w) in
   let sc = Drive.short_circuit_energy ctx ~w ~activity:a ~input_transition_time:tau in
-  let sw = Drive.dynamic_energy tech ctx ~w ~activity:a ~load in
+  let sw = Drive.dynamic_energy g ~w ~activity:a in
   Alcotest.(check bool) "sc below switching" true (sc < sw)
 
 let test_sc_in_power_model () =

@@ -30,6 +30,7 @@ module Power_model = Dcopt_opt.Power_model
 module Budget_repair = Dcopt_opt.Budget_repair
 module Numeric = Dcopt_util.Numeric
 module Drive = Dcopt_device.Drive
+module Wire = Dcopt_wiring.Wire_model
 module Metrics = Dcopt_obs.Metrics
 
 let tech = Tech.default
@@ -50,12 +51,46 @@ let check_bits what reference fast =
   if Int64.bits_of_float reference <> Int64.bits_of_float fast then
     Alcotest.failf "%s: reference %h fast %h" what reference fast
 
+(* A gate's load as Power_model.make_env models it, rebuilt from the
+   circuit records and the wiring model: each net's fanout gates in
+   ascending consumer id, after the 4-w-unit pin of a primary output. *)
+let reference_load env wiring design ~max_fanin_delay id =
+  let core = Power_model.circuit env in
+  let tech = Power_model.tech env in
+  let nd = Circuit.node core id in
+  let fanin_count = Array.length nd.Circuit.fanins in
+  let fanouts = Circuit.fanouts core id in
+  let pin_count = if Circuit.is_output core id then 1 else 0 in
+  let fanout = max 1 (Array.length fanouts + pin_count) in
+  let cap_fanout_gates =
+    Array.fold_left
+      (fun acc f -> acc +. (design.Power_model.widths.(f) *. tech.Tech.c_gate))
+      (float_of_int pin_count *. 4.0 *. tech.Tech.c_gate)
+      fanouts
+  in
+  let cap_wire = Wire.net_capacitance wiring ~fanout in
+  {
+    Device_ref.fanin_count;
+    stack_depth = Dcopt_netlist.Gate.series_stack_depth nd.Circuit.kind fanin_count;
+    cap_fanout_gates;
+    cap_wire;
+    res_wire_terms =
+      Wire.net_resistance wiring ~fanout
+      *. (cap_fanout_gates +. (cap_wire /. 2.0));
+    flight_time = Wire.flight_time wiring ~fanout;
+    max_fanin_delay;
+  }
+
 (* The pre-context evaluate: topological propagation over the circuit
-   records, the public per-gate load, and the uncached Device_ref
+   records, loads rebuilt from them, and the uncached Device_ref
    formulas at the corner's threshold. *)
 let reference_evaluate ~short_circuit env design =
   let core = Power_model.circuit env in
   let fc = Power_model.clock_frequency env in
+  let wiring =
+    Wire.create ~tech:(Power_model.tech env)
+      ~gate_count:(max 1 (Circuit.gate_count core)) ()
+  in
   let n = Circuit.size core in
   let delays = Array.make n 0.0 in
   let arrival = Array.make n 0.0 in
@@ -73,7 +108,7 @@ let reference_evaluate ~short_circuit env design =
       in
       let vt = design.Power_model.vt.(id) *. Power_model.vt_stress env in
       let w = design.Power_model.widths.(id) in
-      let load = Power_model.gate_load env design ~max_fanin_delay id in
+      let load = reference_load env wiring design ~max_fanin_delay id in
       let d = Device_ref.gate_delay tech ~vdd ~vt ~w load in
       delays.(id) <- d;
       let worst_arrival =
@@ -102,7 +137,7 @@ let reference_evaluate ~short_circuit env design =
 
 (* The bisection oracle: one drive context per gate, the closure
    predicate over Drive.gate_delay (which the evaluate tests pin to
-   Device_ref.gate_delay), 40 halvings. *)
+   Device_ref.gate_delay) on the gate's record, 40 halvings. *)
 let reference_size_all env ~vdd ~vt ~budgets =
   let tech = Power_model.tech env in
   let n = Circuit.size (Power_model.circuit env) in
@@ -117,8 +152,8 @@ let reference_size_all env ~vdd ~vt ~budgets =
       Drive.make tech ~vdd ~vt:(vt.(id) *. Power_model.vt_stress env)
     in
     let max_fanin_delay = Power_model.budget_fanin_delay env ~budgets id in
-    let load = Power_model.gate_load env design ~max_fanin_delay id in
-    let feasible w = Drive.gate_delay tech ctx ~w load <= budgets.(id) in
+    let g = Power_model.gate env ctx design ~max_fanin_delay id in
+    let feasible w = Drive.gate_delay g ~w <= budgets.(id) in
     match
       Numeric.binary_search_min ~feasible ~lo:tech.Tech.w_min
         ~hi:tech.Tech.w_max ~iters:40 ()

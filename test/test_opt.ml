@@ -608,8 +608,9 @@ let gate_delay_monotone_property =
       let design = Power_model.uniform_design env ~vdd ~vt ~w in
       let ctx = Drive.make tech ~vdd ~vt in
       let delay max_fanin_delay =
-        Drive.gate_delay tech ctx ~w
-          (Power_model.gate_load env design ~max_fanin_delay id)
+        Drive.gate_delay
+          (Power_model.gate env ctx design ~max_fanin_delay id)
+          ~w
       in
       delay (Float.min a b) <= delay (Float.max a b))
 

@@ -1,5 +1,4 @@
 module Transient = Dcopt_sim.Transient
-module Delay = Dcopt_device.Delay
 module Tech = Dcopt_device.Tech
 
 let tech = Tech.default
