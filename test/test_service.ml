@@ -751,6 +751,60 @@ let test_wire_addr () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "connecting to port 0 should be refused"
 
+(* a unix socket path in the test's working directory, private to this
+   process and short enough for sun_path *)
+let sock_path name = Printf.sprintf "svc_%d_%s.sock" (Unix.getpid ()) name
+
+let listen_ok addr =
+  match Wire.listen addr with
+  | Ok fd -> fd
+  | Error msg -> Alcotest.fail msg
+
+(* The listener of both the fleet and [serve --socket]: it takes over a
+   path a dead server left behind, then carries a frame end to end. *)
+let test_wire_listen_unix () =
+  let path = sock_path "listen" in
+  let addr = Wire.Unix_path path in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "stale");
+  Unix.close (listen_ok addr);
+  (* the closed listener's socket file is stale in turn *)
+  let fd = listen_ok addr in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Sys.remove path)
+    (fun () ->
+      Alcotest.(check bool) "bound_addr keeps the path" true
+        (Wire.bound_addr fd addr = addr);
+      match Wire.connect addr with
+      | Error msg -> Alcotest.fail msg
+      | Ok client ->
+        let server, _ = Unix.accept fd in
+        Wire.send ~site:"test" client (Wire.to_worker_to_json Wire.Shutdown);
+        let line = input_line (Unix.in_channel_of_descr server) in
+        Unix.close client;
+        Unix.close server;
+        match Wire.to_worker_of_line line with
+        | Ok Wire.Shutdown -> ()
+        | _ -> Alcotest.fail "frame did not cross the socket intact")
+
+let test_wire_listen_tcp_ephemeral () =
+  let asked = Wire.Tcp ("127.0.0.1", 0) in
+  let fd = listen_ok asked in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match Wire.bound_addr fd asked with
+      | Wire.Tcp ("127.0.0.1", port) as bound when port > 0 -> (
+        match Wire.connect bound with
+        | Error msg -> Alcotest.fail msg
+        | Ok client ->
+          let server, _ = Unix.accept fd in
+          Unix.close server;
+          Unix.close client)
+      | bound ->
+        Alcotest.failf "port 0 bound %s" (Wire.string_of_addr bound))
+
 (* --- fault plans ------------------------------------------------------- *)
 
 module Faults = Dcopt_service.Faults
@@ -912,6 +966,61 @@ let test_run_batch_via_out_of_order () =
     "rows byte-identical under an out-of-order executor"
     (rows_to_string reference) (rows_to_string scrambled)
 
+(* --- worker exit -------------------------------------------------------- *)
+
+module Worker = Dcopt_service.Worker
+
+(* A worker session driven in-process: a coordinator stub accepts the
+   dial, reads the hello and answers with [frame]. Returns the worker's
+   result and the seconds it took to return after the frame was sent.
+   Worker.run sets the process's event-log worker id and fault role, so
+   these cases run last. *)
+let worker_after frame =
+  let path = sock_path "worker" in
+  let listener = listen_ok (Wire.Unix_path path) in
+  let result = ref None in
+  let worker =
+    Thread.create
+      (fun () ->
+        result :=
+          Some
+            (Worker.run ~connect:(Wire.Unix_path path) ~worker_id:"wtest" ()))
+      ()
+  in
+  let coordinator, _ = Unix.accept listener in
+  (match
+     Wire.from_worker_of_line
+       (input_line (Unix.in_channel_of_descr coordinator))
+   with
+  | Ok (Wire.Hello { worker_id = "wtest"; _ }) -> ()
+  | _ -> Alcotest.fail "expected the worker's hello");
+  let t0 = Unix.gettimeofday () in
+  Wire.send ~site:"test" coordinator (Wire.to_worker_to_json frame);
+  Thread.join worker;
+  let waited = Unix.gettimeofday () -. t0 in
+  Unix.close coordinator;
+  Unix.close listener;
+  Sys.remove path;
+  (Option.get !result, waited)
+
+(* The heartbeat thread waits out its 0.5 s interval on a pipe the
+   session writes to as it ends, so the worker returns well inside one
+   interval. *)
+let check_prompt what waited =
+  if waited > 0.25 then
+    Alcotest.failf "%s: the worker returned %.3f s after the frame" what
+      waited
+
+let test_worker_shutdown_prompt () =
+  let clean, waited = worker_after Wire.Shutdown in
+  Alcotest.(check bool) "a shutdown is a clean exit" true clean;
+  check_prompt "shutdown" waited
+
+let test_worker_refused_prompt () =
+  let clean, waited = worker_after (Wire.Refused { why = "test refusal" }) in
+  Alcotest.(check bool) "a refusal is not a clean exit" false clean;
+  check_prompt "refusal" waited
+
 let () =
   Alcotest.run "service"
     [
@@ -946,6 +1055,10 @@ let () =
           Alcotest.test_case "wire rejects malformed frames" `Quick
             test_wire_rejects_malformed;
           Alcotest.test_case "wire address parsing" `Quick test_wire_addr;
+          Alcotest.test_case "wire listen takes over a stale path" `Quick
+            test_wire_listen_unix;
+          Alcotest.test_case "wire listen on an ephemeral port" `Quick
+            test_wire_listen_tcp_ephemeral;
           Alcotest.test_case "out-of-order executor byte-identity" `Quick
             test_run_batch_via_out_of_order;
         ] );
@@ -985,5 +1098,12 @@ let () =
             test_bad_netlist_is_a_row;
           Alcotest.test_case "warnings logged once" `Quick
             test_warnings_logged_once;
+        ] );
+      ( "worker",
+        [
+          Alcotest.test_case "shutdown ends the worker at once" `Quick
+            test_worker_shutdown_prompt;
+          Alcotest.test_case "refusal ends the worker at once" `Quick
+            test_worker_refused_prompt;
         ] );
     ]
