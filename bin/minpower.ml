@@ -1128,6 +1128,23 @@ let parse_listen = function
         (Dcopt_util.Diag.errorf ~file:"<command-line>" ~code:"config.addr"
            "--listen %s: %s" s msg))
 
+(* Run [open_] on the path an argument names. A jobs file that cannot be
+   read, or a store or checkpoint path that cannot be a directory, is a
+   located diagnostic naming the argument, not an uncaught Sys_error. *)
+let open_path ~arg open_ path =
+  try Ok (open_ path)
+  with Sys_error msg ->
+    let msg =
+      if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+    in
+    Error
+      (Dcopt_util.Diag.errorf ~file:"<command-line>" ~code:"config.path"
+         "%s: %s" arg msg)
+
+let open_dir_opt ~arg open_ = function
+  | None -> Ok None
+  | Some path -> Result.map Option.some (open_path ~arg open_ path)
+
 let fleet_of ~workers ?listen obs =
   Dcopt_service.Fleet.create
     (Dcopt_service.Fleet.options ~workers ~worker_args:obs.worker_passthrough
@@ -1159,15 +1176,25 @@ let batch_cmd =
       finish obs 2
     | None ->
     let listen = Result.get_ok (parse_listen listen) in
-    let lines =
-      if jobs_path = "-" then read_lines stdin
-      else begin
-        let ic = open_in jobs_path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> read_lines ic)
-      end
+    let opened =
+      let* lines =
+        if jobs_path = "-" then Ok (read_lines stdin)
+        else
+          open_path ~arg:"JOBS"
+            (fun p -> In_channel.with_open_text p read_lines)
+            jobs_path
+      in
+      let* store = open_dir_opt ~arg:"--store" Store.open_ store in
+      let* checkpoint =
+        open_dir_opt ~arg:"--checkpoint" Checkpoint.open_ checkpoint
+      in
+      Ok (lines, store, checkpoint)
     in
+    match opened with
+    | Error diag ->
+      Printf.eprintf "%s\n" (Dcopt_util.Diag.to_string diag);
+      finish obs 2
+    | Ok (lines, store, checkpoint) ->
     let entries =
       List.filter_map
         (fun (line_no, line) ->
@@ -1182,8 +1209,6 @@ let batch_cmd =
                       (Printf.sprintf "%s:%d: %s" jobs_path line_no msg))))
         lines
     in
-    let store = Option.map Store.open_ store in
-    let checkpoint = Option.map Checkpoint.open_ checkpoint in
     let jobs =
       List.filter_map (function `Job j -> Some j | `Row _ -> None) entries
     in
@@ -1291,8 +1316,12 @@ let serve_cmd =
       Printf.eprintf "%s\n" (Dcopt_util.Diag.to_string diag);
       finish obs 2
     | None ->
+      match open_dir_opt ~arg:"--store" Store.open_ store with
+      | Error diag ->
+        Printf.eprintf "%s\n" (Dcopt_util.Diag.to_string diag);
+        finish obs 2
+      | Ok store ->
       let listen = Result.get_ok (parse_listen listen) in
-      let store = Option.map Store.open_ store in
       let run_jobs =
         match workers with
         | None -> None

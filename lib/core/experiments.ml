@@ -3,11 +3,22 @@ module Circuit = Dcopt_netlist.Circuit
 module Solution = Dcopt_opt.Solution
 module Heuristic = Dcopt_opt.Heuristic
 module Variation = Dcopt_opt.Variation
-module Slack_sweep = Dcopt_opt.Slack_sweep
 module Delay_assign = Dcopt_timing.Delay_assign
 module Text_table = Dcopt_util.Text_table
 module Si = Dcopt_util.Si
 module Power_model = Dcopt_opt.Power_model
+
+(* Declared before [table_row], whose [savings] field a caller reading a
+   row without a type annotation then resolves to. *)
+type slack_point = {
+  slack_factor : float;
+  baseline_energy : float;
+  joint_energy : float;
+  savings : float;
+  savings_same_slack : float;
+  joint_vdd : float;
+  joint_vt : float;
+}
 
 type table_row = {
   circuit : string;
@@ -30,6 +41,10 @@ let prepare_at config name density =
   let config = { config with Flow.input_density = density } in
   Flow.prepare ~config (Suite.find_exn name)
 
+(* The design's lowest gate threshold (its only one, single-Vt). *)
+let first_vt sol p =
+  match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan
+
 let row_of_solution p name density savings sol =
   {
     circuit = name;
@@ -41,7 +56,7 @@ let row_of_solution p name density savings sol =
     total_energy = Solution.total_energy sol;
     critical_delay = Solution.critical_delay sol;
     vdd = Solution.vdd sol;
-    vt = (match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan);
+    vt = first_vt sol p;
     savings;
   }
 
@@ -148,15 +163,50 @@ let render_fig2a points =
 
 let fig2b ?(config = Flow.default_config) ?(circuit = "s298")
     ?(factors = [| 1.0; 1.25; 1.5; 2.0; 2.5; 3.0 |]) () =
-  let core = Circuit.combinational_core (Suite.find_exn circuit) in
-  let specs =
-    Dcopt_activity.Activity.uniform_inputs core
-      ~probability:config.Flow.input_probability
-      ~density:config.Flow.input_density
+  let factors = Array.copy factors in
+  Array.sort Float.compare factors;
+  Array.iter
+    (fun factor ->
+      if factor < 1.0 then invalid_arg "Experiments.fig2b: slack factor below 1")
+    factors;
+  (* Each slack point is the Table-2 flow at the stretched cycle time.
+     The circuit is resolved here, on the calling domain, before the
+     points fan out over the Par pool. *)
+  let c = Suite.find_exn circuit in
+  let solve factor =
+    let config =
+      { config with Flow.clock_frequency = config.Flow.clock_frequency /. factor }
+    in
+    let p = Flow.prepare ~config c in
+    let baseline = run_opt "baseline" p in
+    let joint = run_opt "joint-grid" p in
+    match (baseline, joint) with
+    | Some b, Some j -> Some (factor, Solution.total_energy b, j, first_vt j p)
+    | _ -> None
   in
-  let profile = Dcopt_activity.Activity.local_profile core specs in
-  Slack_sweep.sweep ~m_steps:config.Flow.m_steps ~tech:config.Flow.tech
-    ~fc:config.Flow.clock_frequency core profile ~factors
+  let solved =
+    Dcopt_par.Par.map ~site:"slack.factors" solve factors
+    |> Array.to_list |> List.filter_map Fun.id
+  in
+  (* The savings reference: factor 1, or else the first point that solved
+     (the factors are sorted and none is below 1). *)
+  match solved with
+  | [] -> [||]
+  | (_, reference, _, _) :: _ ->
+    List.map
+      (fun (factor, be, j, vt) ->
+        let je = Solution.total_energy j in
+        {
+          slack_factor = factor;
+          baseline_energy = be;
+          joint_energy = je;
+          savings = reference /. je;
+          savings_same_slack = be /. je;
+          joint_vdd = Solution.vdd j;
+          joint_vt = vt;
+        })
+      solved
+    |> Array.of_list
 
 let render_fig2b points =
   let t =
@@ -170,13 +220,13 @@ let render_fig2b points =
     (fun pt ->
       Text_table.add_row t
         [
-          Printf.sprintf "%.2fx" pt.Slack_sweep.slack_factor;
-          Si.format_exp pt.Slack_sweep.baseline_energy;
-          Si.format_exp pt.Slack_sweep.joint_energy;
-          Printf.sprintf "%.1fx" pt.Slack_sweep.savings;
-          Printf.sprintf "%.1fx" pt.Slack_sweep.savings_same_slack;
-          Printf.sprintf "%.2f" pt.Slack_sweep.joint_vdd;
-          Printf.sprintf "%.0f" (pt.Slack_sweep.joint_vt *. 1000.0);
+          Printf.sprintf "%.2fx" pt.slack_factor;
+          Si.format_exp pt.baseline_energy;
+          Si.format_exp pt.joint_energy;
+          Printf.sprintf "%.1fx" pt.savings;
+          Printf.sprintf "%.1fx" pt.savings_same_slack;
+          Printf.sprintf "%.2f" pt.joint_vdd;
+          Printf.sprintf "%.0f" (pt.joint_vt *. 1000.0);
         ])
     points;
   Printf.sprintf
@@ -192,16 +242,18 @@ type annealing_row = {
   annealing_seconds : float;
 }
 
+(* Wall seconds of [f ()] on the monotonic clock: process CPU time would
+   add up every domain of the Par pool. *)
+let timed f =
+  let t0 = Dcopt_util.Clock.monotonic_s () in
+  let r = f () in
+  (r, Dcopt_util.Clock.monotonic_s () -. t0)
+
 let annealing_comparison ?(config = Flow.default_config)
     ?(circuits = [ "s298"; "s386" ]) () =
   List.filter_map
     (fun name ->
       let p = prepare_at config name config.Flow.input_density in
-      let timed f =
-        let t0 = Sys.time () in
-        let r = f () in
-        (r, Sys.time () -. t0)
-      in
       let h, ht = timed (fun () -> run_opt "joint-grid" p) in
       let a, at = timed (fun () -> run_opt "annealing" p) in
       match (h, a) with
@@ -336,8 +388,7 @@ let ablation_short_circuit ?(config = Flow.default_config)
                Printf.sprintf
                  "Vdd %.2f V, Vt %.0f mV, crowbar %s"
                  (Solution.vdd sol)
-                 ((match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan)
-                 *. 1000.0)
+                 (first_vt sol p *. 1000.0)
                  (Si.format ~unit:"J"
                     sol.Solution.evaluation
                       .Dcopt_opt.Power_model.short_circuit_energy);
@@ -461,10 +512,7 @@ let scaling_study ?(config = Flow.default_config) ?(circuit = "s298")
                   feature_nm =
                     tech.Dcopt_device.Tech.feature_size *. 1e9;
                   opt_vdd = Solution.vdd sol;
-                  opt_vt =
-                    (match Solution.vt_values sol p.Flow.env with
-                    | v :: _ -> v
-                    | [] -> nan);
+                  opt_vt = first_vt sol p;
                   opt_energy = Solution.total_energy sol;
                   static_share =
                     Solution.static_energy sol /. Solution.total_energy sol;
@@ -648,11 +696,6 @@ let render_state_activity rows =
 
 let ablation_sizing ?(config = Flow.default_config) ?(circuit = "s298") () =
   let p = prepare_at config circuit config.Flow.input_density in
-  let timed f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
-  in
   let proc2, t2 =
     timed (fun () -> run_opt "joint-grid" p)
   in
@@ -676,8 +719,7 @@ let ablation_sizing ?(config = Flow.default_config) ?(circuit = "s298") () =
             detail = Printf.sprintf
                 "budget-free sensitivity sizing (Vdd %.2f V, Vt %.0f mV), %.1f s"
                 (Solution.vdd sol)
-                ((match Solution.vt_values sol p.Flow.env with v :: _ -> v | [] -> nan)
-                *. 1000.0)
+                (first_vt sol p *. 1000.0)
                 tt })
         tilos;
     ]
@@ -723,10 +765,7 @@ let temperature_study ?(config = Flow.default_config) ?(circuit = "s298")
                     Printf.sprintf
                       "Vdd %.2f V, Vt %.0f mV, static share %.0f%%"
                       (Solution.vdd sol)
-                      ((match Solution.vt_values sol p.Flow.env with
-                       | v :: _ -> v
-                       | [] -> nan)
-                      *. 1000.0)
+                      (first_vt sol p *. 1000.0)
                       (100.0 *. Solution.static_energy sol
                       /. Solution.total_energy sol);
                 }))

@@ -51,7 +51,7 @@ let prepared_view s =
       Flow.env = Power_model.with_vt_stress s.prepared.Flow.env worst.vt_factor
     }
 
-let finalize ?jobs s sol =
+let finalize s sol =
   match sol with
   | None -> None
   | Some _ when is_legacy s -> sol
@@ -59,7 +59,7 @@ let finalize ?jobs s sol =
     let base_env = s.prepared.Flow.env in
     let corners = Array.of_list s.corners in
     let evals =
-      Par.map ?jobs ~site:"scenario.corners"
+      Par.map ~site:"scenario.corners"
         (fun corner ->
           let env = Power_model.with_vt_stress base_env corner.vt_factor in
           Power_model.evaluate env sol.Solution.design)

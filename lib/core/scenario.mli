@@ -53,8 +53,7 @@ val prepared_view : t -> Flow.prepared
     legacy path). *)
 
 val finalize :
-  ?jobs:int -> t -> Dcopt_opt.Solution.t option ->
-  Dcopt_opt.Solution.t option
+  t -> Dcopt_opt.Solution.t option -> Dcopt_opt.Solution.t option
 (** Re-evaluates the optimizer's design at every corner (fanned out on
     the {!Dcopt_par.Par} pool, site ["scenario.corners"]): the returned
     solution's evaluation is the first corner's, with [feasible]

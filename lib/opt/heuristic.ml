@@ -24,12 +24,6 @@ let evaluate env design =
   Metrics.incr m_evaluations;
   Power_model.evaluate env design
 
-let sizing_solution env ~budgets ~vdd ~vt =
-  let n = Dcopt_netlist.Circuit.size (Power_model.circuit env) in
-  let vt_array = Array.make n vt in
-  let design, ok = Power_model.size_widths env ~vdd ~vt:vt_array ~budgets in
-  Solution.make ~label:"sizing" ~meets_budgets:ok env design
-
 type trial = {
   design : Power_model.design;
   meets_budgets : bool;
@@ -155,65 +149,54 @@ let paper_binary ~run env ~m ~vt_fixed =
   done;
   !best
 
-let grid_refine ~emit ~make env ~m ~vt_fixed =
+let grid_refine ~site ~n ~vt_max ~vt_fixed ~emit ~score ~make env =
   let tech = Power_model.tech env in
+  (* The incumbent: the first trial of lowest admitted score, with its
+     grid point. *)
   let best = ref None in
-  let vt_points lo hi n =
+  let vt_points lo hi =
     match vt_fixed with
     | Some vt -> [| vt |]
     | None -> Dcopt_util.Numeric.linspace ~lo ~hi ~n
   in
-  (* Grid points are independent sizings: run them on the Par pool, then
-     emit telemetry and fold the incumbent in scan order, so the trial
-     stream and the chosen optimum are identical at any --jobs. *)
-  let scan vdd_lo vdd_hi vt_lo vt_hi n =
+  (* Grid points are independent trials: run them on the Par pool, then
+     emit and fold the incumbent in scan order, so the trial stream and
+     the chosen optimum are identical at any --jobs. *)
+  let scan vdd_lo vdd_hi vt_lo vt_hi =
     let vdds = Dcopt_util.Numeric.log_interp_points ~lo:vdd_lo ~hi:vdd_hi ~n in
-    let vts = vt_points vt_lo vt_hi n in
+    let vts = vt_points vt_lo vt_hi in
     let points =
       Array.concat
         (Array.to_list
            (Array.map (fun vdd -> Array.map (fun vt -> (vdd, vt)) vts) vdds))
     in
     let results =
-      Dcopt_par.Par.map ~site:"heuristic.grid"
-        (fun (vdd, vt) -> make ~vdd ~vt)
-        points
+      Dcopt_par.Par.map ~site (fun (vdd, vt) -> make ~vdd ~vt) points
     in
     Array.iteri
       (fun i t ->
         let vdd, vt = points.(i) in
         emit ~vdd ~vt t;
-        if t.ok then best := better !best t)
+        match (score t, !best) with
+        | None, _ -> ()
+        | Some e, Some (_, _, e0) when not (e < e0) -> ()
+        | Some e, _ -> best := Some ((vdd, vt), t, e))
       results
   in
-  (* Capped at m so the two coarse^2 scans keep the whole optimizer within
-     its documented O(M^3)-sizings bound even when this runs as the
-     fallback after a failed M^2-trial binary search (for every m >= 8 the
-     cap is inactive and the grid is exactly the historical max 8 (m/2)). *)
-  let coarse = min m (max 8 (m / 2)) in
-  scan tech.Tech.vdd_min tech.Tech.vdd_max tech.Tech.vt_min tech.Tech.vt_max
-    coarse;
+  scan tech.Tech.vdd_min tech.Tech.vdd_max tech.Tech.vt_min vt_max;
   (match !best with
   | None -> ()
-  | Some t ->
+  | Some ((vdd0, vt0), _, _) ->
     (* refine around the incumbent with a window one coarse step wide *)
-    let vdd0 = t.design.Power_model.vdd in
-    let vt0 =
-      (* every gate of a trial carries the point's threshold *)
-      match Power_model.unsafe_gate_ids env with
-      | [||] -> tech.Tech.vt_min
-      | gates -> t.design.Power_model.vt.(gates.(0))
-    in
-    let span_vdd = (tech.Tech.vdd_max -. tech.Tech.vdd_min) /. float_of_int coarse in
-    let span_vt = (tech.Tech.vt_max -. tech.Tech.vt_min) /. float_of_int coarse in
+    let span_vdd = (tech.Tech.vdd_max -. tech.Tech.vdd_min) /. float_of_int n in
+    let span_vt = (vt_max -. tech.Tech.vt_min) /. float_of_int n in
     let clampv = Dcopt_util.Numeric.clamp in
     scan
       (clampv ~lo:tech.Tech.vdd_min ~hi:tech.Tech.vdd_max (vdd0 -. span_vdd))
       (clampv ~lo:tech.Tech.vdd_min ~hi:tech.Tech.vdd_max (vdd0 +. span_vdd))
-      (clampv ~lo:tech.Tech.vt_min ~hi:tech.Tech.vt_max (vt0 -. span_vt))
-      (clampv ~lo:tech.Tech.vt_min ~hi:tech.Tech.vt_max (vt0 +. span_vt))
-      coarse);
-  !best
+      (clampv ~lo:tech.Tech.vt_min ~hi:vt_max (vt0 -. span_vt))
+      (clampv ~lo:tech.Tech.vt_min ~hi:vt_max (vt0 +. span_vt)));
+  Option.map (fun (_, t, _) -> t) !best
 
 let optimize ?observer ?(options = default_options) env ~budgets =
   let m = max 4 options.m_steps in
@@ -245,16 +228,26 @@ let optimize ?observer ?(options = default_options) env ~budgets =
     t
   in
   let vt_fixed = options.vt_fixed in
+  (* Capped at m so the two coarse^2 scans keep the whole optimizer within
+     its documented O(M^3)-sizings bound even when this runs as the
+     fallback after a failed M^2-trial binary search (for every m >= 8 the
+     cap is inactive and the grid is exactly the historical max 8 (m/2)). *)
+  let grid () =
+    grid_refine ~site:"heuristic.grid" ~n:(min m (max 8 (m / 2)))
+      ~vt_max:(Power_model.tech env).Tech.vt_max ~vt_fixed ~emit
+      ~score:(fun t -> if t.ok then Some t.score.Solution.total_energy else None)
+      ~make env
+  in
   let result =
     match options.strategy with
     | Paper_binary -> paper_binary ~run env ~m ~vt_fixed
-    | Grid_refine -> grid_refine ~emit ~make env ~m ~vt_fixed
+    | Grid_refine -> grid ()
   in
   (* The binary search can start in an infeasible half-space and converge
      to nothing; fall back on the exhaustive scan before giving up. *)
   let result =
     match (result, options.strategy) with
-    | None, Paper_binary -> grid_refine ~emit ~make env ~m ~vt_fixed
+    | None, Paper_binary -> grid ()
     | r, _ -> r
   in
   (* Procedure 2's complexity claim: M vdd steps x M vt steps around an

@@ -49,12 +49,6 @@ val optimize :
     is asserted to stay within [m_steps^3] — the paper's O(M^3)-sizings
     complexity claim, kept as a runtime invariant. *)
 
-val sizing_solution :
-  Power_model.env -> budgets:float array -> vdd:float -> vt:float ->
-  Solution.t
-(** One sizing pass at a fixed operating point (exposed for sweeps and
-    tests). *)
-
 (** {2 Trials}
 
     The search's unit of work, for searches built on this one
@@ -81,3 +75,22 @@ val trials :
 
 val solution : label:string -> trial -> Solution.t
 (** The trial's design with its full evaluation. *)
+
+val grid_refine :
+  site:string -> n:int -> vt_max:float -> vt_fixed:float option ->
+  emit:(vdd:float -> vt:float -> 'a -> unit) ->
+  score:('a -> float option) ->
+  make:(vdd:float -> vt:float -> 'a) ->
+  Power_model.env -> 'a option
+(** The coarse-then-refine (Vdd x Vt) scan of {!Grid_refine}, over any
+    trial. The coarse grid is [n] log-spaced supplies over the tech's
+    range by [n] thresholds over \[[vt_min], [vt_max]\] ([vt_fixed]: that
+    one threshold); the refine grid is the same shape, one coarse step
+    either side of the incumbent's grid point, clamped to those ranges.
+    [make] runs every grid point of a scan on the {!Dcopt_par.Par} pool
+    (at [site]); [emit] then sees each trial in scan order. [score]
+    admits a trial with its energy ([None]: not admitted), and the
+    incumbent is the first admitted trial of strictly lowest energy, so
+    the result is the same at any job count. The search passes
+    [n = min m (max 8 (m/2))] and the tech's [vt_max]; {!Variation}
+    passes its own. *)

@@ -62,13 +62,11 @@ type evaluation = {
 (* The load of a primary-output pin, in w-units. *)
 let po_pin_width = 4.0
 
-let make_env ?(include_short_circuit = false) ?constraints ?(vt_stress = 1.0)
-    ~tech ~fc circuit profile =
+let make_env ?(include_short_circuit = false) ?constraints ~tech ~fc circuit
+    profile =
   if not (Circuit.is_combinational circuit) then
     invalid_arg "Power_model.make_env: circuit is sequential";
   if fc <= 0.0 then invalid_arg "Power_model.make_env: fc <= 0";
-  if not (vt_stress > 0.0) then
-    invalid_arg "Power_model.make_env: vt_stress <= 0";
   let wiring =
     Wire.create ~tech ~gate_count:(max 1 (Circuit.gate_count circuit)) ()
   in
@@ -169,7 +167,7 @@ let make_env ?(include_short_circuit = false) ?constraints ?(vt_stress = 1.0)
     env_constraints;
     req_times;
     arr_seed;
-    vt_stress;
+    vt_stress = 1.0;
   }
 
 let tech env = env.env_tech

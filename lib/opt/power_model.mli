@@ -50,7 +50,6 @@ val make_env :
                            (* add the Veendrick crowbar term, default false
                               (the paper's Appendix A.1 setting) *)
   ?constraints:Dcopt_timing.Constraints.t ->
-  ?vt_stress:float ->
   tech:Dcopt_device.Tech.t ->
   fc:float ->
   Dcopt_netlist.Circuit.t ->
@@ -69,11 +68,8 @@ val make_env :
     input delays seed the arrival sweep. A scalar set is bit-identical
     to the legacy single-cycle-time behaviour.
 
-    [vt_stress] (default 1.0) is the process-corner threshold
-    multiplier: every threshold the device model reads becomes
-    [vt *. vt_stress] ({!Dcopt_opt.Variation} semantics — slow corner =
-    [1 + tolerance]). The design records keep nominal thresholds; 1.0
-    is the bit-exact identity. *)
+    The env is at the nominal corner (threshold stress 1.0); a process
+    corner is {!with_vt_stress} of it. *)
 
 val tech : env -> Dcopt_device.Tech.t
 val circuit : env -> Dcopt_netlist.Circuit.t
@@ -90,8 +86,12 @@ val arrival_offsets : env -> float array option
 val vt_stress : env -> float
 
 val with_vt_stress : env -> float -> env
-(** The same prepared circuit re-housed at another corner (structural
-    columns shared). Raises [Invalid_argument] on a non-positive
+(** The same prepared circuit re-housed at another process corner
+    (structural columns shared): every threshold the device model reads
+    becomes [vt *. vt_stress] (slow corner = [1 + tolerance], leaky =
+    [1 - tolerance]), while designs keep their nominal thresholds. This
+    is the only way a corner reaches the device model; 1.0 is the
+    bit-exact identity. Raises [Invalid_argument] on a non-positive
     multiplier. *)
 
 val flat : env -> Dcopt_netlist.Flat.t

@@ -1,5 +1,4 @@
 module Tech = Dcopt_device.Tech
-module Numeric = Dcopt_util.Numeric
 
 type point = {
   tolerance_pct : float;
@@ -7,61 +6,30 @@ type point = {
   savings : float;
 }
 
-(* One corner-aware trial: timing closed at vt(1+tol), energy booked at
-   vt(1-tol) with the widths the slow corner required. *)
-let corner_trial env ~budgets ~tolerance ~vdd ~vt =
-  let circuit = Power_model.circuit env in
-  let n = Dcopt_netlist.Circuit.size circuit in
-  let vt_slow = Array.make n (vt *. (1.0 +. tolerance)) in
-  let vt_leaky = Array.make n (vt *. (1.0 -. tolerance)) in
-  let design_slow, ok = Power_model.size_widths env ~vdd ~vt:vt_slow ~budgets in
-  let design_leaky = { design_slow with Power_model.vt = vt_leaky } in
-  let sol =
-    Solution.make ~label:"corner" ~meets_budgets:ok env design_leaky
-  in
-  (ok, sol)
-
+(* A corner-aware trial: widths sized with timing closed at the slow
+   corner, energy booked at the leaky corner. Both corners are the env's
+   threshold stress, so the design keeps the nominal thresholds. *)
 let corner_optimize ?(m_steps = 12) env ~budgets ~tolerance =
   assert (tolerance >= 0.0 && tolerance < 1.0);
-  let tech = Power_model.tech env in
-  (* The slow corner must stay inside the manufacturable threshold range. *)
-  let vt_hi = tech.Tech.vt_max /. (1.0 +. tolerance) in
-  let best = ref None in
-  let scan vdd_lo vdd_hi vt_lo vt_hi n =
-    let vdds = Numeric.log_interp_points ~lo:vdd_lo ~hi:vdd_hi ~n in
-    let vts = Numeric.linspace ~lo:vt_lo ~hi:vt_hi ~n in
-    Array.iter
-      (fun vdd ->
-        Array.iter
-          (fun vt ->
-            let ok, sol = corner_trial env ~budgets ~tolerance ~vdd ~vt in
-            if ok then best := Solution.better !best sol)
-          vts)
-      vdds
-  in
-  scan tech.Tech.vdd_min tech.Tech.vdd_max tech.Tech.vt_min vt_hi
-    (max 8 m_steps);
-  (match !best with
-  | None -> ()
-  | Some sol ->
-    let vdd0 = Solution.vdd sol in
-    let vt0 =
-      (* recover the nominal vt: the stored design carries the leaky corner *)
-      match Solution.vt_values sol env with
-      | v :: _ -> v /. (1.0 -. tolerance)
-      | [] -> tech.Tech.vt_min
+  let slow = Power_model.with_vt_stress env (1.0 +. tolerance) in
+  let leaky = Power_model.with_vt_stress env (1.0 -. tolerance) in
+  let n = Dcopt_netlist.Circuit.size (Power_model.circuit env) in
+  let make ~vdd ~vt =
+    let design, ok =
+      Power_model.size_widths slow ~vdd ~vt:(Array.make n vt) ~budgets
     in
-    let span_vdd = (tech.Tech.vdd_max -. tech.Tech.vdd_min)
-                   /. float_of_int (max 8 m_steps) in
-    let span_vt = (vt_hi -. tech.Tech.vt_min) /. float_of_int (max 8 m_steps) in
-    let c = Numeric.clamp in
-    scan
-      (c ~lo:tech.Tech.vdd_min ~hi:tech.Tech.vdd_max (vdd0 -. span_vdd))
-      (c ~lo:tech.Tech.vdd_min ~hi:tech.Tech.vdd_max (vdd0 +. span_vdd))
-      (c ~lo:tech.Tech.vt_min ~hi:vt_hi (vt0 -. span_vt))
-      (c ~lo:tech.Tech.vt_min ~hi:vt_hi (vt0 +. span_vt))
-      (max 8 m_steps));
-  !best
+    Solution.make ~label:"corner" ~meets_budgets:ok leaky design
+  in
+  (* The slow corner must stay inside the manufacturable threshold range. *)
+  Heuristic.grid_refine ~site:"variation.grid" ~n:(max 8 m_steps)
+    ~vt_max:((Power_model.tech env).Tech.vt_max /. (1.0 +. tolerance))
+    ~vt_fixed:None
+    ~emit:(fun ~vdd:_ ~vt:_ _ -> ())
+    ~score:(fun sol ->
+      if sol.Solution.meets_budgets && Solution.feasible sol then
+        Some (Solution.total_energy sol)
+      else None)
+    ~make env
 
 let savings_curve ?m_steps env ~budgets ~baseline_energy ~tolerances =
   (* Tolerance points are independent corner optimizations: run them on

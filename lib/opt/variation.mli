@@ -15,9 +15,17 @@ val corner_optimize :
   tolerance:float ->
   Solution.t option
 (** Joint optimization under a symmetric +/-[tolerance] (fraction, e.g.
-    0.1 = 10%%) threshold spread. The returned solution's evaluation is the
-    leaky-corner (worst-case) power; [meets_budgets] reflects slow-corner
-    timing. *)
+    0.1 = 10%%) threshold spread around the nominal corner [env]. Each
+    trial of the {!Heuristic.grid_refine} scan (an [max 8 m_steps] grid,
+    thresholds up to [vt_max / (1 + tolerance)], site
+    ["variation.grid"]) sizes the widths on
+    [Power_model.with_vt_stress env (1 + tolerance)] (slow-corner timing)
+    and books energy on [Power_model.with_vt_stress env (1 - tolerance)].
+    Both corners are env stress ({!Power_model.drive} applies it), so the
+    returned design carries the nominal grid thresholds, and its
+    evaluation is the leaky corner's: {!Power_model.evaluate} of the
+    design on the leaky env, the convention [Dcopt_core.Scenario.finalize]
+    also uses. [meets_budgets] reflects slow-corner timing. *)
 
 type point = {
   tolerance_pct : float;    (** tolerance in percent *)

@@ -92,17 +92,8 @@ let yield_curve ?(m_steps = 10) ?(samples = 300) env ~budgets ~sigmas =
            match Variation.corner_optimize ~m_steps env ~budgets ~tolerance with
            | None -> None
            | Some margined_sol ->
-             (* the stored corner design carries the leaky-corner vt; the
-                manufactured nominal is vt / (1 - tol) *)
-             let margined_design =
-               let d = margined_sol.Solution.design in
-               {
-                 d with
-                 Power_model.vt =
-                   Array.map (fun v -> v /. (1.0 -. tolerance))
-                     d.Power_model.vt;
-               }
-             in
+             (* the corner design carries the nominal thresholds *)
+             let margined_design = margined_sol.Solution.design in
              let nominal_report =
                monte_carlo env nominal_design ~sigma_fraction:sigma ~samples
              in

@@ -93,7 +93,8 @@ type worker = {
   mutable w_reaped : bool;
 }
 
-(* An accepted connection that has not yet identified itself. *)
+(* An accepted connection that has not yet identified itself, and when it
+   was accepted: it must say hello within the heartbeat timeout. *)
 type pending = { p_fd : Unix.file_descr; p_buf : Buffer.t; p_since : float }
 
 type t = {
@@ -561,6 +562,21 @@ let execute t ?checkpoint ~batch_id tasks =
             lose_worker w ~why:"never connected"
           | _ -> ())
         t.workers;
+      (* a connection that sent no complete hello within the heartbeat
+         timeout is closed, so a silent client cannot hold off the "no
+         workers left" drain below *)
+      let silent, waiting =
+        List.partition
+          (fun p -> now () -. p.p_since > t.opts.heartbeat_timeout_s)
+          t.pending
+      in
+      List.iter
+        (fun p ->
+          Events.warn "fleet.connection_refused"
+            ~fields:[ ("why", Json.String "no hello in time") ];
+          try Unix.close p.p_fd with Unix.Unix_error _ -> ())
+        silent;
+      t.pending <- waiting;
       (* mid-batch respawn: while work is still queued, a lost spawned
          id comes back under the same name — unless its failure budget
          is spent (quarantine), in which case the remaining workers (or

@@ -1,11 +1,12 @@
 module Prng = Dcopt_util.Prng
 
-let backoff_delay_s ?(base_s = 0.1) ?(cap_s = 5.0) ?(jitter_frac = 0.5) ~prng
-    ~attempt () =
-  if base_s <= 0.0 then invalid_arg "Policy.backoff_delay_s: base_s <= 0";
-  if cap_s < base_s then invalid_arg "Policy.backoff_delay_s: cap_s < base_s";
-  if jitter_frac < 0.0 || jitter_frac >= 1.0 then
-    invalid_arg "Policy.backoff_delay_s: jitter_frac outside [0, 1)";
+(* The first delay, the ceiling, and the largest share of a delay the
+   jitter may take off. *)
+let base_s = 0.1
+let cap_s = 5.0
+let jitter_frac = 0.5
+
+let backoff_delay_s ~prng ~attempt =
   let attempt = max 1 attempt in
   (* 2^(attempt-1) in float, saturating long before overflow matters *)
   let expo = base_s *. (2.0 ** float_of_int (min 62 (attempt - 1))) in

@@ -4,22 +4,13 @@
     testable in isolation: the fleet and the worker apply these numbers,
     they don't invent them. *)
 
-val backoff_delay_s :
-  ?base_s:float ->
-  ?cap_s:float ->
-  ?jitter_frac:float ->
-  prng:Dcopt_util.Prng.t ->
-  attempt:int ->
-  unit ->
-  float
+val backoff_delay_s : prng:Dcopt_util.Prng.t -> attempt:int -> float
 (** Capped exponential backoff with seeded jitter: attempt [k] (1-based)
-    waits [min cap_s (base_s * 2^(k-1))], shrunk by a uniform jitter
-    draw of up to [jitter_frac] of itself from [prng]. The result is
-    always in [(0, cap_s]], and — because the jitter comes from the
-    caller's PRNG, seeded e.g. from the worker id — the whole delay
-    sequence is deterministic per worker. Defaults: base 0.1 s, cap
-    5 s, jitter 0.5. Raises [Invalid_argument] on a non-positive base,
-    a cap below the base, or a jitter fraction outside [0, 1). *)
+    waits [min 5 (0.1 * 2^(k-1))] seconds, shrunk by a uniform jitter
+    draw of up to half of itself from [prng]. The result is always in
+    [\[envelope/2, envelope\]], so in [(0, 5]], and — because the jitter
+    comes from the caller's PRNG, seeded e.g. from the worker id — the
+    whole delay sequence is deterministic per worker. *)
 
 type quarantine
 (** Per-identity failure budget: after [after] recorded losses an

@@ -137,7 +137,7 @@ let run ?(reconnect = 0) ~connect ~worker_id () =
   let backoff why =
     incr attempts;
     Metrics.incr reconnects_c;
-    let delay_s = Policy.backoff_delay_s ~prng ~attempt:!attempts () in
+    let delay_s = Policy.backoff_delay_s ~prng ~attempt:!attempts in
     Events.warn "worker.reconnect"
       ~fields:
         [

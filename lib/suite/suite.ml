@@ -70,7 +70,11 @@ let profile name =
            seed = None;
          })
 
+(* Generated circuits by name. Pool domains resolve circuits too (the
+   experiment tables fan rows out over Par), so the table is only read
+   or filled under [cache_lock], and a name is generated once. *)
 let cache : (string, Circuit.t) Hashtbl.t = Hashtbl.create 16
+let cache_lock = Mutex.create ()
 
 (* Levenshtein distance, capped: we only ever ask "is it within 1?", so
    the quadratic table on short benchmark names is nothing. *)
@@ -97,28 +101,31 @@ let suggestions name =
       String.lowercase_ascii known = lower || edit_distance name known <= 1)
     names
 
-let find name =
+let cached name =
+  Mutex.protect cache_lock @@ fun () ->
   match Hashtbl.find_opt cache name with
-  | Some c -> Ok c
-  | None -> (
+  | Some c -> Some c
+  | None ->
     let circuit =
       if name = "s27" then Some (s27 ())
       else Option.map Generator.generate (profile name)
     in
-    match circuit with
-    | Some circuit ->
-      Hashtbl.add cache name circuit;
-      Ok circuit
-    | None ->
-      let hint =
-        match suggestions name with
-        | [] -> ""
-        | near ->
-          Printf.sprintf " — did you mean %s?" (String.concat " or " near)
-      in
-      Error
-        (Printf.sprintf "unknown circuit %S%s (known: %s)" name hint
-           (String.concat " " names)))
+    Option.iter (Hashtbl.add cache name) circuit;
+    circuit
+
+let find name =
+  match cached name with
+  | Some circuit -> Ok circuit
+  | None ->
+    let hint =
+      match suggestions name with
+      | [] -> ""
+      | near ->
+        Printf.sprintf " — did you mean %s?" (String.concat " or " near)
+    in
+    Error
+      (Printf.sprintf "unknown circuit %S%s (known: %s)" name hint
+         (String.concat " " names))
 
 let find_exn name =
   match find name with Ok c -> c | Error _ -> raise Not_found

@@ -51,9 +51,9 @@ let read_lines path =
   close_in ic;
   lines
 
-(* run `minpower batch` with extra args; returns its JSONL rows, and
-   fails on a stdout line that is not one *)
-let run_batch ?(env = []) ?(expect_exit = 0) ~tag extra =
+(* start `minpower batch` with extra args; stdout goes to a file named
+   after the tag *)
+let start_batch ?(env = []) ~tag extra =
   let out_path = Printf.sprintf "chaos_smoke_%s.out" tag in
   let out_fd =
     Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -65,7 +65,12 @@ let run_batch ?(env = []) ?(expect_exit = 0) ~tag extra =
       Unix.stderr
   in
   Unix.close out_fd;
-  (match snd (Unix.waitpid [] pid) with
+  (pid, out_path)
+
+(* a finished batch's JSONL rows; fails on a wrong exit status or a
+   stdout line that is not a row *)
+let batch_rows ?(expect_exit = 0) ~tag out_path status =
+  (match status with
   | Unix.WEXITED n when n = expect_exit -> ()
   | Unix.WEXITED n -> fail "batch %s exited %d (want %d)" tag n expect_exit
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> fail "batch %s got signal %d" tag n);
@@ -76,6 +81,11 @@ let run_batch ?(env = []) ?(expect_exit = 0) ~tag extra =
         fail "batch %s printed a line that is not a row: %S" tag line)
     lines;
   lines
+
+(* run `minpower batch` with extra args; returns its JSONL rows *)
+let run_batch ?env ?expect_exit ~tag extra =
+  let pid, out_path = start_batch ?env ~tag extra in
+  batch_rows ?expect_exit ~tag out_path (snd (Unix.waitpid [] pid))
 
 let metric_value om_path name =
   let prefix = name ^ " " in
@@ -99,6 +109,50 @@ let check_identical ~tag a b =
     (fun i (x, y) ->
       if x <> y then fail "%s: row %d differs:\n  %s\n  %s" tag i x y)
     (List.combine a b)
+
+(* A client that connects to the coordinator's --listen path and never
+   says hello. Once the only worker is quarantined, the coordinator must
+   close the silent connection after the heartbeat timeout and drain the
+   batch itself: rows byte-identical to the baseline within [bound_s]. *)
+let silent_client_case ~baseline =
+  let tag = "silent_client" and bound_s = 30.0 in
+  let sock = "./chaos_silent.sock" in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let plan = "w0/worker.job@*:kill" in
+  let pid, out_path =
+    start_batch
+      ~env:[ "DCOPT_FLEET_HEARTBEAT_S=1"; "DCOPT_FAULT_PLAN=" ^ plan ]
+      ~tag
+      [ "--workers"; "1"; "--listen"; sock ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let elapsed () = Unix.gettimeofday () -. t0 in
+  let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec dial () =
+    match Unix.connect client (Unix.ADDR_UNIX sock) with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when elapsed () < bound_s ->
+      Unix.sleepf 0.001;
+      dial ()
+  in
+  dial ();
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when elapsed () > bound_s ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      fail "%s: batch still running after %g s" tag bound_s
+    | 0, _ ->
+      Unix.sleepf 0.05;
+      wait ()
+    | _, status -> status
+  in
+  let status = wait () in
+  Unix.close client;
+  check_identical ~tag baseline (batch_rows ~tag out_path status);
+  Printf.printf "  %-16s rows identical in %.1f s (%s)\n%!" tag (elapsed ())
+    plan
 
 (* one chaos case: run under a plan, demand byte-identity with the
    baseline and check counter bounds on the coordinator's exposition *)
@@ -211,6 +265,8 @@ let () =
   has "\"worker_id\"" "a worker_id field";
   has "\"job_id\"" "a job_id field";
 
+  silent_client_case ~baseline;
+
   (* wall-clock jumps (NTP step, DST): scheduling runs on the monotonic
      clock, so a displaced wall clock must cause zero losses *)
   case ~baseline ~tag:"clock_jump" ~env:hb1 ~extra:[ "--workers"; "2" ]
@@ -269,6 +325,7 @@ let () =
 
   print_endline
     "chaos smoke: rows byte-identical to the fault-free run under drop, \
-     corrupt, truncate, exit+quarantine, stall, clock-jump, delay, \
+     corrupt, truncate, exit+quarantine, stall, silent client, clock-jump, \
+     delay, \
      ENOSPC (in-process and fleet) and EIO-warm plans, over unix and \
      TCP fleets; recovery counters and the event chain all verified"

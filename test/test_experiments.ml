@@ -72,9 +72,13 @@ let test_fig2b_shape () =
   in
   Alcotest.(check int) "both points" 2 (Array.length points);
   Alcotest.(check bool) "savings rise with slack" true
-    (points.(1).Dcopt_opt.Slack_sweep.savings
-    > points.(0).Dcopt_opt.Slack_sweep.savings);
-  ignore (Experiments.render_fig2b points)
+    (points.(1).Experiments.savings > points.(0).Experiments.savings);
+  Alcotest.(check bool) "joint vdd falls with slack" true
+    (points.(1).Experiments.joint_vdd < points.(0).Experiments.joint_vdd);
+  ignore (Experiments.render_fig2b points);
+  Alcotest.check_raises "a factor below 1"
+    (Invalid_argument "Experiments.fig2b: slack factor below 1") (fun () ->
+      ignore (Experiments.fig2b ~factors:[| 1.0; 0.5 |] ()))
 
 let test_annealing_comparison () =
   let rows =
@@ -89,6 +93,26 @@ let test_annealing_comparison () =
   Alcotest.(check bool) "heuristic faster" true
     (r.Experiments.heuristic_seconds < r.Experiments.annealing_seconds);
   ignore (Experiments.render_annealing rows)
+
+(* The reported seconds are wall time: on two domains, process CPU time
+   would add up both and exceed the call's own elapsed time. *)
+let test_annealing_seconds_are_wall () =
+  Dcopt_par.Par.set_jobs 2;
+  Fun.protect ~finally:(fun () -> Dcopt_par.Par.set_jobs 1) @@ fun () ->
+  let t0 = Dcopt_util.Clock.monotonic_s () in
+  let rows =
+    Experiments.annealing_comparison ~config:quick_config ~circuits:[ "s298" ] ()
+  in
+  let wall = Dcopt_util.Clock.monotonic_s () -. t0 in
+  List.iter
+    (fun r ->
+      let reported =
+        r.Experiments.heuristic_seconds +. r.Experiments.annealing_seconds
+      in
+      if not (reported <= wall) then
+        Alcotest.failf "reported %.3f s exceeds the call's %.3f s wall time"
+          reported wall)
+    rows
 
 let test_ablation_budget () =
   let rows = Experiments.ablation_budget ~config:quick_config ~circuit:"s298" () in
@@ -146,6 +170,8 @@ let () =
       ( "comparisons",
         [
           Alcotest.test_case "annealing" `Slow test_annealing_comparison;
+          Alcotest.test_case "annealing seconds are wall time" `Slow
+            test_annealing_seconds_are_wall;
           Alcotest.test_case "ablation budget" `Slow test_ablation_budget;
           Alcotest.test_case "ablation activity" `Quick test_ablation_activity;
           Alcotest.test_case "ablation multi-vt" `Slow test_ablation_multi_vt;

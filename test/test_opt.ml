@@ -11,7 +11,7 @@ module Multi_vt = Dcopt_opt.Multi_vt
 module Solution = Dcopt_opt.Solution
 module Budget_repair = Dcopt_opt.Budget_repair
 module Variation = Dcopt_opt.Variation
-module Slack_sweep = Dcopt_opt.Slack_sweep
+module Numeric = Dcopt_util.Numeric
 
 let tech = Tech.default
 let fc = 300e6
@@ -140,7 +140,11 @@ let test_heuristic_finds_feasible () =
 
 let test_heuristic_beats_naive () =
   let _, env, budgets = setup () in
-  let naive = Heuristic.sizing_solution env ~budgets ~vdd:3.3 ~vt:0.7 in
+  let naive =
+    let vt = Array.make (Circuit.size (Power_model.circuit env)) 0.7 in
+    let design, ok = Power_model.size_widths env ~vdd:3.3 ~vt ~budgets in
+    Solution.make ~label:"sizing" ~meets_budgets:ok env design
+  in
   match Heuristic.optimize env ~budgets with
   | None -> Alcotest.fail "expected a solution"
   | Some sol ->
@@ -558,19 +562,74 @@ let test_variation_savings_decrease () =
     (points.(0).Variation.savings > points.(1).Variation.savings
     && points.(1).Variation.savings > points.(2).Variation.savings)
 
-let test_slack_savings_increase () =
-  let core, _, _ = setup () in
-  let specs = Activity.uniform_inputs core ~probability:0.5 ~density:0.1 in
-  let profile = Activity.local_profile core specs in
-  let points =
-    Slack_sweep.sweep ~m_steps:8 ~tech ~fc core profile
-      ~factors:[| 1.0; 3.0 |]
+(* A corner design is the nominal design of one grid point: its
+   thresholds are the scanned value itself, and both corners are env
+   stress. *)
+let test_corner_design_is_nominal () =
+  let _, env, budgets = setup () in
+  let bits = Int64.bits_of_float in
+  let same what a b =
+    if bits a <> bits b then Alcotest.failf "%s: %h <> %h" what a b
   in
-  Alcotest.(check int) "both factors solved" 2 (Array.length points);
-  Alcotest.(check bool) "more slack, more savings" true
-    (points.(1).Slack_sweep.savings > points.(0).Slack_sweep.savings);
-  Alcotest.(check bool) "joint vdd falls with slack" true
-    (points.(1).Slack_sweep.joint_vdd < points.(0).Slack_sweep.joint_vdd)
+  List.iter
+    (fun tolerance ->
+      let sol =
+        match Variation.corner_optimize ~m_steps:8 env ~budgets ~tolerance with
+        | Some sol -> sol
+        | None -> Alcotest.failf "tolerance %g: no corner design" tolerance
+      in
+      let d = sol.Solution.design in
+      (* every value the coarse grid or a refine window centred on a
+         coarse point can scan *)
+      let n = 8 in
+      let lo = tech.Tech.vt_min
+      and hi = tech.Tech.vt_max /. (1.0 +. tolerance) in
+      let coarse = Numeric.linspace ~lo ~hi ~n in
+      let span = (hi -. lo) /. float_of_int n in
+      let grid =
+        Array.to_list coarse
+        @ List.concat_map
+            (fun c ->
+              Array.to_list
+                (Numeric.linspace
+                   ~lo:(Numeric.clamp ~lo ~hi (c -. span))
+                   ~hi:(Numeric.clamp ~lo ~hi (c +. span))
+                   ~n))
+            (Array.to_list coarse)
+      in
+      let vt = d.Power_model.vt.((Power_model.gate_ids env).(0)) in
+      Array.iter
+        (fun id -> same "one threshold" vt d.Power_model.vt.(id))
+        (Power_model.gate_ids env);
+      Alcotest.(check bool)
+        (Printf.sprintf "tolerance %g: threshold %h is a grid value" tolerance
+           vt)
+        true
+        (List.exists (fun g -> bits g = bits vt) grid);
+      let leaky = Power_model.with_vt_stress env (1.0 -. tolerance) in
+      let e = Power_model.evaluate leaky d in
+      let got = sol.Solution.evaluation in
+      same "total energy" e.Power_model.total_energy got.Power_model.total_energy;
+      same "static energy" e.Power_model.static_energy
+        got.Power_model.static_energy;
+      same "dynamic energy" e.Power_model.dynamic_energy
+        got.Power_model.dynamic_energy;
+      same "critical delay" e.Power_model.critical_delay
+        got.Power_model.critical_delay;
+      Alcotest.(check bool) "feasible" e.Power_model.feasible
+        got.Power_model.feasible;
+      let slow = Power_model.with_vt_stress env (1.0 +. tolerance) in
+      let resized, ok =
+        Power_model.size_widths slow ~vdd:d.Power_model.vdd
+          ~vt:d.Power_model.vt ~budgets
+      in
+      Alcotest.(check bool) "slow corner meets the budgets" true ok;
+      Array.iter
+        (fun id ->
+          same "width" resized.Power_model.widths.(id)
+            d.Power_model.widths.(id))
+        (Power_model.gate_ids env))
+    [ 0.0; 0.1; 0.25 ]
 
 (* ------------------------------------------------------------------ *)
 (* One-pass trials: a Procedure-2 trial is one size_all sweep, whose
@@ -580,7 +639,6 @@ module Drive = Dcopt_device.Drive
 module Telemetry = Dcopt_obs.Telemetry
 module Metrics = Dcopt_obs.Metrics
 module Constraints = Dcopt_timing.Constraints
-module Numeric = Dcopt_util.Numeric
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -1150,6 +1208,7 @@ let () =
         [
           Alcotest.test_case "variation decreasing" `Slow
             test_variation_savings_decrease;
-          Alcotest.test_case "slack increasing" `Slow test_slack_savings_increase;
+          Alcotest.test_case "corner design is nominal" `Quick
+            test_corner_design_is_nominal;
         ] );
     ]

@@ -45,6 +45,21 @@ let with_jobs n fn =
 (* ------------------------------------------------------------------ *)
 (* Pool mechanics                                                      *)
 
+(* Pool domains resolve suite circuits (the experiment tables fan rows
+   out over Par): concurrent first lookups of one name must all get the
+   circuit the cache keeps. No other case of this process asks for these
+   names, so the pool fills the cache here. *)
+let test_suite_cache_concurrent () =
+  let names =
+    [| "s1488"; "s820"; "s1488"; "s832"; "s1488"; "s820"; "s1488"; "s832" |]
+  in
+  let got = Par.map ~jobs:4 Dcopt_suite.Suite.find_exn names in
+  Array.iteri
+    (fun i c ->
+      if c != Dcopt_suite.Suite.find_exn names.(i) then
+        Alcotest.failf "lookup %d of %s is not the cached circuit" i names.(i))
+    got
+
 let test_map_order () =
   let input = Array.init 100 (fun i -> i) in
   let expected = Array.map (fun i -> (i * i) + 7) input in
@@ -219,6 +234,8 @@ let () =
           Alcotest.test_case "set_jobs validates" `Quick test_set_jobs_validates;
           Alcotest.test_case "latency ignores a wall-clock step" `Quick
             test_latency_ignores_wall_clock_step;
+          Alcotest.test_case "suite cache under the pool" `Quick
+            test_suite_cache_concurrent;
         ] );
       ( "determinism",
         [
