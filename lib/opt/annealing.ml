@@ -81,10 +81,21 @@ let run_pass ?record env ~options rng =
      Guard.protect turns the whole pass into None instead of a crash. *)
   Guard.protect @@ fun () ->
   let inc = Power_model.Incr.create env (copy_design start) in
+  let solution () =
+    Solution.of_evaluation ~label:"annealing" ~meets_budgets:false
+      (copy_design (Power_model.Incr.design inc))
+      (Power_model.Incr.snapshot inc)
+  in
+  (* a core without gates has nothing to move: its start is the pass *)
+  let idle = Array.length gates = 0 in
   let current_cost = ref (incr_cost env inc) in
-  let best = ref None in
+  let best =
+    ref
+      (if idle && Power_model.Incr.feasible inc then Some (solution ())
+       else None)
+  in
   let temperature = ref initial_temperature in
-  for move = 1 to options.moves_per_pass do
+  for move = 1 to (if idle then 0 else options.moves_per_pass) do
     match perturb inc gates rng !temperature with
     | exception Guard.Non_finite _ ->
       (* the move walked into non-finite territory: abandon it (state
@@ -104,9 +115,7 @@ let run_pass ?record env ~options rng =
           Dcopt_obs.Telemetry.optimizer = "annealing";
           index = move - 1;
           vdd = design.Power_model.vdd;
-          vt =
-            (if Array.length gates = 0 then nan
-             else design.Power_model.vt.(gates.(0)));
+          vt = design.Power_model.vt.(gates.(0));
           static_energy = Power_model.Incr.static_energy inc;
           dynamic_energy = Power_model.Incr.dynamic_energy inc;
           total_energy = Power_model.Incr.total_energy inc;
@@ -128,12 +137,7 @@ let run_pass ?record env ~options rng =
         in
         (* same keep-the-best rule as [Solution.better], but the copies
            are only paid when the candidate actually wins *)
-        if improves then
-          best :=
-            Some
-              (Solution.of_evaluation ~label:"annealing" ~meets_budgets:false
-                 (copy_design (Power_model.Incr.design inc))
-                 (Power_model.Incr.snapshot inc))
+        if improves then best := Some (solution ())
       end
     end
     else Power_model.Incr.rollback inc;

@@ -548,7 +548,6 @@ let certify_sweep env ~budgets =
 (* Incremental evaluation                                              *)
 
 module Incr = struct
-  module Incr_sta = Dcopt_timing.Incr_sta
   module Metrics = Dcopt_obs.Metrics
 
   let m_moves = Metrics.counter ~help:"incremental-evaluation moves" "incr.moves"
@@ -565,17 +564,25 @@ module Incr = struct
     Metrics.histogram ~help:"gates recomputed per incremental move"
       "incr.cone_size"
 
-  type undo =
-    | Width of int * float
-    | Vt of int * float
-    | Vdd of float * drive_cache
-    | Vt_all of float array
+  (* A journal entry's floats, one per column of [columns]. *)
+  let stride = 7
 
+  (* The worklist is a set of per-level buckets, swept in ascending level
+     order. Every fanout of a level-l gate sits at a strictly higher
+     level, so the bucket being processed never grows under the sweep
+     and one ascending pass drains everything. Each bucket is
+     preallocated to the number of gates at its level.
+
+     The journal holds one entry per gate a transaction touched, written
+     before the gate's first change: its id in [journal_ids] and its
+     [columns] at [stride * slot] in [journal_vals]. [journaled] keeps it
+     to one entry per gate, so the node count bounds it. *)
   type t = {
     ienv : env;
     idesign : design;
-    ist : Incr_sta.t;
     mutable icache : drive_cache;
+    delays : float array;
+    arrival : float array;
     st_terms : float array;
     dy_terms : float array;
     sc_terms : float array;
@@ -583,34 +590,85 @@ module Incr = struct
     mutable dy_total : float;
     mutable sc_total : float;
     mutable crit : float;
-    term_journaled : bool array;
-    mutable term_journal : (int * float * float * float) list;
-    mutable design_journal : undo list;
-    (* totals and critical delay at move start, restored verbatim on
-       rollback so rejected moves leave no floating-point residue *)
-    mutable saved : (float * float * float * float) option;
+    buckets : int array array;   (* one per level, capacity = gates there *)
+    bucket_len : int array;
+    mutable min_dirty : int;     (* lowest queued level; depth+1 = none *)
+    mutable dirty : int;         (* total queued gates *)
+    queued : bool array;
+    columns : float array array;
+        (* widths, thresholds, delays, arrivals and the three terms *)
+    journaled : bool array;
+    journal_ids : int array;
+    journal_vals : float array;
+    mutable journal_len : int;
+    (* totals, critical delay, supply and its drive cache at the
+       transaction's first move, restored verbatim on rollback so a
+       rejected move leaves no floating-point residue *)
+    mutable saved :
+      (float * float * float * float * float * drive_cache) option;
   }
 
   let env t = t.ienv
   let design t = t.idesign
-  let delays t = Incr_sta.delays t.ist
-  let arrivals t = Incr_sta.arrivals t.ist
+  let delays t = t.delays
 
-  (* One gate's full re-evaluation: the same context, gate record and
-     formulas as [evaluate]'s topological sweep, so an unchanged gate
-     reproduces its delay bit for bit. Energy terms are swapped into the
-     running totals (subtract the stored term, add the new one). *)
-  let recompute t ~id ~max_fanin_delay =
-    let env = t.ienv in
-    let design = t.idesign in
+  let record t id =
+    if not t.journaled.(id) then begin
+      t.journaled.(id) <- true;
+      let k = t.journal_len in
+      t.journal_ids.(k) <- id;
+      for c = 0 to stride - 1 do
+        t.journal_vals.((stride * k) + c) <- t.columns.(c).(id)
+      done;
+      t.journal_len <- k + 1
+    end
+
+  let mark_dirty t id =
+    if t.ienv.is_gate.(id) && not t.queued.(id) then begin
+      t.queued.(id) <- true;
+      let l = t.ienv.env_flat.Flat.levels.(id) in
+      t.buckets.(l).(t.bucket_len.(l)) <- id;
+      t.bucket_len.(l) <- t.bucket_len.(l) + 1;
+      t.dirty <- t.dirty + 1;
+      if l < t.min_dirty then t.min_dirty <- l
+    end
+
+  (* Drop every queued mark, e.g. those a raising move left behind. *)
+  let drain t =
+    let depth = t.ienv.env_flat.Flat.depth in
+    if t.dirty > 0 then
+      for l = t.min_dirty to depth do
+        for i = 0 to t.bucket_len.(l) - 1 do
+          t.queued.(t.buckets.(l).(i)) <- false
+        done;
+        t.bucket_len.(l) <- 0
+      done;
+    t.dirty <- 0;
+    t.min_dirty <- depth + 1
+
+  (* One gate's re-evaluation, with [evaluate]'s fanin fold (pin order),
+     context, gate record and formulas, so a gate whose inputs are
+     unchanged reproduces its delay and arrival bit for bit — that
+     equality is the worklist's stop test. Energy terms are swapped into
+     the running totals (subtract the stored term, add the new one).
+     Returns whether the delay or arrival changed. *)
+  let step t id =
+    let env = t.ienv and design = t.idesign in
+    let f = env.env_flat in
+    let max_fanin_delay = ref 0.0 and worst_arrival = ref 0.0 in
+    for p = f.Flat.fanin_off.(id) to f.Flat.fanin_off.(id + 1) - 1 do
+      let fi = f.Flat.fanin_edges.(p) in
+      if env.is_gate.(fi) then
+        max_fanin_delay := Float.max !max_fanin_delay t.delays.(fi);
+      worst_arrival := Float.max !worst_arrival t.arrival.(fi)
+    done;
+    let max_fanin_delay = !max_fanin_delay in
     let ctx = drive_ctx t.icache ~vt:design.vt.(id) in
     let w = design.widths.(id) in
     let g = gate env ctx design ~max_fanin_delay id in
-    (* Running totals are updated by subtract-then-add, so clamping a
-       non-finite term here would poison them for every later move
-       (inf -. inf = nan). Instead every value is checked *before* any
-       total mutates: Guard.Non_finite aborts the move and the caller's
-       rollback restores the journaled state verbatim. *)
+    (* Clamping would poison the subtract-then-add totals (inf -. inf =
+       nan), so every term is checked before anything mutates: the raise
+       aborts the move, and the caller's rollback restores the journal. *)
     let d = Guard.check ~site:"incr.delay" (Drive.gate_delay g ~w) in
     let st = Guard.check ~site:"incr.static" (Drive.static_energy ctx ~fc:env.fc ~w) in
     let dy =
@@ -623,79 +681,171 @@ module Incr = struct
           (sc_energy env ctx design ~max_fanin_delay id)
       else 0.0
     in
-    if not t.term_journaled.(id) then begin
-      t.term_journaled.(id) <- true;
-      t.term_journal <-
-        (id, t.st_terms.(id), t.dy_terms.(id), t.sc_terms.(id))
-        :: t.term_journal
-    end;
+    record t id;
     t.st_total <- t.st_total -. t.st_terms.(id) +. st;
     t.dy_total <- t.dy_total -. t.dy_terms.(id) +. dy;
     t.sc_total <- t.sc_total -. t.sc_terms.(id) +. sc;
     t.st_terms.(id) <- st;
     t.dy_terms.(id) <- dy;
     t.sc_terms.(id) <- sc;
-    d
+    let a = !worst_arrival +. d in
+    let changed =
+      not (Float.equal d t.delays.(id) && Float.equal a t.arrival.(id))
+    in
+    t.delays.(id) <- d;
+    t.arrival.(id) <- a;
+    changed
+
+  (* Drain the buckets in ascending level order, queueing a gate's
+     fanouts when its delay or arrival changed; returns the number of
+     gates stepped, the move's cone size. *)
+  let propagate t =
+    let f = t.ienv.env_flat in
+    let depth = f.Flat.depth in
+    let fanout_off = f.Flat.fanout_off in
+    let fanout_edges = f.Flat.fanout_edges in
+    let processed = ref 0 in
+    let l = ref t.min_dirty in
+    (* Marks raised while processing level l land strictly above l, so the
+       ascending sweep visits them; [dirty] short-circuits the tail once the
+       wavefront has died out. *)
+    while !l <= depth && t.dirty > 0 do
+      let len = t.bucket_len.(!l) in
+      if len > 0 then begin
+        let bucket = t.buckets.(!l) in
+        (* Retire the whole bucket before stepping any of it: [step] may
+           raise Guard.Non_finite mid-bucket, and an id left queued with
+           no bucket slot could never be marked dirty again. Clearing up
+           front is safe — fanouts sit at strictly higher levels, so no
+           step below can re-queue an id from this bucket. *)
+        for i = 0 to len - 1 do
+          t.queued.(bucket.(i)) <- false
+        done;
+        t.bucket_len.(!l) <- 0;
+        t.dirty <- t.dirty - len;
+        for i = 0 to len - 1 do
+          let id = bucket.(i) in
+          incr processed;
+          if step t id then
+            for p = fanout_off.(id) to fanout_off.(id + 1) - 1 do
+              mark_dirty t fanout_edges.(p)
+            done
+        done
+      end;
+      incr l
+    done;
+    t.min_dirty <- depth + 1;
+    !processed
+
+  (* Every gate, in topological order: the initializer and the fallback
+     for global moves. The totals are a left fold in visiting order, and
+     only this order makes [create]'s totals [evaluate]'s. *)
+  let sweep t =
+    drain t;
+    let gates = t.ienv.gates_topo in
+    for i = 0 to Array.length gates - 1 do
+      ignore (step t gates.(i))
+    done
 
   let recompute_critical t =
-    let arrival = Incr_sta.arrivals t.ist in
     t.crit <-
       Array.fold_left
-        (fun acc id -> Float.max acc arrival.(id))
+        (fun acc id -> Float.max acc t.arrival.(id))
         0.0
         (Circuit.outputs t.ienv.env_circuit)
 
+  let commit t =
+    drain t;
+    for k = 0 to t.journal_len - 1 do
+      t.journaled.(t.journal_ids.(k)) <- false
+    done;
+    t.journal_len <- 0;
+    t.saved <- None
+
+  let rollback t =
+    drain t;
+    for k = 0 to t.journal_len - 1 do
+      let id = t.journal_ids.(k) in
+      t.journaled.(id) <- false;
+      for c = 0 to stride - 1 do
+        t.columns.(c).(id) <- t.journal_vals.((stride * k) + c)
+      done
+    done;
+    t.journal_len <- 0;
+    (match t.saved with
+    | Some (st, dy, sc, crit, vdd, cache) ->
+      t.st_total <- st;
+      t.dy_total <- dy;
+      t.sc_total <- sc;
+      t.crit <- crit;
+      t.idesign.vdd <- vdd;
+      t.icache <- cache
+    | None -> ());
+    t.saved <- None
+
   let create env design =
-    if Array.length design.vt <> Circuit.size env.env_circuit
-       || Array.length design.widths <> Circuit.size env.env_circuit
-    then invalid_arg "Power_model.Incr.create: design size mismatch";
+    let n = Circuit.size env.env_circuit in
+    if Array.length design.vt <> n || Array.length design.widths <> n then
+      invalid_arg "Power_model.Incr.create: design size mismatch";
     if Option.is_some design.rail then
       invalid_arg "Power_model.Incr.create: two-rail design";
-    let n = Circuit.size env.env_circuit in
+    let f = env.env_flat in
+    let depth = f.Flat.depth in
+    let column () = Array.make n 0.0 in
+    let delays = column () and st_terms = column () in
+    let dy_terms = column () and sc_terms = column () in
+    (* Constraint input delays seed the primary inputs' arrivals; inputs
+       are never stepped, so the seeds survive every move. *)
+    let arrival =
+      match env.arr_seed with
+      | None -> column ()
+      | Some seed -> Array.copy seed (* gate slots overwritten below *)
+    in
     let t =
       {
         ienv = env;
         idesign = design;
-        ist = Incr_sta.create env.env_flat;
         icache = drive_cache env ~vdd:design.vdd;
-        st_terms = Array.make n 0.0;
-        dy_terms = Array.make n 0.0;
-        sc_terms = Array.make n 0.0;
+        delays;
+        arrival;
+        st_terms;
+        dy_terms;
+        sc_terms;
         st_total = 0.0;
         dy_total = 0.0;
         sc_total = 0.0;
         crit = 0.0;
-        term_journaled = Array.make n false;
-        term_journal = [];
-        design_journal = [];
+        buckets =
+          Array.init (depth + 1) (fun l ->
+              let lo, hi = Flat.level_gates f l in
+              Array.make (hi - lo) 0);
+        bucket_len = Array.make (depth + 1) 0;
+        min_dirty = depth + 1;
+        dirty = 0;
+        queued = Array.make n false;
+        columns =
+          [| design.widths; design.vt; delays; arrival; st_terms; dy_terms;
+             sc_terms |];
+        journaled = Array.make n false;
+        journal_ids = Array.make n 0;
+        journal_vals = Array.make (stride * n) 0.0;
+        journal_len = 0;
         saved = None;
       }
     in
-    (* Constraint input delays seed the (live) arrival column at the
-       primary inputs; inputs are never dirtied, so the seeds survive
-       every propagate/commit/rollback cycle. *)
-    (match env.arr_seed with
-     | None -> ()
-     | Some seed ->
-       let arr = Incr_sta.arrivals t.ist in
-       Array.iteri
-         (fun id s -> if not env.is_gate.(id) then arr.(id) <- s)
-         seed);
     (* Populate by a full sweep: the sub-then-add updates against zeroed
        terms reduce to the exact left-to-right sums [evaluate] computes. *)
-    Incr_sta.refresh t.ist ~recompute:(fun ~id ~max_fanin_delay ->
-        recompute t ~id ~max_fanin_delay);
+    sweep t;
     recompute_critical t;
-    Incr_sta.commit t.ist;
-    List.iter (fun (id, _, _, _) -> t.term_journaled.(id) <- false)
-      t.term_journal;
-    t.term_journal <- [];
+    commit t;
     t
 
   let begin_move t =
     Metrics.incr m_moves;
-    if t.saved = None then
-      t.saved <- Some (t.st_total, t.dy_total, t.sc_total, t.crit)
+    if Option.is_none t.saved then
+      t.saved <-
+        Some
+          (t.st_total, t.dy_total, t.sc_total, t.crit, t.idesign.vdd, t.icache)
 
   let finish_move t ~cone =
     Metrics.incr ~by:cone m_dirty;
@@ -704,100 +854,52 @@ module Incr = struct
     recompute_critical t
 
   let require_gate t id =
-    if not (Incr_sta.is_gate t.ist id) then
+    if not t.ienv.is_gate.(id) then
       invalid_arg "Power_model.Incr: node is not a gate"
 
   let set_width t id w =
     require_gate t id;
     begin_move t;
-    t.design_journal <- Width (id, t.idesign.widths.(id)) :: t.design_journal;
+    record t id;
     t.idesign.widths.(id) <- w;
     (* the gate's own delay/energy change, and so do its fanin drivers':
        their load includes this gate's input capacitance *)
-    Incr_sta.mark_dirty t.ist id;
+    mark_dirty t id;
     let f = t.ienv.env_flat in
     for p = f.Flat.fanin_off.(id) to f.Flat.fanin_off.(id + 1) - 1 do
-      Incr_sta.mark_dirty t.ist f.Flat.fanin_edges.(p)
+      mark_dirty t f.Flat.fanin_edges.(p)
     done;
-    let cone =
-      Incr_sta.propagate t.ist ~recompute:(fun ~id ~max_fanin_delay ->
-          recompute t ~id ~max_fanin_delay)
-    in
-    finish_move t ~cone
+    finish_move t ~cone:(propagate t)
 
   let set_vt t id vt =
     require_gate t id;
     begin_move t;
-    t.design_journal <- Vt (id, t.idesign.vt.(id)) :: t.design_journal;
+    record t id;
     t.idesign.vt.(id) <- vt;
     (* a threshold change is local: no other gate's load or context moves *)
-    Incr_sta.mark_dirty t.ist id;
-    let cone =
-      Incr_sta.propagate t.ist ~recompute:(fun ~id ~max_fanin_delay ->
-          recompute t ~id ~max_fanin_delay)
-    in
-    finish_move t ~cone
+    mark_dirty t id;
+    finish_move t ~cone:(propagate t)
 
   let full_refresh t =
     Metrics.incr m_fallbacks;
-    Incr_sta.refresh t.ist ~recompute:(fun ~id ~max_fanin_delay ->
-        recompute t ~id ~max_fanin_delay);
+    sweep t;
     finish_move t ~cone:(Array.length t.ienv.gates_topo)
 
+  (* [saved] holds the supply and its cache, so a rollback needs no entry *)
   let set_vdd t vdd =
     begin_move t;
-    t.design_journal <- Vdd (t.idesign.vdd, t.icache) :: t.design_journal;
     t.idesign.vdd <- vdd;
     t.icache <- drive_cache t.ienv ~vdd;
     full_refresh t
 
   let set_vt_uniform t vt =
     begin_move t;
-    t.design_journal <- Vt_all (Array.copy t.idesign.vt) :: t.design_journal;
-    Array.iter (fun id -> t.idesign.vt.(id) <- vt) t.ienv.gates_topo;
+    let gates = t.ienv.gates_topo in
+    for i = 0 to Array.length gates - 1 do
+      record t gates.(i);
+      t.idesign.vt.(gates.(i)) <- vt
+    done;
     full_refresh t
-
-  let clear_journals t =
-    List.iter (fun (id, _, _, _) -> t.term_journaled.(id) <- false)
-      t.term_journal;
-    t.term_journal <- [];
-    t.design_journal <- [];
-    t.saved <- None
-
-  let commit t =
-    Incr_sta.commit t.ist;
-    clear_journals t
-
-  let rollback t =
-    Incr_sta.rollback t.ist;
-    List.iter
-      (fun (id, st, dy, sc) ->
-        t.term_journaled.(id) <- false;
-        t.st_terms.(id) <- st;
-        t.dy_terms.(id) <- dy;
-        t.sc_terms.(id) <- sc)
-      t.term_journal;
-    t.term_journal <- [];
-    (* newest first: replaying the whole list leaves the oldest (= original)
-       value of any field written twice *)
-    List.iter
-      (function
-        | Width (id, w) -> t.idesign.widths.(id) <- w
-        | Vt (id, v) -> t.idesign.vt.(id) <- v
-        | Vdd (v, cache) ->
-          t.idesign.vdd <- v;
-          t.icache <- cache
-        | Vt_all old -> Array.blit old 0 t.idesign.vt 0 (Array.length old))
-      t.design_journal;
-    t.design_journal <- [];
-    (match t.saved with
-    | Some (st, dy, sc, crit) ->
-      t.st_total <- st;
-      t.dy_total <- dy;
-      t.sc_total <- sc;
-      t.crit <- crit
-    | None -> ());
-    t.saved <- None
 
   let static_energy t = t.st_total
   let dynamic_energy t = t.dy_total
@@ -805,12 +907,11 @@ module Incr = struct
   let total_energy t = t.st_total +. t.dy_total +. t.sc_total
   let critical_delay t = t.crit
 
-  let feasible t =
-    arrivals_feasible t.ienv ~critical_delay:t.crit (Incr_sta.arrivals t.ist)
+  let feasible t = arrivals_feasible t.ienv ~critical_delay:t.crit t.arrival
 
   let critical_path t =
     Dcopt_timing.Flat_sta.critical_path_of_arrival t.ienv.env_flat
-      ~arrival:(Incr_sta.arrivals t.ist) ~delays:(Incr_sta.delays t.ist)
+      ~arrival:t.arrival ~delays:t.delays
 
   let snapshot t =
     {
@@ -820,7 +921,7 @@ module Incr = struct
       total_energy = total_energy t;
       static_power = t.st_total *. t.ienv.fc;
       dynamic_power = (t.dy_total +. t.sc_total) *. t.ienv.fc;
-      delays = Array.copy (Incr_sta.delays t.ist);
+      delays = Array.copy t.delays;
       critical_delay = t.crit;
       feasible = feasible t;
     }

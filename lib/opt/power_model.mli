@@ -228,31 +228,27 @@ val certify_sweep : env -> budgets:float array -> (unit, string) result
     finite) and each arrival at most the budgets' arrival. [Error]
     names the reason otherwise. *)
 
-(** Incremental evaluation engine for single-gate moves.
-
-    Both gate-sizing optimizers (TILOS, annealing) change one gate per move
-    but previously paid a whole-circuit {!evaluate} (plus a second full STA
-    pass for the critical path) per move. [Incr] keeps the current delays,
+(** Incremental evaluation engine for single-gate moves (TILOS,
+    annealing, the multi-vt greedy). [Incr] keeps the current delays,
     arrival times, critical delay and running energy totals as mutable
     state and re-evaluates only the affected cone of a move:
 
-    - a width change at gate [g] invalidates [g]'s own delay, the delays of
-      [g]'s fanin drivers (their load includes [w_g]) and everything
-      downstream of a changed delay/arrival — propagated by
-      {!Dcopt_timing.Incr_sta}'s topological worklist, which stops where
-      recomputed values are bit-identical to the old ones;
-    - a per-gate threshold change invalidates only that gate (loads don't
-      move) plus its downstream cone;
-    - global moves (supply voltage, uniform threshold) fall back to a full
-      journaled sweep — the [incr.full_fallbacks] counter tracks these.
+    - a width change at gate [g] invalidates [g], its fanin drivers (their
+      load includes [w_g]) and, level by level, every fanout of a gate
+      whose recomputed (delay, arrival) pair is not bit-identical to the
+      old one;
+    - a per-gate threshold change invalidates only [g] and that cone;
+    - global moves (supply voltage, uniform threshold) re-sweep every
+      gate in topological order, counted by [incr.full_fallbacks].
 
     Energy totals are maintained by subtracting the touched gates' stored
-    terms and adding the recomputed ones, so they track the full
-    {!evaluate} within accumulated round-off (the differential test suite
-    bounds the drift at 1e-9 relative); delays and arrival times are
-    bit-identical by construction. Moves are transactional: {!Incr.commit}
-    accepts, {!Incr.rollback} restores every journaled value — including
-    the design fields — exactly.
+    terms and adding the recomputed ones, so they track {!evaluate}
+    within accumulated round-off (the differential tests bound the drift
+    at 1e-9 relative); delays and arrivals are bit-identical by
+    construction. Moves are transactional: a gate's first change journals
+    it once, {!Incr.commit} accepts, and {!Incr.rollback} restores the
+    journal and the transaction's starting supply, totals and critical
+    delay exactly.
 
     Instruments [incr.moves], [incr.dirty_gates], [incr.full_fallbacks]
     and the [incr.cone_size] histogram in {!Dcopt_obs.Metrics}. *)
@@ -266,14 +262,11 @@ module Incr : sig
       sensitivity probe does). Raises [Invalid_argument] on a two-rail
       design: no optimizer moves one incrementally.
 
-      Raises {!Guard.Non_finite} when the design evaluates to a
-      non-finite delay or energy term (e.g. vt at or above vdd): the
-      incremental engine cannot clamp — its running totals are updated by
-      subtract-then-add, where an infinity would turn into NaN on the
-      next move — so degenerate designs are rejected at the door.
-      [set_*] moves raise the same way, leaving the transaction open; the
-      caller must {!rollback}, after which the engine state is exactly as
-      before the move. *)
+      Raises {!Guard.Non_finite} on a non-finite delay or energy term
+      (e.g. vt at or above vdd): an infinity in the subtract-then-add
+      totals would turn into NaN, so the engine cannot clamp. [set_*]
+      moves raise the same way, leaving the transaction open; the caller
+      must {!rollback}, which restores the state before it exactly. *)
 
   val env : t -> env
   val design : t -> design
@@ -284,9 +277,6 @@ module Incr : sig
   (** Live per-node achieved delays — current after every [set_*]/
       {!rollback}. Treat as read-only. *)
 
-  val arrivals : t -> float array
-  (** Live per-node arrival times. Treat as read-only. *)
-
   val set_width : t -> int -> float -> unit
   (** Set a gate's width and re-evaluate its cone. O(affected cone). *)
 
@@ -294,10 +284,10 @@ module Incr : sig
   (** Set a gate's threshold and re-evaluate its cone. O(affected cone). *)
 
   val set_vdd : t -> float -> unit
-  (** Global supply move: full journaled re-sweep (fallback). *)
+  (** Global supply move: full re-sweep (fallback). *)
 
   val set_vt_uniform : t -> float -> unit
-  (** Set every gate's threshold: full journaled re-sweep (fallback). *)
+  (** Set every gate's threshold: full re-sweep (fallback). *)
 
   val commit : t -> unit
   (** Accept all changes since the last commit/rollback. *)

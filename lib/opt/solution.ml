@@ -26,15 +26,12 @@ let gate_widths t env =
     (fun id -> t.design.Power_model.widths.(id))
     (Power_model.unsafe_gate_ids env)
 
-let mean_width t env = Dcopt_util.Stats.mean (gate_widths t env)
-
 let active_area t env =
   let tech = Power_model.tech env in
   let f = tech.Dcopt_device.Tech.feature_size in
   Array.fold_left
     (fun acc w -> acc +. (w *. (1.0 +. tech.Dcopt_device.Tech.beta_ratio) *. f *. f))
     0.0 (gate_widths t env)
-let max_width t env = snd (Dcopt_util.Stats.min_max (gate_widths t env))
 
 let total_energy t = t.evaluation.Power_model.total_energy
 let static_energy t = t.evaluation.Power_model.static_energy
@@ -256,14 +253,22 @@ let describe env t =
     |> List.map (fun v -> Printf.sprintf "%.0f mV" (v *. 1000.0))
     |> String.concat ", "
   in
+  (* a core without gates (a DFF-only shift register) has no widths *)
+  let widths =
+    match gate_widths t env with
+    | [||] -> "no gates"
+    | ws ->
+      Printf.sprintf "widths mean %.1f max %.0f" (Dcopt_util.Stats.mean ws)
+        (snd (Dcopt_util.Stats.min_max ws))
+  in
   let worst_slack, near_critical = slack_profile env t in
   let module Si = Dcopt_util.Si in
   Printf.sprintf
-    "%s: Vdd = %.3f V, Vt = {%s}, widths mean %.1f max %.0f, area %s\n\
+    "%s: Vdd = %.3f V, Vt = {%s}, %s, area %s\n\
     \  static %s  dynamic %s  total %s per cycle\n\
     \  critical delay %s (cycle %s)  feasible = %b, budgets met = %b\n\
     \  worst slack %s, %d nodes within 5%% of the cycle time"
-    t.label (vdd t) vts (mean_width t env) (max_width t env)
+    t.label (vdd t) vts widths
     (Printf.sprintf "%.1f um^2" (active_area t env *. 1e12))
     (Si.format ~unit:"J" (static_energy t))
     (Si.format ~unit:"J" (dynamic_energy t))

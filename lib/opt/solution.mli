@@ -24,8 +24,6 @@ val vt_values : t -> Power_model.env -> float list
 (** Distinct gate thresholds in the design, ascending (singleton for
     single-Vt designs). Primary-input entries are not read. *)
 
-val max_width : t -> Power_model.env -> float
-
 val total_energy : t -> float
 val static_energy : t -> float
 val dynamic_energy : t -> float
@@ -64,7 +62,8 @@ val better : t option -> t -> t option
 
 val describe : Power_model.env -> t -> string
 (** Multi-line human-readable summary: operating point, mean and maximum
-    width, active area, energies, and a slack line — the worst slack of
+    width ("no gates" for a core without any), active area, energies, and
+    a slack line — the worst slack of
     the solution's achieved delays against the env's constraint set, and
     the number of nodes with slack within 5% of the cycle time. The slack
     line runs the levelized {!Dcopt_timing.Flat_sta} analyzer over the

@@ -61,7 +61,7 @@ val critical_path_of_arrival :
   Dcopt_netlist.Flat.t -> arrival:float array -> delays:float array -> int list
 (** Gate ids of one maximal-arrival path, source to output, walked back
     from the first primary output of maximal arrival over arrival times
-    from {!forward} or maintained elsewhere (e.g. {!Incr_sta}'s). At each
-    node the walk follows the first fanin, in pin order, whose arrival
-    plus the node's delay reaches the node's arrival; [[]] for a circuit
-    without outputs. *)
+    from {!forward} or maintained elsewhere (e.g. [Power_model.Incr]'s).
+    At each node the walk follows the first fanin, in pin order, whose
+    arrival plus the node's delay reaches the node's arrival; [[]] for a
+    circuit without outputs. *)

@@ -85,6 +85,13 @@ let test_paper_binary_across_circuits () =
       | _, None -> Alcotest.fail (name ^ ": binary heuristic infeasible"))
     [ "s298"; "s382"; "s444" ]
 
+let contains r needle =
+  let len_n = String.length needle and len_r = String.length r in
+  let rec scan i =
+    i + len_n <= len_r && (String.sub r i len_n = needle || scan (i + 1))
+  in
+  scan 0
+
 let test_report_contains_key_numbers () =
   let p = Flow.prepare (Dcopt_suite.Suite.find_exn "s27") in
   match (Dcopt_core.Optimizer.get "joint").Dcopt_core.Optimizer.run
@@ -92,16 +99,9 @@ let test_report_contains_key_numbers () =
   | None -> Alcotest.fail "expected solution"
   | Some sol ->
     let r = Flow.report p sol in
-    let contains needle =
-      let len_n = String.length needle and len_r = String.length r in
-      let rec scan i =
-        i + len_n <= len_r && (String.sub r i len_n = needle || scan (i + 1))
-      in
-      scan 0
-    in
-    Alcotest.(check bool) "mentions circuit" true (contains "s27");
-    Alcotest.(check bool) "mentions Vdd" true (contains "Vdd");
-    Alcotest.(check bool) "mentions feasible" true (contains "feasible")
+    Alcotest.(check bool) "mentions circuit" true (contains r "s27");
+    Alcotest.(check bool) "mentions Vdd" true (contains r "Vdd");
+    Alcotest.(check bool) "mentions feasible" true (contains r "feasible")
 
 let test_infeasible_frequency_returns_none () =
   let config = { Flow.default_config with Flow.clock_frequency = 30e9 } in
@@ -130,6 +130,38 @@ let test_custom_frequency_feasible () =
       Alcotest.(check bool) "slower clock, lower vdd" true
         (Solution.vdd slow <= Solution.vdd fast))
 
+(* A core without gates is valid input: a netlist of pins only, and a
+   DFF-only shift register, whose combinational core has no gates. Every
+   builtin must solve it, and its human report must print. *)
+let test_gateless_cores () =
+  let parse name text =
+    match Dcopt_netlist.Bench_format.parse ~name text with
+    | Ok c -> c
+    | Error _ -> Alcotest.failf "%s does not parse" name
+  in
+  List.iter
+    (fun c ->
+      let p = Flow.prepare c in
+      Alcotest.(check int) "no gates" 0 (Circuit.gate_count p.Flow.core);
+      List.iter
+        (fun o ->
+          let what =
+            Printf.sprintf "%s %s" (Circuit.name c) o.Dcopt_core.Optimizer.name
+          in
+          let run = o.Dcopt_core.Optimizer.run in
+          match run (Dcopt_core.Scenario.of_prepared p) with
+          | None -> Alcotest.failf "%s: no solution" what
+          | Some sol ->
+            Alcotest.(check bool) (what ^ " feasible") true
+              (Solution.feasible sol);
+            Alcotest.(check bool) (what ^ " report") true
+              (contains (Flow.report p sol) "no gates"))
+        Dcopt_core.Optimizer.builtins)
+    [
+      parse "wire" "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(b)\n";
+      parse "shift" "INPUT(a)\nOUTPUT(q2)\nq1 = DFF(a)\nq2 = DFF(q1)\n";
+    ]
+
 let () =
   Alcotest.run "flow"
     [
@@ -148,6 +180,7 @@ let () =
           Alcotest.test_case "paper binary strategy" `Slow
             test_paper_binary_across_circuits;
           Alcotest.test_case "report" `Quick test_report_contains_key_numbers;
+          Alcotest.test_case "gateless cores" `Quick test_gateless_cores;
           Alcotest.test_case "infeasible frequency" `Quick
             test_infeasible_frequency_returns_none;
           Alcotest.test_case "frequency scaling" `Quick

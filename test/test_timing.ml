@@ -421,58 +421,6 @@ let test_assign_dangling_gets_fallback () =
     (b.Delay_assign.t_max.(Circuit.find c "dead") > 0.0);
   Alcotest.(check int) "one fallback" 1 b.Delay_assign.fallback_gates
 
-(* ------------------------------------------------------------------ *)
-(* Incremental STA                                                     *)
-
-(* Regression: a [recompute] that raises mid-bucket (the optimizers'
-   Guard.Non_finite abort path) must not strand still-queued gates.
-   Before the fix, ids after the raising one kept queued=true while the
-   bucket accounting had already been reset, so mark_dirty skipped them
-   forever and the engine silently stopped updating their timing. *)
-let test_incr_sta_raise_mid_bucket () =
-  let module Incr_sta = Dcopt_timing.Incr_sta in
-  (* g1 fans out to two gates at the same level, so one move queues a
-     two-entry bucket and the raise can happen on its first entry. *)
-  let c =
-    Circuit.create ~name:"fork"
-      ~nodes:
-        [
-          ("a", Gate.Input, []);
-          ("g1", Gate.Not, [ "a" ]);
-          ("g2a", Gate.Not, [ "g1" ]);
-          ("g2b", Gate.Not, [ "g1" ]);
-        ]
-      ~outputs:[ "g2a"; "g2b" ]
-  in
-  let g1 = Circuit.find c "g1" in
-  let g2a = Circuit.find c "g2a" and g2b = Circuit.find c "g2b" in
-  let ist = Incr_sta.create (Flat.of_circuit c) in
-  Incr_sta.refresh ist ~recompute:(fun ~id:_ ~max_fanin_delay:_ -> 1.0);
-  Incr_sta.commit ist;
-  (* Move: g1's delay becomes 2.0; recompute blows up on the level-2
-     bucket, i.e. after g1 was stepped and both fanouts were queued. *)
-  Incr_sta.mark_dirty ist g1;
-  (try
-     ignore
-       (Incr_sta.propagate ist ~recompute:(fun ~id ~max_fanin_delay:_ ->
-            if id = g1 then 2.0 else raise Exit));
-     Alcotest.fail "expected the recompute to raise"
-   with Exit -> Incr_sta.rollback ist);
-  let arrival = Incr_sta.arrivals ist in
-  Alcotest.(check (float 0.0)) "rolled back" 2.0 arrival.(g2a);
-  (* Same move again with healthy physics: every gate of the cone must
-     be recomputed, including the ones abandoned by the raise. *)
-  Incr_sta.mark_dirty ist g1;
-  let processed =
-    Incr_sta.propagate ist ~recompute:(fun ~id ~max_fanin_delay:_ ->
-        if id = g1 then 2.0 else 1.0)
-  in
-  Incr_sta.commit ist;
-  Alcotest.(check int) "full cone recomputed" 3 processed;
-  Alcotest.(check (float 0.0)) "g1 arrival" 2.0 arrival.(g1);
-  Alcotest.(check (float 0.0)) "g2a arrival" 3.0 arrival.(g2a);
-  Alcotest.(check (float 0.0)) "g2b arrival" 3.0 arrival.(g2b)
-
 let () =
   Alcotest.run "timing"
     [
@@ -515,10 +463,5 @@ let () =
           QCheck_alcotest.to_alcotest budgets_meet_cycle_property;
           QCheck_alcotest.to_alcotest budgets_positive_property;
           QCheck_alcotest.to_alcotest dag_budgets_verify_property;
-        ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "raise mid-bucket leaves engine usable" `Quick
-            test_incr_sta_raise_mid_bucket;
         ] );
     ]
